@@ -176,7 +176,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FitError, ValueError, OSError) as exc:
+    # RuntimeError: generate_model found no non-degenerate model for the settings
+    except (ConfigError, FitError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

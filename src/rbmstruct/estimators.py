@@ -5,6 +5,13 @@ probabilities, the empirical influence ratio, conditioning index sets
 (which samples realize each observed configuration on a node subset), and
 the average conditional covariance in two algebraically identical forms.
 
+The learners themselves use the bitset forms at the end of this module:
+a conditioning set's cells are a stack of bitsets over samples, refined
+by one column per added node, and every count is a popcount. Those
+routes give the same integers as the index routes above, and the same
+covariance floats bit for bit, because the float work is done in the
+same order (cells by first occurrence, one division per cell).
+
 All counting is exact integer arithmetic (float64 sums of +-1 entries
 stay integral far below 2**53); each estimator divides once at the end.
 That makes the direct and decomposed covariance routes agree to float
@@ -215,3 +222,77 @@ def _check_cov_args(u: int, v: int, idx: ConfigIndex) -> None:
         raise ValueError("u and v must lie outside the conditioning set")
     if idx.n_samples == 0:
         raise ValueError("need at least one sample")
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Number of set bits along the last axis, as int64."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def ones_mask(samples: SampleSet, S=()) -> np.ndarray:
+    """Bitset of the samples with x_S = 1^s; all M samples for empty S."""
+    M = samples.M
+    mask = np.full((M + 63) // 64, np.iinfo(np.uint64).max, dtype=np.uint64)
+    if M % 64:
+        mask[-1] = (1 << (M % 64)) - 1
+    for j in S:
+        mask &= samples.bits[j]
+    return mask
+
+
+def influence_counts(samples: SampleSet, cands, m_s, m_su) -> tuple[np.ndarray, np.ndarray]:
+    """(numer, denom) all-ones counts for each candidate j, given the
+    bitsets m_s of x_S = 1^s and m_su of x_{S+u} = 1^(s+1): numer counts
+    samples in m_su with x_j = +1, denom those in m_s."""
+    cols = samples.bits[list(cands)]
+    return popcount(cols & m_su), popcount(cols & m_s)
+
+
+def _lowest_bits(cells: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each (nonempty) bitset row."""
+    first = (cells != 0).argmax(axis=1)
+    word = cells[np.arange(len(cells)), first]
+    return 64 * first + np.bitwise_count((word - np.uint64(1)) & ~word)
+
+
+def split_cells(cells: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Refine a cell stack by one column: each cell splits into its
+    samples with x_j = +1 and with x_j = -1. Empty cells are dropped and
+    the rest ordered by lowest set bit, which is build_index's
+    first-occurrence order."""
+    parts = np.concatenate((cells & col, cells & ~col))
+    parts = parts[popcount(parts) > 0]
+    if len(parts) > 1:
+        parts = parts[np.argsort(_lowest_bits(parts))]
+    return parts
+
+
+def conditioning_cells(samples: SampleSet, S=()) -> np.ndarray:
+    """(cells, ceil(M/64)) uint64 stack of the samples realizing each
+    observed configuration of S, in first-occurrence order; the bitset
+    form of build_index(samples, S).groups for M >= 1."""
+    cells = ones_mask(samples)[None]
+    for j in S:
+        cells = split_cells(cells, samples.bits[j])
+    return cells
+
+
+def cov_scores(samples: SampleSet, u: int, cands, cells: np.ndarray) -> np.ndarray:
+    """Average conditional covariance of x_u with each candidate, over a
+    cell stack (conditioning_cells), by the same sum decomposition as
+    avg_cond_cov_decomposed and bit-identical to it: with a_j,l =
+    2 |cell_l & x_j| - |cell_l| and sum_i x_u^i x_v^i = M - 2 |x_u ^ x_v|,
+    every numerator is an exact integer below 2**53, and the per-cell
+    corrections are added in float64 in cell order. Needs M >= 1."""
+    bits = samples.bits
+    xu = bits[u]
+    cols = bits[list(cands)]
+    M = samples.M
+    z_total = M - 2 * popcount(cols ^ xu)
+    corr = np.zeros(len(cols))
+    for cell in cells:
+        size = popcount(cell)
+        a_u = 2 * popcount(cell & xu) - size
+        a_v = 2 * popcount(cols & cell) - size
+        corr += a_u * a_v / size
+    return (z_total - corr) / M

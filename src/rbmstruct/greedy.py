@@ -29,8 +29,12 @@ import numpy as np
 
 from .estimators import (
     InfluenceValue,
-    avg_cond_cov_decomposed,
-    build_index,
+    conditioning_cells,
+    cov_scores,
+    influence_counts,
+    ones_mask,
+    popcount,
+    split_cells,
 )
 from .model import TwoHopGraph
 from .sampling import SampleSet
@@ -172,15 +176,24 @@ def _influence_counts(samples: SampleSet, u: int, S) -> InfluenceValue:
     return InfluenceValue(numer_count=numer, denom_count=denom)
 
 
+def _influence_bits(samples: SampleSet, u: int, S) -> InfluenceValue:
+    """InfluenceValue of u given S, by popcounts over the column bitsets."""
+    m_s = ones_mask(samples, S)
+    return InfluenceValue(
+        numer_count=int(popcount(m_s & samples.bits[u])),
+        denom_count=int(popcount(m_s)),
+    )
+
+
 def _score_candidates_ferro(samples, cands, m_s, m_su) -> np.ndarray:
     """Empirical influence scores for each candidate j: pinning S, does
-    adding j keep u magnetized? Undefined candidates get UNDEFINED_SCORE."""
-    out = np.empty(len(cands), dtype=np.float64)
-    for pos, j in enumerate(cands):
-        col = samples.column(j)
-        denom = int((col[m_s] == 1).sum())
-        numer = int((col[m_su] == 1).sum())
-        out[pos] = InfluenceValue(numer, denom).value_or(UNDEFINED_SCORE)
+    adding j keep u magnetized? ``m_s``/``m_su`` are the bitsets of the
+    samples with x_S = 1^s and x_{S+u} = 1^(s+1). Undefined candidates
+    get UNDEFINED_SCORE."""
+    numer, denom = influence_counts(samples, cands, m_s, m_su)
+    out = np.full(len(cands), UNDEFINED_SCORE)
+    ok = denom > 0
+    out[ok] = 2.0 * numer[ok] / denom[ok] - 1.0
     return out
 
 
@@ -188,11 +201,11 @@ def _prune_ferro(samples, u, chosen, eta):
     """Keep j in chosen when dropping it lowers the influence by >= eta."""
     if not chosen:
         return [], []
-    i_full = _influence_counts(samples, u, chosen)
+    i_full = _influence_bits(samples, u, chosen)
     kept, pruned = [], []
     for j in chosen:
         rest = [i for i in chosen if i != j]
-        i_rest = _influence_counts(samples, u, rest)
+        i_rest = _influence_bits(samples, u, rest)
         if (
             i_full.defined
             and i_rest.defined
@@ -218,8 +231,8 @@ def learn_ferro(u: int, samples: SampleSet, eta: float, k: int) -> NeighborhoodR
         raise ValueError("eta must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    m_s = np.arange(samples.M, dtype=np.int64)
-    m_su = m_s[samples.column(u) == 1]
+    m_s = ones_mask(samples)
+    m_su = m_s & samples.bits[u]
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
     insufficient = False
@@ -237,9 +250,8 @@ def learn_ferro(u: int, samples: SampleSet, eta: float, k: int) -> NeighborhoodR
         j = cands[best]
         chosen.append(j)
         trace.append((j, float(scores[best])))
-        col = samples.column(j)
-        m_s = m_s[col[m_s] == 1]
-        m_su = m_su[col[m_su] == 1]
+        m_s = m_s & samples.bits[j]
+        m_su = m_su & samples.bits[j]
     kept, pruned = _prune_ferro(samples, u, chosen, eta)
     return NeighborhoodResult(
         u=u,
@@ -251,10 +263,10 @@ def learn_ferro(u: int, samples: SampleSet, eta: float, k: int) -> NeighborhoodR
     )
 
 
-def _score_candidates_lc(samples, u, cands, idx) -> np.ndarray:
-    return np.array(
-        [avg_cond_cov_decomposed(samples, u, v, idx) for v in cands], dtype=np.float64
-    )
+def _score_candidates_lc(samples, u, cands, cells) -> np.ndarray:
+    """Average conditional covariance of u with each candidate over the
+    cells of the current conditioning set."""
+    return cov_scores(samples, u, cands, cells)
 
 
 def _prune_lc(samples, u, chosen, tau):
@@ -264,8 +276,8 @@ def _prune_lc(samples, u, chosen, tau):
     kept, pruned = [], []
     for v in chosen:
         rest = [i for i in chosen if i != v]
-        idx = build_index(samples, rest)
-        if avg_cond_cov_decomposed(samples, u, v, idx) >= tau:
+        cells = conditioning_cells(samples, rest)
+        if cov_scores(samples, u, [v], cells)[0] >= tau:
             kept.append(v)
         else:
             pruned.append(v)
@@ -288,19 +300,20 @@ def learn_lc(u: int, samples: SampleSet, tau: float, t_max: int) -> Neighborhood
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
     exhausted = False
+    cells = conditioning_cells(samples)
     while len(chosen) < t_max:
         cands = [v for v in range(n) if v != u and v not in chosen]
         if not cands:
             exhausted = True
             break
-        idx = build_index(samples, chosen)
-        scores = _score_candidates_lc(samples, u, cands, idx)
+        scores = _score_candidates_lc(samples, u, cands, cells)
         best = int(np.argmax(scores))
         if scores[best] < tau:
             break
         v = cands[best]
         chosen.append(v)
         trace.append((v, float(scores[best])))
+        cells = split_cells(cells, samples.bits[v])
     kept, pruned = _prune_lc(samples, u, chosen, tau)
     return NeighborhoodResult(
         u=u,

@@ -14,6 +14,7 @@ out of the files makes outputs byte-identical across reruns.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from .model import (
     KIND_FERROMAGNETIC,
     KIND_LOCALLY_CONSISTENT,
     NonDegeneracyParams,
+    RbmModel,
     generate_model,
     load_model,
     two_hop_graph,
@@ -101,6 +103,8 @@ class ExperimentConfig:
     theory_defaults: bool = False
     trials: int = 1
     out: str | None = None
+    # When set, every trial learns this model; run() then takes n, m and
+    # d2 from the file and rejects a kind that differs from it.
     model_file: str | None = None
 
     def validate(self) -> None:
@@ -175,10 +179,8 @@ def _derived_seed(master: int, trial: int, role: int) -> int:
     return int(np.random.SeedSequence([master, trial, role]).generate_state(1)[0])
 
 
-def _run_trial(config: ExperimentConfig, trial: int) -> dict:
-    if config.model_file is not None:
-        model = load_model(config.model_file)
-    else:
+def _run_trial(config: ExperimentConfig, trial: int, model: RbmModel | None = None) -> dict:
+    if model is None:
         model = generate_model(
             config.kind,
             config.n,
@@ -229,16 +231,32 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 def run(config: ExperimentConfig) -> tuple[RecoveryMetrics, list]:
     """Run the configured trials; returns aggregate metrics and per-trial
-    records, writing <out>.jsonl and <out>.csv when an output path is set."""
+    records, writing <out>.jsonl and <out>.csv when an output path is set.
+
+    With ``model_file`` set, the file is loaded once and its n, m and
+    two-hop degree d2 replace the config's (in the CSV and in the
+    practical round budget d2 + 1); a kind other than the file's is a
+    ConfigError."""
+    model = None
+    if config.model_file is not None:
+        model = load_model(config.model_file)
+        if config.kind != model.kind:
+            raise ConfigError(
+                f"kind {config.kind!r} differs from the model file's kind {model.kind!r}"
+            )
+        config = dataclasses.replace(
+            config, n=model.n, m=model.m, d2=two_hop_graph(model).max_degree
+        )
     config.validate()
     start = time.perf_counter()
     trials = list(range(config.trials))
     workers = int(os.environ.get(THREADS_ENV, "1") or "1")
     if workers > 1 and len(trials) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, [config] * len(trials), trials))
+            n = len(trials)
+            records = list(pool.map(_run_trial, [config] * n, trials, [model] * n))
     else:
-        records = [_run_trial(config, t) for t in trials]
+        records = [_run_trial(config, t, model) for t in trials]
     records.sort(key=lambda r: r["trial"])
 
     exact = [r["exact"] for r in records]
@@ -390,7 +408,7 @@ def verify(quick: bool = True) -> bool:
     run with pytest; this battery covers the key identities so an
     installed package can self-check.
     """
-    from . import estimators, model, qsearch, sampling
+    from . import estimators, greedy, model, qsearch, sampling
 
     ok = True
 
@@ -416,6 +434,29 @@ def verify(quick: bool = True) -> bool:
         e = estimators.avg_cond_cov_decomposed(samples, u, v, idx)
         worst = max(worst, abs(d - e))
     check("covariance decomposition identity (<= 1e-12)", worst <= 1e-12)
+
+    # bitset fast paths against the index and masking references (own
+    # stream, so the draws of the checks below do not move)
+    brng = np.random.default_rng(20240812)
+    same = True
+    for _ in range(30 if quick else 200):
+        n = int(brng.integers(3, 12))
+        M = int(brng.integers(1, 300))
+        samples = sampling.SampleSet.from_pm1(brng.choice([-1, 1], size=(M, n)))
+        nodes = [int(x) for x in brng.permutation(n)]
+        u, cands = nodes[0], nodes[1:]
+        S = cands[: int(brng.integers(0, n - 1))]
+        cands = cands[len(S) :]
+        idx = estimators.build_index(samples, S)
+        fast = estimators.cov_scores(samples, u, cands, estimators.conditioning_cells(samples, S))
+        ref = [estimators.avg_cond_cov_decomposed(samples, u, v, idx) for v in cands]
+        same = same and fast.tolist() == ref
+        m_s = estimators.ones_mask(samples, S)
+        numer, denom = estimators.influence_counts(samples, cands, m_s, m_s & samples.bits[u])
+        masked = [greedy._influence_counts(samples, u, S + [j]) for j in cands]
+        same = same and numer.tolist() == [iv.numer_count for iv in masked]
+        same = same and denom.tolist() == [iv.denom_count for iv in masked]
+    check("bitset scores equal the index and masking routes", same)
 
     # influence ratio vs conditional mean
     worst = 0.0

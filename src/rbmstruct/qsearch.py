@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .estimators import build_index
+from .estimators import conditioning_cells, ones_mask, split_cells
 from .greedy import (
     UNDEFINED_SCORE,
     NeighborhoodResult,
@@ -325,8 +325,8 @@ def quantum_learn_ferro(
     if params is None:
         params = GroverParams()
     rho = delta / (2.0 * k)
-    m_s = np.arange(M, dtype=np.int64)
-    m_su = m_s[samples.column(u) == 1]
+    m_s = ones_mask(samples)
+    m_su = m_s & samples.bits[u]
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
     insufficient = False
@@ -346,9 +346,8 @@ def quantum_learn_ferro(
         j = cands[di]
         chosen.append(j)
         trace.append((j, float(dv)))
-        col = samples.column(j)
-        m_s = m_s[col[m_s] == 1]
-        m_su = m_su[col[m_su] == 1]
+        m_s = m_s & samples.bits[j]
+        m_su = m_su & samples.bits[j]
     s = len(chosen)
     if chosen:
         meter.charge_scores(1, M)  # influence of the full chosen set
@@ -406,14 +405,14 @@ def quantum_learn_lc(
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
     exhausted = False
+    cells = conditioning_cells(samples)
     while len(chosen) < t_max:
         cands = [v for v in range(n) if v != u and v not in chosen]
         if not cands:
             exhausted = True
             break
         meter.charge_index(H * len(chosen))
-        idx = build_index(samples, chosen)
-        values = _score_candidates_lc(samples, u, cands, idx)
+        values = _score_candidates_lc(samples, u, cands, cells)
         so = ScoreOracle(values, cost=H, meter=meter)
         di, dv = dh_max_find(so, rho, rng, params)
         if dv < tau:
@@ -421,6 +420,7 @@ def quantum_learn_lc(
         v = cands[di]
         chosen.append(v)
         trace.append((v, float(dv)))
+        cells = split_cells(cells, samples.bits[v])
     s = len(chosen)
     for _ in chosen:
         meter.charge_index(H * (s - 1))

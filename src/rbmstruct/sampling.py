@@ -2,6 +2,8 @@
 
 A SampleSet holds M visible configurations bit-packed, MSB-first within
 each byte, bit 1 meaning +1; rows are ceil(n/8) bytes with zero pad bits.
+The learners read it transposed, as one bitset over samples per node
+(``SampleSet.bits``).
 Small models are sampled exactly by inverse CDF over the enumerated
 visible marginal; larger ones via layer-wise block Gibbs (all hidden
 given visible, then all visible given hidden, which are exact conditional
@@ -36,7 +38,7 @@ class SampleFileError(Exception):
 class SampleSet:
     """Immutable bit-packed matrix of M visible configurations in {-1,+1}^n."""
 
-    __slots__ = ("n", "packed", "_dense")
+    __slots__ = ("n", "packed", "_dense", "_bits")
 
     def __init__(self, n: int, packed: np.ndarray):
         if n < 1:
@@ -53,6 +55,7 @@ class SampleSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "_dense", None)
+        object.__setattr__(self, "_bits", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleSet is immutable")
@@ -94,6 +97,26 @@ class SampleSet:
             d.setflags(write=False)
             object.__setattr__(self, "_dense", d)
         return self._dense
+
+    @property
+    def bits(self) -> np.ndarray:
+        """Column bitsets: an (n, ceil(M/64)) uint64 array (cached,
+        read-only). Bit i % 64 of word i // 64 in row j is set when sample
+        i has x_j = +1; pad bits past M are zero. Built one column at a
+        time through one M-byte buffer, so no (M, n) temporary is made."""
+        if self._bits is None:
+            M = self.M
+            words = (M + 63) // 64
+            b = np.zeros((self.n, 8 * words), dtype=np.uint8)
+            col = np.empty(M, dtype=np.uint8)
+            for j in range(self.n):
+                np.right_shift(self.packed[:, j // 8], 7 - j % 8, out=col)
+                col &= 1
+                b[j, : (M + 7) // 8] = np.packbits(col, bitorder="little")
+            b = b.view("<u8")
+            b.setflags(write=False)
+            object.__setattr__(self, "_bits", b)
+        return self._bits
 
     def column(self, j: int) -> np.ndarray:
         return self.dense[:, j]

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from rbmstruct import cli
+from rbmstruct import cli, harness
+from rbmstruct import model as model_mod
+from rbmstruct.greedy import learn_full_graph
 from rbmstruct.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -16,7 +18,13 @@ from rbmstruct.harness import (
     run,
     sweep_scaling,
 )
-from rbmstruct.model import load_model, save_model, two_hop_graph
+from rbmstruct.model import (
+    NonDegeneracyParams,
+    generate_model,
+    load_model,
+    save_model,
+    two_hop_graph,
+)
 from rbmstruct.sampling import load as load_samples
 
 from conftest import demo_ring_model
@@ -69,6 +77,39 @@ class TestRun:
         assert metrics.edge_recall == 1.0
         for rec in records:
             assert [0, 1] in rec["found_edges"]
+
+    def test_model_file_sets_dimensions_and_budget(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        mdl = generate_model("ferromagnetic", 6, 3, 2, NonDegeneracyParams(0.4, 2.0), seed=1)
+        save_model(mdl, path)
+        d2 = two_hop_graph(mdl).max_degree
+        budgets = []
+
+        def spy(samples, lcfg):
+            budgets.append(lcfg.k)
+            return learn_full_graph(samples, lcfg)
+
+        monkeypatch.setattr(harness, "learn_full_graph", spy)
+        cfg = ExperimentConfig(
+            model_file=str(path), n=10, m=5, d2=3, num_samples=2000,
+            algorithm="ferro", trials=1, seed=2, out=str(tmp_path / "r"),
+        )
+        run(cfg)
+        row = dict(zip(*[line.split(",") for line in
+                         (tmp_path / "r.csv").read_text().splitlines()]))
+        assert (row["kind"], row["n"], row["m"], row["d2"]) == (
+            "ferromagnetic", "6", "3", str(d2)
+        )
+        assert budgets == [d2 + 1]
+
+    def test_model_file_kind_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "ring.json"
+        save_model(demo_ring_model(), path)
+        cfg = ExperimentConfig(kind="locally-consistent", algorithm="lc", model_file=str(path))
+        with pytest.raises(ConfigError, match="kind"):
+            run(cfg)
+        assert cli.main(["learn", "--model-file", str(path), "--kind",
+                         "locally-consistent", "--algorithm", "lc"]) == 1
 
     def test_metrics_arithmetic_recomputable(self):
         cfg = ExperimentConfig(
@@ -198,6 +239,17 @@ class TestCli:
             "--out", "/dev/null",
         ]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_degenerate_generator_exit_code(self, monkeypatch, capsys):
+        def degenerate(*args, **kwargs):
+            raise RuntimeError("generator produced a degenerate model: []")
+
+        monkeypatch.setattr(model_mod, "generate_model", degenerate)
+        assert cli.main(["gen-model", "--out", "/dev/null"]) == 1
+        monkeypatch.setattr(harness, "generate_model", degenerate)
+        assert cli.main(["learn", "--num-samples", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: generator produced a degenerate model") == 2
 
     def test_bad_flag_exit_code(self):
         assert cli.main(["learn", "--algorithm", "bogus"]) == 1
