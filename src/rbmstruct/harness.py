@@ -9,7 +9,9 @@ by trial index before writing.
 Outputs: one JSON object per trial (line-delimited, sorted keys) plus an
 aggregate CSV with a fixed column order (see CSV_COLUMNS). Wall time is
 reported on the metrics object and the printed summary only; keeping it
-out of the files makes outputs byte-identical across reruns.
+out of the files makes outputs byte-identical across reruns. Each record
+carries ``gibbs_rhat``, the sampler's largest split-R-hat over visible
+nodes (``sampling.split_rhat``), or null for exact sampling.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .model import (
     two_hop_graph,
 )
 from .qsearch import GroverParams, QueryMeter, ScoreOracle, dh_max_find
-from .sampling import GibbsConfig, exact_sample, gibbs_sample
+from .sampling import GibbsConfig, exact_sample, gibbs_sample, split_rhat
 
 THREADS_ENV = "RBM_SL_THREADS"
 
@@ -118,6 +120,10 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 0")
         if self.num_samples < 0:
             raise ConfigError("num_samples must be >= 0")
+        if self.burn_in < 0:
+            raise ConfigError("burn_in must be >= 0")
+        if self.thinning < 1:
+            raise ConfigError("thinning must be >= 1")
         if self.n < 1 or self.m < 0 or not 0 <= self.d2 <= self.n - 1:
             raise ConfigError("bad model dimensions")
         if self.alpha <= 0 or self.beta < self.alpha:
@@ -189,6 +195,7 @@ def _run_trial(config: ExperimentConfig, trial: int, model: RbmModel | None = No
             NonDegeneracyParams(config.alpha, config.beta),
             seed=_derived_seed(config.seed, trial, 0),
         )
+    rhat = None
     if config.sampler == "exact":
         samples = exact_sample(model, config.num_samples, seed=_derived_seed(config.seed, trial, 1))
     else:
@@ -198,6 +205,7 @@ def _run_trial(config: ExperimentConfig, trial: int, model: RbmModel | None = No
             seed=_derived_seed(config.seed, trial, 1),
         )
         samples = gibbs_sample(model, config.num_samples, cfg)
+        rhat = split_rhat(samples)
     lcfg = config.resolved_learner()
     lcfg.seed = _derived_seed(config.seed, trial, 2)
     result = learn_full_graph(samples, lcfg)
@@ -216,6 +224,7 @@ def _run_trial(config: ExperimentConfig, trial: int, model: RbmModel | None = No
         "score_evals": meter.score_evals,
         "insufficient_nodes": [r.u for r in result.per_node if r.insufficient_samples],
         "exhausted_nodes": [r.u for r in result.per_node if r.exhausted],
+        "gibbs_rhat": rhat,
     }
 
 
@@ -517,4 +526,15 @@ def verify(quick: bool = True) -> bool:
     )
     total = model.ExactOracle(mdl).probabilities.sum()
     check("visible marginal normalization", abs(total - 1.0) <= 1e-12)
+
+    # multi-chain Gibbs against the exact marginal (fixed seeds of its own,
+    # so no other check's draws move)
+    mdl = model.generate_model(
+        KIND_FERROMAGNETIC, 4, 2, 2, NonDegeneracyParams(0.3, 1.5), seed=6
+    )
+    gs = sampling.gibbs_sample(mdl, 50_000, sampling.GibbsConfig(seed=7))
+    # node 0 is each packed byte's top bit and each config index's top bit
+    counts = np.bincount(gs.packed[:, 0] >> (8 - mdl.n), minlength=1 << mdl.n)
+    tv = 0.5 * np.abs(counts / gs.M - model.ExactOracle(mdl).probabilities).sum()
+    check("Gibbs total variation to the exact marginal (<= 0.03)", tv <= 0.03)
     return ok

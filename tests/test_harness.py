@@ -141,6 +141,16 @@ class TestRun:
         assert all(r["raw_queries"] > 0 for r in records)
         assert metrics.raw_queries_mean > 0
 
+    def test_gibbs_rhat_recorded(self):
+        cfg = dict(
+            kind="ferromagnetic", n=5, m=2, d2=1, seed=11, num_samples=2000,
+            burn_in=50, thinning=2, algorithm="ferro", eta=0.02, k=2,
+        )
+        _, gibbs = run(ExperimentConfig(sampler="gibbs", **cfg))
+        _, exact = run(ExperimentConfig(sampler="exact", **cfg))
+        assert 0.9 < gibbs[0]["gibbs_rhat"] < 1.1
+        assert exact[0]["gibbs_rhat"] is None
+
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
             run(ExperimentConfig(kind="bogus"))
@@ -148,6 +158,10 @@ class TestRun:
             run(ExperimentConfig(trials=-1))
         with pytest.raises(ConfigError):
             run(ExperimentConfig(alpha=0.0))
+        with pytest.raises(ConfigError):
+            run(ExperimentConfig(sampler="gibbs", burn_in=-1))
+        with pytest.raises(ConfigError):
+            run(ExperimentConfig(sampler="gibbs", thinning=0))
 
     def test_csv_column_order_stable(self, tmp_path):
         cfg = ExperimentConfig(
@@ -250,6 +264,16 @@ class TestCli:
         assert cli.main(["learn", "--num-samples", "100"]) == 1
         err = capsys.readouterr().err
         assert err.count("error: generator produced a degenerate model") == 2
+
+    def test_bad_gibbs_setting_rejected_before_any_model(self, monkeypatch, capsys):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was generated")
+
+        monkeypatch.setattr(harness, "generate_model", no_model)
+        assert cli.main([
+            "learn", "--num-samples", "100", "--sampler", "gibbs", "--thinning", "0",
+        ]) == 1
+        assert "error: thinning must be >= 1" in capsys.readouterr().err
 
     def test_bad_flag_exit_code(self):
         assert cli.main(["learn", "--algorithm", "bogus"]) == 1

@@ -12,6 +12,7 @@ from rbmstruct.sampling import (
     gibbs_sample,
     load,
     save,
+    split_rhat,
 )
 
 from conftest import random_small_model
@@ -146,6 +147,31 @@ class TestGibbsSampler:
         expected = math.tanh(0.4)
         assert s.dense[:, 0].mean() == pytest.approx(expected, abs=0.02)
         assert s.dense[:, 1].mean() == pytest.approx(-expected, abs=0.02)
+
+    @pytest.mark.parametrize("M", [1, 63, 64, 65, 130])
+    def test_chain_split_row_count(self, M):
+        m = RbmModel([[0.5], [0.5], [-0.3]], [0.2, 0.0, -0.1], [0.1])
+        s = gibbs_sample(m, M, GibbsConfig(burn_in=5, thinning=2, seed=15))
+        assert s.M == M and s.packed.shape == (M, 1)
+        assert not (s.packed[:, 0] & 0b00011111).any()
+
+    def test_seeds_differ(self):
+        m = RbmModel([[0.5], [0.5]], [0.0, 0.0], [0.0])
+        a = gibbs_sample(m, 500, GibbsConfig(burn_in=20, thinning=2, seed=16))
+        b = gibbs_sample(m, 500, GibbsConfig(burn_in=20, thinning=2, seed=17))
+        assert a != b
+
+    def test_split_rhat(self):
+        # rows follow the sampler's layout: row k * 64 + c is draw k of chain c
+        rng = np.random.default_rng(18)
+        iid = SampleSet.from_pm1(rng.choice([-1, 1], size=(64 * 400, 5)))
+        assert split_rhat(iid) < 1.05
+        p_plus = np.where(np.arange(64) % 2 == 0, 0.9, 0.1)
+        shifted = np.where(rng.random((400, 64, 5)) < p_plus[None, :, None], 1, -1)
+        assert split_rhat(SampleSet.from_pm1(shifted.reshape(-1, 5))) > 1.5
+        # too few draws per chain, then no node that ever changes
+        assert split_rhat(SampleSet.from_pm1(np.ones((64 * 3, 5)))) is None
+        assert split_rhat(SampleSet.from_pm1(np.ones((64 * 4, 5)))) is None
 
 
 class TestSampleFile:
