@@ -40,15 +40,14 @@ from .model import (
     visible_marginal,
 )
 from .qsearch import (
-    GroverParams,
     QueryMeter,
-    SampleOracle,
     ScoreOracle,
     dh_max_find,
     grover_stage,
     qsearch_sim,
     quantum_learn_ferro,
     quantum_learn_lc,
+    repetitions,
     stage_success_probability,
 )
 from .sampling import (

@@ -1,4 +1,4 @@
-"""Classical greedy two-hop learners and the theory-constant calculators.
+"""Greedy two-hop learners and the theory-constant calculators.
 
 Two learners, both reading nothing but a SampleSet:
 
@@ -11,6 +11,11 @@ Two learners, both reading nothing but a SampleSet:
   covariance with u while that maximum stays at least tau (hard cap T_max
   additions), then prunes each kept v whose covariance conditioned on the
   rest falls below tau.
+
+Both run on one candidate loop (``_greedy``), which also drives the
+quantum variants in ``qsearch``: each learner supplies its scorer, state
+update, stop rule and index-cost law, and takes the per-round selector
+(exhaustive argmax by default) and an optional QueryMeter to charge.
 
 The theory thresholds (eta, tau) and iteration budgets (k, T_star) are
 computed by ferro_constants / lc_constants with natural logarithms. They
@@ -40,7 +45,7 @@ from .model import TwoHopGraph
 from .sampling import SampleSet
 
 if TYPE_CHECKING:
-    from .qsearch import GroverParams, QueryMeter
+    from .qsearch import QueryMeter
 
 # Score assigned to candidates whose influence is undefined (no sample
 # matches the conditioning event): below any achievable score, so defined
@@ -197,10 +202,53 @@ def _score_candidates_ferro(samples, cands, m_s, m_su) -> np.ndarray:
     return out
 
 
-def _prune_ferro(samples, u, chosen, eta):
-    """Keep j in chosen when dropping it lowers the influence by >= eta."""
+def _argmax(values) -> tuple[int, float]:
+    """Exhaustive argmax over one round's scores, ties to the lowest index."""
+    best = int(np.argmax(values))
+    return best, float(values[best])
+
+
+def _greedy(u, samples, budget, state, score, add, stop, index_cost, pick, meter):
+    """The candidate loop shared by both learners and their quantum variants.
+
+    Each round scores the nodes not yet chosen with ``score(cands, state)``
+    and lets ``pick(values) -> (index, value)`` select one; when
+    ``stop(values, value)`` holds the run ends without taking it, otherwise
+    the node joins the chosen set, the pair (node, value) the trace, and
+    ``add(state, node)`` refines the conditioning state. Runs at most
+    ``budget`` rounds. With a meter, each round first charges
+    ``index_cost(|S|)`` raw queries for the conditioning structure it is
+    scored against. Returns (chosen, trace, stopped, exhausted)."""
+    chosen: list[int] = []
+    trace: list[tuple[int, float]] = []
+    while len(chosen) < budget:
+        cands = [j for j in range(samples.n) if j != u and j not in chosen]
+        if not cands:
+            return chosen, trace, False, True
+        if meter is not None:
+            meter.charge_index(index_cost(len(chosen)))
+        values = score(cands, state)
+        best, value = pick(values)
+        if stop(values, value):
+            return chosen, trace, True, False
+        j = cands[best]
+        chosen.append(j)
+        trace.append((j, value))
+        state = add(state, j)
+    return chosen, trace, False, False
+
+
+def _prune_ferro(samples, u, chosen, eta, meter=None):
+    """Keep j in chosen when dropping it lowers the influence by >= eta.
+    With a meter, charges one M-query evaluation for the full-set influence
+    and one for each leave-one-out influence, plus M(s-1) + M s raw queries
+    per leave-one-out set for its conditioning scans without and with u."""
     if not chosen:
         return [], []
+    if meter is not None:
+        s, M = len(chosen), samples.M
+        meter.charge_scores(s + 1, M)
+        meter.charge_index(s * M * (2 * s - 1))
     i_full = _influence_bits(samples, u, chosen)
     kept, pruned = [], []
     for j in chosen:
@@ -217,49 +265,40 @@ def _prune_ferro(samples, u, chosen, eta):
     return kept, pruned
 
 
-def learn_ferro(u: int, samples: SampleSet, eta: float, k: int) -> NeighborhoodResult:
+def learn_ferro(
+    u: int, samples: SampleSet, eta: float, k: int,
+    pick=_argmax, meter: "QueryMeter | None" = None,
+) -> NeighborhoodResult:
     """Influence-maximization greedy for ferromagnetic models.
 
-    Runs k rounds of argmax over candidates (ties to the lowest node
-    index), then prunes. Flags insufficient_samples when a round finds
-    every candidate undefined, exhausted when candidates run out early.
+    Runs k rounds choosing a candidate with ``pick`` (by default the
+    exhaustive argmax, ties to the lowest node index), then prunes. Flags
+    insufficient_samples when a round finds every candidate undefined,
+    exhausted when candidates run out early. With a meter, round s
+    charges M(2s+1) raw queries for the conditioning sets of S and
+    S union {u}.
     """
-    n = samples.n
+    n, M = samples.n, samples.M
     if not 0 <= u < n:
         raise ValueError("u out of range")
     if eta <= 0:
         raise ValueError("eta must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
+    bits = samples.bits
     m_s = ones_mask(samples)
-    m_su = m_s & samples.bits[u]
-    chosen: list[int] = []
-    trace: list[tuple[int, float]] = []
-    insufficient = False
-    exhausted = False
-    for _ in range(k):
-        cands = [j for j in range(n) if j != u and j not in chosen]
-        if not cands:
-            exhausted = True
-            break
-        scores = _score_candidates_ferro(samples, cands, m_s, m_su)
-        best = int(np.argmax(scores))
-        if scores[best] == UNDEFINED_SCORE:
-            insufficient = True
-            break
-        j = cands[best]
-        chosen.append(j)
-        trace.append((j, float(scores[best])))
-        m_s = m_s & samples.bits[j]
-        m_su = m_su & samples.bits[j]
-    kept, pruned = _prune_ferro(samples, u, chosen, eta)
+    chosen, trace, insufficient, exhausted = _greedy(
+        u, samples, k, (m_s, m_s & bits[u]),
+        score=lambda cands, st: _score_candidates_ferro(samples, cands, *st),
+        add=lambda st, j: (st[0] & bits[j], st[1] & bits[j]),
+        stop=lambda values, _: not np.any(values > UNDEFINED_SCORE),
+        index_cost=lambda s: M * (2 * s + 1),
+        pick=pick,
+        meter=meter,
+    )
+    kept, pruned = _prune_ferro(samples, u, chosen, eta, meter)
     return NeighborhoodResult(
-        u=u,
-        estimate=tuple(sorted(kept)),
-        trace=trace,
-        pruned=tuple(pruned),
-        insufficient_samples=insufficient,
-        exhausted=exhausted,
+        u, tuple(sorted(kept)), trace, tuple(pruned), insufficient, exhausted
     )
 
 
@@ -269,10 +308,16 @@ def _score_candidates_lc(samples, u, cands, cells) -> np.ndarray:
     return cov_scores(samples, u, cands, cells)
 
 
-def _prune_lc(samples, u, chosen, tau):
+def _prune_lc(samples, u, chosen, tau, meter=None):
     """Keep v when its covariance with u conditioned on the other chosen
     nodes stays at least tau. (Conditioning on v itself would be
-    identically zero, so the conditioning set is chosen minus v.)"""
+    identically zero, so the conditioning set is chosen minus v.) With a
+    meter, charges each of these an H-query evaluation plus the scan of
+    its conditioning set."""
+    if meter is not None:
+        s, H = len(chosen), samples.M
+        meter.charge_scores(s, H)
+        meter.charge_index(s * H * (s - 1))
     kept, pruned = [], []
     for v in chosen:
         rest = [i for i in chosen if i != v]
@@ -284,43 +329,40 @@ def _prune_lc(samples, u, chosen, tau):
     return kept, pruned
 
 
-def learn_lc(u: int, samples: SampleSet, tau: float, t_max: int) -> NeighborhoodResult:
-    """Conditional-covariance greedy for locally consistent models."""
-    n = samples.n
+def learn_lc(
+    u: int, samples: SampleSet, tau: float, t_max: int,
+    pick=_argmax, meter: "QueryMeter | None" = None,
+) -> NeighborhoodResult:
+    """Conditional-covariance greedy for locally consistent models.
+
+    Adds the candidate chosen by ``pick`` (by default the exhaustive
+    argmax) while its score stays at least tau, at most t_max times, then
+    prunes. With a meter, round s charges H*s raw queries for the scan of
+    the conditioning set.
+    """
+    n, H = samples.n, samples.M
     if not 0 <= u < n:
         raise ValueError("u out of range")
     if tau <= 0:
         raise ValueError("tau must be positive")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if samples.M == 0:
+    if H == 0:
         return NeighborhoodResult(
             u=u, estimate=(), trace=[], pruned=(), insufficient_samples=True
         )
-    chosen: list[int] = []
-    trace: list[tuple[int, float]] = []
-    exhausted = False
-    cells = conditioning_cells(samples)
-    while len(chosen) < t_max:
-        cands = [v for v in range(n) if v != u and v not in chosen]
-        if not cands:
-            exhausted = True
-            break
-        scores = _score_candidates_lc(samples, u, cands, cells)
-        best = int(np.argmax(scores))
-        if scores[best] < tau:
-            break
-        v = cands[best]
-        chosen.append(v)
-        trace.append((v, float(scores[best])))
-        cells = split_cells(cells, samples.bits[v])
-    kept, pruned = _prune_lc(samples, u, chosen, tau)
+    chosen, trace, _, exhausted = _greedy(
+        u, samples, t_max, conditioning_cells(samples),
+        score=lambda cands, cells: _score_candidates_lc(samples, u, cands, cells),
+        add=lambda cells, v: split_cells(cells, samples.bits[v]),
+        stop=lambda _, value: value < tau,
+        index_cost=lambda s: H * s,
+        pick=pick,
+        meter=meter,
+    )
+    kept, pruned = _prune_lc(samples, u, chosen, tau, meter)
     return NeighborhoodResult(
-        u=u,
-        estimate=tuple(sorted(kept)),
-        trace=trace,
-        pruned=tuple(pruned),
-        exhausted=exhausted,
+        u, tuple(sorted(kept)), trace, tuple(pruned), exhausted=exhausted
     )
 
 
@@ -329,8 +371,7 @@ class LearnerConfig:
     """Which learner to run over a whole sample set and with what knobs.
 
     algorithm is one of "ferro", "lc", "ferro-q", "lc-q". The quantum
-    variants draw per-node RNG streams from ``seed`` and accept optional
-    GroverParams overrides.
+    variants draw per-node RNG streams from ``seed``.
     """
 
     algorithm: str
@@ -341,7 +382,6 @@ class LearnerConfig:
     delta: float = 0.1
     zeta: float = 0.1
     seed: int = 0
-    grover: "GroverParams | None" = None
 
     def __post_init__(self):
         if self.algorithm not in ("ferro", "lc", "ferro-q", "lc-q"):
@@ -366,31 +406,28 @@ def _or_edges(n: int, estimates) -> frozenset:
 
 def learn_full_graph(samples: SampleSet, config: LearnerConfig) -> FullGraphResult:
     """Run the configured per-node learner for every visible node and
-    combine the estimates with the OR rule."""
-    n = samples.n
-    results = []
-    meter = None
-    if config.algorithm in ("ferro", "lc"):
-        for u in range(n):
-            if config.algorithm == "ferro":
-                results.append(learn_ferro(u, samples, config.eta, config.k))
-            else:
-                results.append(learn_lc(u, samples, config.tau, config.t_max))
-    else:
-        from .qsearch import SampleOracle, quantum_learn_ferro, quantum_learn_lc
+    combine the estimates with the OR rule. The quantum variants charge
+    one QueryMeter for the whole graph."""
+    from . import qsearch
 
-        oracle = SampleOracle(samples)
-        for u in range(n):
+    alg = config.algorithm
+    meter = qsearch.QueryMeter() if alg.endswith("-q") else None
+    results = []
+    for u in range(samples.n):
+        if alg == "ferro":
+            res = learn_ferro(u, samples, config.eta, config.k)
+        elif alg == "lc":
+            res = learn_lc(u, samples, config.tau, config.t_max)
+        else:
             rng = np.random.default_rng([config.seed, u])
-            if config.algorithm == "ferro-q":
-                res, _ = quantum_learn_ferro(
-                    u, oracle, config.eta, config.k, config.delta, rng, config.grover
+            if alg == "ferro-q":
+                res = qsearch.quantum_learn_ferro(
+                    u, samples, meter, config.eta, config.k, config.delta, rng
                 )
             else:
-                res, _ = quantum_learn_lc(
-                    u, oracle, config.tau, config.t_max, config.zeta, rng, config.grover
+                res = qsearch.quantum_learn_lc(
+                    u, samples, meter, config.tau, config.t_max, config.zeta, rng
                 )
-            results.append(res)
-        meter = oracle.meter
-    graph = TwoHopGraph(n=n, edges=_or_edges(n, [r.estimate for r in results]))
+        results.append(res)
+    graph = TwoHopGraph(n=samples.n, edges=_or_edges(samples.n, [r.estimate for r in results]))
     return FullGraphResult(graph=graph, per_node=results, meter=meter)

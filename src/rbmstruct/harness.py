@@ -41,7 +41,7 @@ from .model import (
     load_model,
     two_hop_graph,
 )
-from .qsearch import GroverParams, QueryMeter, ScoreOracle, dh_max_find
+from .qsearch import QueryMeter, ScoreOracle, dh_max_find
 from .sampling import GibbsConfig, exact_sample, gibbs_sample, split_rhat
 
 THREADS_ENV = "RBM_SL_THREADS"
@@ -128,6 +128,17 @@ class ExperimentConfig:
             raise ConfigError("bad model dimensions")
         if self.alpha <= 0 or self.beta < self.alpha:
             raise ConfigError("need 0 < alpha <= beta")
+        for name in ("eta", "tau"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # also rejects NaN
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("k", "t_max"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("delta", "zeta"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in (0, 1)")
 
     def resolved_learner(self) -> LearnerConfig:
         """Fill in thresholds and budgets, from theory or practical defaults."""
@@ -152,9 +163,9 @@ class ExperimentConfig:
         return LearnerConfig(
             algorithm=self.algorithm,
             eta=eta,
-            k=max(1, k),
+            k=k,
             tau=tau,
-            t_max=max(1, t_max),
+            t_max=t_max,
             delta=self.delta,
             zeta=self.zeta,
         )
@@ -338,7 +349,6 @@ def sweep_scaling(
     trials: int,
     rho: float = 0.5,
     seed: int = 0,
-    params: GroverParams | None = None,
 ) -> SweepResult:
     """Measure argmax-search cost against candidate count on synthetic
     unit-cost score oracles.
@@ -363,7 +373,7 @@ def sweep_scaling(
             rng = np.random.default_rng([seed, n, t])
             meter = QueryMeter()
             scores = ScoreOracle(rng.random(n), cost=1, meter=meter)
-            dh_max_find(scores, rho, rng, params)
+            dh_max_find(scores, rho, rng)
             evals.append(meter.score_evals)
         rows.append((n, float(n), float(np.mean(evals))))
     logs_n = np.log([r[0] for r in rows])
@@ -500,11 +510,9 @@ def verify(quick: bool = True) -> bool:
     reps = 20000
     t, n, j = 4, 64, 3
     hits = 0
-    mask = np.zeros(n, dtype=bool)
-    mask[:t] = True
+    marked = np.arange(t)
     for _ in range(reps):
-        success, _item = qsearch.grover_stage(mask, n, j, rng)
-        hits += success
+        hits += qsearch.grover_stage(marked, n, j, rng) is not None
     p = qsearch.stage_success_probability(n, t, j)
     se = math.sqrt(p * (1 - p) / reps)
     check("Grover stage statistics (4 sigma)", abs(hits / reps - p) <= 4 * se)

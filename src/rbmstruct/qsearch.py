@@ -1,15 +1,21 @@
 """Query-metered simulation of Grover search and threshold-descent
-maximum finding, plus the hybrid greedy learners built on them.
+maximum finding, and the quantum variants of the greedy learners.
 
-The simulation is outcome-exact rather than amplitude-level: a Grover
+The simulation is outcome-exact rather than amplitude-level. A Grover
 stage that runs j oracle iterations against a marked set of size t out of
 N candidates succeeds with probability sin^2((2j+1) * asin(sqrt(t/N))),
-returning a uniformly random marked item, and otherwise yields a
-uniformly random unmarked item. Exponential search grows the stage size
-geometrically (factor 6/5, capped at sqrt(N)); maximum finding runs a
-threshold-descent core under an iteration budget of ceil(22.5 sqrt(N))
-and boosts to failure probability rho with ceil(log2(1/rho)) independent
-cores, keeping the best result (ties to the lowest index).
+returning a uniformly random marked item (``grover_stage``, the one
+outcome law every search draws from). Exponential search (Boyer,
+Brassard, Hoyer and Tapp) draws each stage's j uniformly below m, growing
+m by the factor GROWTH up to STAGE_CAP_FACTOR * sqrt(N), and gives up
+after SEARCH_BUDGET_FACTOR * sqrt(N) iterations. GROWTH must lie in
+(1, 4/3): above 1 so that m reaches the size at which a stage succeeds
+with probability at least 1/4, below 4/3 so that the expected cost of the
+stages after that point, a geometric series in 3 * GROWTH / 4, converges
+to O(sqrt(N/t)). Maximum finding (Durr and Hoyer) runs a threshold-descent
+core under an iteration budget of CORE_BUDGET_FACTOR * sqrt(N) and boosts
+to failure probability rho with ``repetitions(rho)`` = ceil(log2(1/rho))
+independent cores, keeping the best result (ties to the lowest index).
 
 Costs are charged to a QueryMeter in the underlying cost model, not in
 simulation work: each conceptual score-oracle application costs one
@@ -17,51 +23,34 @@ score_eval plus that oracle's per-evaluation price in raw sample queries
 (M for influence scores, H for covariance scores); a stage of j Grover
 iterations applies the oracle j+1 times; constructing the conditioning
 index for a set of size s costs M*s raw queries.
+
+The quantum learners are ``greedy.learn_ferro`` and ``greedy.learn_lc``
+with each round's argmax replaced by metered maximum finding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import conditioning_cells, ones_mask, split_cells
-from .greedy import (
-    UNDEFINED_SCORE,
-    NeighborhoodResult,
-    _prune_ferro,
-    _prune_lc,
-    _score_candidates_ferro,
-    _score_candidates_lc,
-)
+from .greedy import NeighborhoodResult, learn_ferro, learn_lc
 from .sampling import SampleSet
 
+# Search schedule; only the asymptotic shape is fixed by the analysis.
+GROWTH = 1.2
+STAGE_CAP_FACTOR = 1.0
+SEARCH_BUDGET_FACTOR = 4.5
+CORE_BUDGET_FACTOR = 22.5
 
-@dataclass(frozen=True)
-class GroverParams:
-    """Constants of the search schedule. The growth factor must stay below
-    4/3 for the exponential-search analysis to hold; the rest trade
-    success probability against queries and are exposed because only the
-    asymptotic shape is fixed."""
 
-    growth: float = 1.2
-    stage_cap_factor: float = 1.0
-    search_budget_factor: float = 4.5
-    core_budget_factor: float = 22.5
-
-    def __post_init__(self):
-        if not 1.0 < self.growth < 4.0 / 3.0:
-            raise ValueError("growth must lie in (1, 4/3)")
-        if min(self.stage_cap_factor, self.search_budget_factor, self.core_budget_factor) <= 0:
-            raise ValueError("budget factors must be positive")
-
-    def repetitions(self, rho: float) -> int:
-        """Independent maximum-finding cores needed for failure prob rho."""
-        if not 0.0 < rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
-        return max(1, math.ceil(math.log2(1.0 / rho)))
+def repetitions(rho: float) -> int:
+    """Independent maximum-finding cores needed for failure prob rho."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
+    return max(1, math.ceil(math.log2(1.0 / rho)))
 
 
 @dataclass
@@ -69,15 +58,12 @@ class QueryMeter:
     """Counters for the cost model: raw sample-entry queries, score-oracle
     applications, Grover iterations, and the index-construction share of
     raw queries. raw_queries always equals score_evals * per-eval cost
-    plus index_queries plus any direct entry reads."""
+    plus index_queries."""
 
     raw_queries: int = 0
     score_evals: int = 0
     grover_iterations: int = 0
     index_queries: int = 0
-
-    def charge_entry(self) -> None:
-        self.raw_queries += 1
 
     def charge_index(self, queries: int) -> None:
         self.index_queries += queries
@@ -90,44 +76,13 @@ class QueryMeter:
     def charge_grover(self, iterations: int) -> None:
         self.grover_iterations += iterations
 
-    def snapshot(self) -> "QueryMeter":
-        return QueryMeter(
-            self.raw_queries, self.score_evals, self.grover_iterations, self.index_queries
-        )
-
-    def reset(self) -> None:
-        """Zero all counters. Only call at experiment boundaries."""
-        self.raw_queries = 0
-        self.score_evals = 0
-        self.grover_iterations = 0
-        self.index_queries = 0
-
-    def merge(self, other: "QueryMeter") -> None:
-        self.raw_queries += other.raw_queries
-        self.score_evals += other.score_evals
-        self.grover_iterations += other.grover_iterations
-        self.index_queries += other.index_queries
-
-
-class SampleOracle:
-    """Sample access with per-entry metering; the learners charge index
-    construction and score evaluations through the same meter."""
-
-    def __init__(self, samples: SampleSet, meter: QueryMeter | None = None):
-        self.samples = samples
-        self.meter = meter if meter is not None else QueryMeter()
-
-    def entry(self, i: int, j: int) -> int:
-        self.meter.charge_entry()
-        return self.samples.entry(i, j)
-
 
 class ScoreOracle:
     """Candidate index -> score, with a fixed per-evaluation raw-query cost.
 
     ``values`` holds the true scores; the simulator reads them freely via
     true_value (simulation-level knowledge), while metered access goes
-    through evaluate / charge_stage.
+    through evaluate and the searches' stage charges.
     """
 
     def __init__(self, values, cost: int, meter: QueryMeter):
@@ -148,10 +103,6 @@ class ScoreOracle:
         self.meter.charge_scores(1, self.cost)
         return float(self.values[i])
 
-    def charge_stage(self, j: int) -> None:
-        self.meter.charge_grover(j + 1)
-        self.meter.charge_scores(j + 1, self.cost)
-
 
 class SearchResult(NamedTuple):
     index: int | None
@@ -166,66 +117,45 @@ def stage_success_probability(n: int, t: int, j: int) -> float:
     return math.sin((2 * j + 1) * theta) ** 2
 
 
-def grover_stage(marked, n: int, j: int, rng) -> tuple[bool, int]:
-    """One simulated Grover stage of j iterations: (success, measured item).
+def grover_stage(marked_idx, n: int, j: int, rng) -> int | None:
+    """One simulated Grover stage of j iterations against the marked
+    indices ``marked_idx`` among n candidates.
 
-    Succeeds with probability sin^2((2j+1) theta), yielding a uniform
-    marked item; otherwise yields a uniform unmarked item. ``marked`` is a
-    predicate over range(n) or a boolean mask.
+    With t marked items it draws one uniform and succeeds with probability
+    sin^2((2j+1) theta), then draws a uniform marked item to return; a
+    failed stage returns None. With nothing marked it draws nothing.
     """
-    mask = _as_mask(marked, n)
-    midx = np.flatnonzero(mask)
-    t = midx.size
-    if t == 0:
-        unmarked = np.flatnonzero(~mask)
-        return False, int(unmarked[rng.integers(unmarked.size)])
-    if t == n:
-        return True, int(midx[rng.integers(t)])
-    p = stage_success_probability(n, t, j)
-    if rng.random() < p:
-        return True, int(midx[rng.integers(t)])
-    unmarked = np.flatnonzero(~mask)
-    return False, int(unmarked[rng.integers(unmarked.size)])
-
-
-def _as_mask(marked, n: int) -> np.ndarray:
-    if isinstance(marked, np.ndarray) and marked.dtype == bool:
-        if marked.shape != (n,):
-            raise ValueError("mask length must equal n")
-        return marked
-    if callable(marked):
-        return np.fromiter((bool(marked(i)) for i in range(n)), dtype=bool, count=n)
-    raise TypeError("marked must be a boolean mask or a predicate")
+    t = len(marked_idx)
+    if t and rng.random() < stage_success_probability(n, t, j):
+        return int(marked_idx[rng.integers(t)])
+    return None
 
 
 def qsearch_sim(
     marked,
     n: int,
-    params: GroverParams,
     rng,
     meter: QueryMeter | None = None,
     eval_cost: int = 0,
     max_iterations: int | None = None,
 ) -> SearchResult:
-    """Exponential Grover search for a marked item among n candidates.
+    """Exponential Grover search for a marked item among n candidates;
+    ``marked`` is a boolean mask of length n.
 
-    Stages draw j uniformly from {0, ..., ceil(m)-1} with m growing by the
-    configured factor up to sqrt(n); each stage charges j+1 Grover
+    Stages draw j uniformly from {0, ..., ceil(m)-1} with m growing by
+    GROWTH up to STAGE_CAP_FACTOR * sqrt(n); each stage charges j+1 Grover
     iterations and j+1 score evaluations. Returns the found index or None
-    once the iteration budget (default ceil(search_budget_factor *
+    once the iteration budget (default ceil(SEARCH_BUDGET_FACTOR *
     sqrt(n))) is spent, which is how an empty marked set terminates.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    mask = _as_mask(marked, n)
-    midx = np.flatnonzero(mask)
-    t = midx.size
-    theta = math.asin(math.sqrt(t / n)) if t else 0.0
-    cap = max(1.0, params.stage_cap_factor * math.sqrt(n))
+    midx = np.flatnonzero(marked)
+    cap = max(1.0, STAGE_CAP_FACTOR * math.sqrt(n))
     budget = (
         max_iterations
         if max_iterations is not None
-        else math.ceil(params.search_budget_factor * math.sqrt(n))
+        else math.ceil(SEARCH_BUDGET_FACTOR * math.sqrt(n))
     )
     m_stage = 1.0
     used = 0
@@ -235,18 +165,19 @@ def qsearch_sim(
         if meter is not None:
             meter.charge_grover(j + 1)
             meter.charge_scores(j + 1, eval_cost)
-        if t > 0 and rng.random() < math.sin((2 * j + 1) * theta) ** 2:
-            return SearchResult(int(midx[rng.integers(t)]), used)
-        m_stage = min(params.growth * m_stage, cap)
+        found = grover_stage(midx, n, j, rng)
+        if found is not None:
+            return SearchResult(found, used)
+        m_stage = min(GROWTH * m_stage, cap)
     return SearchResult(None, used)
 
 
-def _dh_core(scores: ScoreOracle, params: GroverParams, rng) -> tuple[int, float]:
+def _dh_core(scores: ScoreOracle, rng) -> tuple[int, float]:
     """One threshold-descent pass: start at a random candidate, repeatedly
     search for anything scoring above the current threshold, stop when the
     per-core iteration budget is gone."""
     n = scores.n
-    budget = math.ceil(params.core_budget_factor * math.sqrt(n))
+    budget = math.ceil(CORE_BUDGET_FACTOR * math.sqrt(n))
     best_i = int(rng.integers(n))
     best_v = scores.evaluate(best_i)
     used = 0
@@ -254,7 +185,6 @@ def _dh_core(scores: ScoreOracle, params: GroverParams, rng) -> tuple[int, float
         res = qsearch_sim(
             scores.values > best_v,
             n,
-            params,
             rng,
             meter=scores.meter,
             eval_cost=scores.cost,
@@ -267,25 +197,18 @@ def _dh_core(scores: ScoreOracle, params: GroverParams, rng) -> tuple[int, float
     return best_i, best_v
 
 
-def dh_max_find(
-    scores: ScoreOracle,
-    rho: float,
-    rng,
-    params: GroverParams | None = None,
-) -> tuple[int, float]:
+def dh_max_find(scores: ScoreOracle, rho: float, rng) -> tuple[int, float]:
     """Maximum finding with failure probability at most rho.
 
-    Runs ceil(log2(1/rho)) independent threshold-descent cores and keeps
+    Runs repetitions(rho) independent threshold-descent cores and keeps
     the best score. The returned index is canonicalized to the lowest
     index attaining the returned score, matching the classical argmax
     tie-break exactly.
     """
-    if params is None:
-        params = GroverParams()
     best_i: int | None = None
     best_v = -math.inf
-    for _ in range(params.repetitions(rho)):
-        i, v = _dh_core(scores, params, rng)
+    for _ in range(repetitions(rho)):
+        i, v = _dh_core(scores, rng)
         if best_i is None or v > best_v or (v == best_v and i < best_i):
             best_i, best_v = i, v
     ties = np.flatnonzero(scores.values == best_v)
@@ -295,16 +218,10 @@ def dh_max_find(
 
 
 def quantum_learn_ferro(
-    u: int,
-    oracle: SampleOracle,
-    eta: float,
-    k: int,
-    delta: float,
-    rng,
-    params: GroverParams | None = None,
-) -> tuple[NeighborhoodResult, QueryMeter]:
-    """Influence-maximization greedy with the per-round argmax replaced by
-    metered maximum finding at failure probability delta / (2k).
+    u: int, samples: SampleSet, meter: QueryMeter, eta: float, k: int, delta: float, rng
+) -> NeighborhoodResult:
+    """learn_ferro with each round's argmax replaced by metered maximum
+    finding at failure probability delta / (2k), charged to ``meter``.
 
     Per round with |S| = s: conditioning-set construction charges
     M*s + M*(s+1) raw queries (the sets for S and S union {u}); each
@@ -313,124 +230,30 @@ def quantum_learn_ferro(
     score evaluation per pruning score plus the index construction for
     each leave-one-out conditioning set.
     """
-    samples = oracle.samples
-    meter = oracle.meter
-    n, M = samples.n, samples.M
-    if not 0 <= u < n:
-        raise ValueError("u out of range")
-    if eta <= 0 or k < 1:
-        raise ValueError("require eta > 0 and k >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("require 0 < delta < 1")
-    if params is None:
-        params = GroverParams()
-    rho = delta / (2.0 * k)
-    m_s = ones_mask(samples)
-    m_su = m_s & samples.bits[u]
-    chosen: list[int] = []
-    trace: list[tuple[int, float]] = []
-    insufficient = False
-    exhausted = False
-    for t in range(k):
-        cands = [j for j in range(n) if j != u and j not in chosen]
-        if not cands:
-            exhausted = True
-            break
-        meter.charge_index(M * t + M * (t + 1))
-        values = _score_candidates_ferro(samples, cands, m_s, m_su)
-        so = ScoreOracle(values, cost=M, meter=meter)
-        di, dv = dh_max_find(so, rho, rng, params)
-        if not np.any(values > UNDEFINED_SCORE):
-            insufficient = True
-            break
-        j = cands[di]
-        chosen.append(j)
-        trace.append((j, float(dv)))
-        m_s = m_s & samples.bits[j]
-        m_su = m_su & samples.bits[j]
-    s = len(chosen)
-    if chosen:
-        meter.charge_scores(1, M)  # influence of the full chosen set
-        for _ in chosen:
-            meter.charge_index(M * (s - 1) + M * s)
-            meter.charge_scores(1, M)
-    kept, pruned = _prune_ferro(samples, u, chosen, eta)
-    result = NeighborhoodResult(
-        u=u,
-        estimate=tuple(sorted(kept)),
-        trace=trace,
-        pruned=tuple(pruned),
-        insufficient_samples=insufficient,
-        exhausted=exhausted,
+    M = samples.M
+    return learn_ferro(
+        u, samples, eta, k, meter=meter,
+        pick=lambda values: dh_max_find(ScoreOracle(values, M, meter), delta / (2.0 * k), rng),
     )
-    return result, meter.snapshot()
 
 
 def quantum_learn_lc(
-    u: int,
-    oracle: SampleOracle,
-    tau: float,
-    t_max: int,
-    zeta: float,
-    rng,
-    params: GroverParams | None = None,
-) -> tuple[NeighborhoodResult, QueryMeter]:
-    """Covariance-maximization greedy with metered maximum finding at
-    failure probability zeta / (2 t_max).
+    u: int, samples: SampleSet, meter: QueryMeter, tau: float, t_max: int, zeta: float, rng
+) -> NeighborhoodResult:
+    """learn_lc with each round's argmax replaced by metered maximum
+    finding at failure probability zeta / (2 t_max), charged to ``meter``.
 
     Per round with |S| = s: the unique-configuration scan charges H*s raw
     queries, each covariance evaluation H. Pruning is classical: one
-    H-query evaluation per kept candidate plus the H*(s-1) scan for its
+    H-query evaluation per chosen node plus the H*(s-1) scan for its
     leave-one-out conditioning set.
     """
-    samples = oracle.samples
-    meter = oracle.meter
-    n, H = samples.n, samples.M
-    if not 0 <= u < n:
-        raise ValueError("u out of range")
-    if tau <= 0 or t_max < 1:
-        raise ValueError("require tau > 0 and t_max >= 1")
     if not 0.0 < zeta < 1.0:
         raise ValueError("require 0 < zeta < 1")
-    if params is None:
-        params = GroverParams()
-    if H == 0:
-        return (
-            NeighborhoodResult(
-                u=u, estimate=(), trace=[], pruned=(), insufficient_samples=True
-            ),
-            meter.snapshot(),
-        )
-    rho = zeta / (2.0 * t_max)
-    chosen: list[int] = []
-    trace: list[tuple[int, float]] = []
-    exhausted = False
-    cells = conditioning_cells(samples)
-    while len(chosen) < t_max:
-        cands = [v for v in range(n) if v != u and v not in chosen]
-        if not cands:
-            exhausted = True
-            break
-        meter.charge_index(H * len(chosen))
-        values = _score_candidates_lc(samples, u, cands, cells)
-        so = ScoreOracle(values, cost=H, meter=meter)
-        di, dv = dh_max_find(so, rho, rng, params)
-        if dv < tau:
-            break
-        v = cands[di]
-        chosen.append(v)
-        trace.append((v, float(dv)))
-        cells = split_cells(cells, samples.bits[v])
-    s = len(chosen)
-    for _ in chosen:
-        meter.charge_index(H * (s - 1))
-        meter.charge_scores(1, H)
-    kept, pruned = _prune_lc(samples, u, chosen, tau)
-    result = NeighborhoodResult(
-        u=u,
-        estimate=tuple(sorted(kept)),
-        trace=trace,
-        pruned=tuple(pruned),
-        exhausted=exhausted,
+    H = samples.M
+    return learn_lc(
+        u, samples, tau, t_max, meter=meter,
+        pick=lambda values: dh_max_find(ScoreOracle(values, H, meter), zeta / (2.0 * t_max), rng),
     )
-    return result, meter.snapshot()

@@ -26,9 +26,7 @@ from rbmstruct.model import (
     two_hop_graph,
 )
 from rbmstruct.qsearch import (
-    GroverParams,
     QueryMeter,
-    SampleOracle,
     ScoreOracle,
     dh_max_find,
     grover_stage,
@@ -219,13 +217,13 @@ def test_criterion_06_quantum_classical_agreement():
         ref_f = learn_ferro(u, samples_f, eta=0.02, k=4).estimate
         ref_l = learn_lc(u, samples_l, tau=0.025, t_max=4).estimate
         for r in range(runs_per_model):
-            res, _ = quantum_learn_ferro(
-                u, SampleOracle(samples_f), eta=0.02, k=4, delta=0.1,
+            res = quantum_learn_ferro(
+                u, samples_f, QueryMeter(), eta=0.02, k=4, delta=0.1,
                 rng=np.random.default_rng([61, mi, r]),
             )
             agree_f += res.estimate == ref_f
-            res, _ = quantum_learn_lc(
-                u, SampleOracle(samples_l), tau=0.025, t_max=4, zeta=0.1,
+            res = quantum_learn_lc(
+                u, samples_l, QueryMeter(), tau=0.025, t_max=4, zeta=0.1,
                 rng=np.random.default_rng([62, mi, r]),
             )
             agree_l += res.estimate == ref_l
@@ -238,14 +236,12 @@ def test_criterion_06_quantum_classical_agreement():
 def test_criterion_07_grover_simulator_statistics():
     rng = np.random.default_rng(107)
     n, t = 64, 4
-    mask = np.zeros(n, dtype=bool)
-    mask[:t] = True
+    marked = np.arange(t)
     reps = 100_000
     for j in range(6):
         hits = 0
         for _ in range(reps):
-            success, _item = grover_stage(mask, n, j, rng)
-            hits += success
+            hits += grover_stage(marked, n, j, rng) is not None
         p = stage_success_probability(n, t, j)
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(hits / reps - p) <= 3 * se, f"stage j={j}: {hits / reps} vs {p}"

@@ -162,6 +162,17 @@ class TestRun:
             run(ExperimentConfig(sampler="gibbs", burn_in=-1))
         with pytest.raises(ConfigError):
             run(ExperimentConfig(sampler="gibbs", thinning=0))
+        for bad in (
+            dict(eta=0.0),
+            dict(eta=math.nan),
+            dict(tau=-0.1),
+            dict(k=0),
+            dict(algorithm="lc", t_max=0),
+            dict(delta=0.0),
+            dict(algorithm="lc-q", zeta=1.0),
+        ):
+            with pytest.raises(ConfigError):
+                run(ExperimentConfig(**bad))
 
     def test_csv_column_order_stable(self, tmp_path):
         cfg = ExperimentConfig(
@@ -274,6 +285,17 @@ class TestCli:
             "learn", "--num-samples", "100", "--sampler", "gibbs", "--thinning", "0",
         ]) == 1
         assert "error: thinning must be >= 1" in capsys.readouterr().err
+
+    def test_bad_learner_setting_rejected_before_any_model(self, monkeypatch, capsys):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was generated")
+
+        monkeypatch.setattr(harness, "generate_model", no_model)
+        assert cli.main(["learn", "--num-samples", "100", "--k", "0"]) == 1
+        assert cli.main(["learn", "--num-samples", "100", "--delta", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error: k must be >= 1" in err
+        assert "error: delta must lie in (0, 1)" in err
 
     def test_bad_flag_exit_code(self):
         assert cli.main(["learn", "--algorithm", "bogus"]) == 1

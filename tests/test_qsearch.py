@@ -1,19 +1,19 @@
 import math
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rbmstruct.greedy import learn_ferro, learn_lc
+from rbmstruct.greedy import LearnerConfig, learn_ferro, learn_full_graph, learn_lc
 from rbmstruct.qsearch import (
-    GroverParams,
     QueryMeter,
-    SampleOracle,
     ScoreOracle,
     dh_max_find,
     grover_stage,
     qsearch_sim,
     quantum_learn_ferro,
     quantum_learn_lc,
+    repetitions,
     stage_success_probability,
 )
 from rbmstruct.sampling import SampleSet, exact_sample
@@ -28,69 +28,58 @@ FERRO_C2 = 46.0           # search share, fitted 41.1 at n,64 with 12 percent he
 
 
 class TestGroverParams:
-    def test_growth_bounds(self):
-        with pytest.raises(ValueError):
-            GroverParams(growth=1.0)
-        with pytest.raises(ValueError):
-            GroverParams(growth=4.0 / 3.0)
-
     def test_repetitions(self):
-        p = GroverParams()
-        assert p.repetitions(0.5) == 1
-        assert p.repetitions(0.1) == 4
-        assert p.repetitions(0.01) == 7
+        assert repetitions(0.5) == 1
+        assert repetitions(0.1) == 4
+        assert repetitions(0.01) == 7
 
 
 class TestGroverStage:
     def test_everything_marked_always_succeeds(self):
         rng = np.random.default_rng(0)
-        mask = np.ones(8, dtype=bool)
+        marked = np.arange(8)
         for j in range(4):
-            success, item = grover_stage(mask, 8, j, rng)
-            assert success and 0 <= item < 8
+            item = grover_stage(marked, 8, j, rng)
+            assert item is not None and 0 <= item < 8
 
     def test_nothing_marked_always_fails(self):
         rng = np.random.default_rng(1)
-        mask = np.zeros(8, dtype=bool)
+        marked = np.arange(0)
         for j in range(4):
-            success, _ = grover_stage(mask, 8, j, rng)
-            assert not success
+            assert grover_stage(marked, 8, j, rng) is None
 
     def test_outcome_distribution(self):
         # reduced-rep version of the stage statistics check (4 sigma);
         # the acceptance suite runs 1e5 reps at 3 sigma
         rng = np.random.default_rng(2)
         n, t = 64, 4
-        mask = np.zeros(n, dtype=bool)
-        mask[:t] = True
+        marked = np.arange(t)
         reps = 20_000
         for j in range(4):
-            hits = sum(grover_stage(mask, n, j, rng)[0] for _ in range(reps))
+            hits = sum(grover_stage(marked, n, j, rng) is not None for _ in range(reps))
             p = stage_success_probability(n, t, j)
             se = math.sqrt(p * (1 - p) / reps)
             assert abs(hits / reps - p) <= 4 * se
 
     def test_success_items_marked(self):
         rng = np.random.default_rng(3)
-        mask = np.zeros(16, dtype=bool)
-        mask[[3, 7]] = True
+        marked = np.array([3, 7])
         for _ in range(200):
-            success, item = grover_stage(mask, 16, 2, rng)
-            assert mask[item] == success
+            item = grover_stage(marked, 16, 2, rng)
+            assert item is None or item in (3, 7)
 
 
 class TestQsearchSim:
     def test_all_marked_first_stage(self):
         rng = np.random.default_rng(4)
-        res = qsearch_sim(np.ones(32, dtype=bool), 32, GroverParams(), rng)
+        res = qsearch_sim(np.ones(32, dtype=bool), 32, rng)
         assert res.index is not None
         assert res.iterations == 1  # first stage forces j = 0, theta = pi/2
 
     def test_empty_marked_not_found(self):
-        params = GroverParams()
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            res = qsearch_sim(np.zeros(64, dtype=bool), 64, params, rng)
+            res = qsearch_sim(np.zeros(64, dtype=bool), 64, rng)
             assert res.index is None
             assert res.iterations >= math.ceil(4.5 * 8)
 
@@ -101,11 +90,10 @@ class TestQsearchSim:
         mask = np.zeros(n, dtype=bool)
         mask[517] = True
         rng = np.random.default_rng(5)
-        params = GroverParams()
         iters = []
         found = 0
         for _ in range(10_000):
-            res = qsearch_sim(mask, n, params, rng)
+            res = qsearch_sim(mask, n, rng)
             iters.append(res.iterations)
             found += res.index == 517
         assert np.mean(iters) <= 1.1 * 4.5 * math.sqrt(n)
@@ -114,7 +102,7 @@ class TestQsearchSim:
     def test_meter_charges_per_stage(self):
         rng = np.random.default_rng(6)
         meter = QueryMeter()
-        res = qsearch_sim(np.zeros(16, dtype=bool), 16, GroverParams(), rng,
+        res = qsearch_sim(np.zeros(16, dtype=bool), 16, rng,
                           meter=meter, eval_cost=7)
         assert meter.grover_iterations == res.iterations
         assert meter.score_evals == res.iterations
@@ -177,8 +165,8 @@ class TestQuantumLearnFerro:
         s = _ring_samples()
         for u in range(4):
             classical = learn_ferro(u, s, eta=0.02, k=3)
-            res, _ = quantum_learn_ferro(
-                u, SampleOracle(s), eta=0.02, k=3, delta=1e-8,
+            res = quantum_learn_ferro(
+                u, s, QueryMeter(), eta=0.02, k=3, delta=1e-8,
                 rng=np.random.default_rng([21, u]),
             )
             assert res.estimate == classical.estimate
@@ -192,8 +180,8 @@ class TestQuantumLearnFerro:
         runs = 60
         for r in range(runs):
             classical = learn_ferro(1, s, eta=0.02, k=3)
-            res, _ = quantum_learn_ferro(
-                1, SampleOracle(s), eta=0.02, k=3, delta=delta,
+            res = quantum_learn_ferro(
+                1, s, QueryMeter(), eta=0.02, k=3, delta=delta,
                 rng=np.random.default_rng([23, r]),
             )
             agree += res.estimate == classical.estimate
@@ -202,9 +190,9 @@ class TestQuantumLearnFerro:
     def test_metering_exactness_clean_run(self):
         s = _ring_samples(M=2000, seed=24)
         M, k = s.M, 3
-        oracle = SampleOracle(s)
-        res, meter = quantum_learn_ferro(
-            0, oracle, eta=0.02, k=k, delta=0.1, rng=np.random.default_rng(25)
+        meter = QueryMeter()
+        res = quantum_learn_ferro(
+            0, s, meter, eta=0.02, k=k, delta=0.1, rng=np.random.default_rng(25)
         )
         assert len(res.trace) == k and not res.insufficient_samples
         # index scans: M(2t+1) per round, then M(2k-1) per pruning candidate
@@ -213,17 +201,18 @@ class TestQuantumLearnFerro:
         assert meter.raw_queries == meter.score_evals * M + meter.index_queries
         # score evals: stage charges equal grover iterations, plus one
         # threshold start per core and k+1 pruning evaluations
-        reps = GroverParams().repetitions(0.1 / (2 * k))
+        reps = repetitions(0.1 / (2 * k))
         assert meter.score_evals == meter.grover_iterations + k * reps + (k + 1)
 
     def test_smaller_budget_when_delta_near_one(self):
         s = _ring_samples(M=1000, seed=26)
-        _, loose = quantum_learn_ferro(
-            0, SampleOracle(s), eta=0.02, k=2, delta=0.99,
+        loose, tight = QueryMeter(), QueryMeter()
+        quantum_learn_ferro(
+            0, s, loose, eta=0.02, k=2, delta=0.99,
             rng=np.random.default_rng(27),
         )
-        _, tight = quantum_learn_ferro(
-            0, SampleOracle(s), eta=0.02, k=2, delta=0.01,
+        quantum_learn_ferro(
+            0, s, tight, eta=0.02, k=2, delta=0.01,
             rng=np.random.default_rng(27),
         )
         assert loose.score_evals < tight.score_evals
@@ -231,8 +220,8 @@ class TestQuantumLearnFerro:
 
     def test_insufficient_flag_matches_classical(self):
         s = SampleSet.from_pm1(np.full((5, 4), -1, dtype=np.int8))
-        res, _ = quantum_learn_ferro(
-            0, SampleOracle(s), eta=0.02, k=2, delta=0.1,
+        res = quantum_learn_ferro(
+            0, s, QueryMeter(), eta=0.02, k=2, delta=0.1,
             rng=np.random.default_rng(28),
         )
         assert res.insufficient_samples
@@ -252,8 +241,8 @@ class TestQuantumLearnFerro:
                 super().charge_index(q)
 
         meter = SnapMeter()
-        res, _ = quantum_learn_ferro(
-            0, SampleOracle(s, meter), eta=0.5, k=k, delta=delta,
+        res = quantum_learn_ferro(
+            0, s, meter, eta=0.5, k=k, delta=delta,
             rng=np.random.default_rng(30),
         )
         assert len(res.trace) == k
@@ -270,8 +259,8 @@ class TestQuantumLearnLc:
         s = _ring_samples(M=5000, seed=31)
         for u in range(4):
             classical = learn_lc(u, s, tau=0.03, t_max=3)
-            res, _ = quantum_learn_lc(
-                u, SampleOracle(s), tau=0.03, t_max=3, zeta=1e-8,
+            res = quantum_learn_lc(
+                u, s, QueryMeter(), tau=0.03, t_max=3, zeta=1e-8,
                 rng=np.random.default_rng([32, u]),
             )
             assert res.estimate == classical.estimate
@@ -284,8 +273,8 @@ class TestQuantumLearnLc:
         runs = 60
         for r in range(runs):
             classical = learn_lc(2, s, tau=0.03, t_max=3)
-            res, _ = quantum_learn_lc(
-                2, SampleOracle(s), tau=0.03, t_max=3, zeta=zeta,
+            res = quantum_learn_lc(
+                2, s, QueryMeter(), tau=0.03, t_max=3, zeta=zeta,
                 rng=np.random.default_rng([34, r]),
             )
             agree += res.estimate == classical.estimate
@@ -297,58 +286,62 @@ class TestQuantumLearnLc:
         # t_max rounds and the charge structure is closed-form
         s = _ring_samples(M=2000, seed=35)
         H, t_max = s.M, 2
-        oracle = SampleOracle(s)
-        res, meter = quantum_learn_lc(
-            0, oracle, tau=1e-6, t_max=t_max, zeta=0.1,
+        meter = QueryMeter()
+        res = quantum_learn_lc(
+            0, s, meter, tau=1e-6, t_max=t_max, zeta=0.1,
             rng=np.random.default_rng(36),
         )
         assert len(res.trace) == t_max
         expected_index = H * (t_max * (t_max - 1)) // 2 + t_max * H * (t_max - 1)
         assert meter.index_queries == expected_index
         assert meter.raw_queries == meter.score_evals * H + meter.index_queries
-        reps = GroverParams().repetitions(0.1 / (2 * t_max))
+        reps = repetitions(0.1 / (2 * t_max))
         assert meter.score_evals == meter.grover_iterations + t_max * reps + t_max
 
     def test_t_max_one_single_addition(self):
         s = _ring_samples(M=2000, seed=37)
-        res, meter = quantum_learn_lc(
-            0, SampleOracle(s), tau=0.01, t_max=1, zeta=0.1,
+        meter = QueryMeter()
+        res = quantum_learn_lc(
+            0, s, meter, tau=0.01, t_max=1, zeta=0.1,
             rng=np.random.default_rng(38),
         )
         assert len(res.trace) <= 1
         # single-round budget: one dh call (reps cores) plus one pruning eval
-        reps = GroverParams().repetitions(0.1 / 2)
+        reps = repetitions(0.1 / 2)
         per_core = math.ceil(22.5 * math.sqrt(3))
         assert meter.grover_iterations <= reps * (per_core + per_core)  # overshoot slack
         assert meter.score_evals <= meter.grover_iterations + reps + 1
 
     def test_empty_samples(self):
         s = SampleSet.from_pm1(np.zeros((0, 3), dtype=np.int8))
-        res, _ = quantum_learn_lc(
-            0, SampleOracle(s), tau=0.05, t_max=2, zeta=0.1,
+        res = quantum_learn_lc(
+            0, s, QueryMeter(), tau=0.05, t_max=2, zeta=0.1,
             rng=np.random.default_rng(39),
         )
         assert res.insufficient_samples
 
 
-class TestSampleOracleMetering:
-    def test_entry_reads_charge_one(self):
-        s = SampleSet.from_pm1(np.array([[1, -1], [-1, 1]]))
-        oracle = SampleOracle(s)
-        assert oracle.entry(0, 1) == -1
-        assert oracle.entry(1, 0) == -1
-        assert oracle.meter.raw_queries == 2
-        assert oracle.meter.score_evals == 0
-
-    def test_snapshot_and_merge(self):
-        m = QueryMeter()
-        m.charge_scores(2, 10)
-        snap = m.snapshot()
-        m.charge_index(5)
-        assert snap.raw_queries == 20 and m.raw_queries == 25
-        other = QueryMeter()
-        other.charge_grover(3)
-        m.merge(other)
-        assert m.grover_iterations == 3
-        m.reset()
-        assert m.raw_queries == 0
+class TestMeterIdentity:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 8),
+        M=st.one_of(st.sampled_from([0, 1, 5]), st.integers(0, 300)),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 8),
+        tau=st.sampled_from([1e-9, 0.025, 0.3]),
+    )
+    def test_one_meter_per_graph(self, n, M, seed, budget, tau):
+        # biased columns and small M give undefined scores (insufficient
+        # nodes); budgets up to n - 1 and tiny tau exhaust the candidates
+        rng = np.random.default_rng(seed)
+        p_plus = rng.uniform(0.05, 0.95, size=n)
+        s = SampleSet.from_pm1(np.where(rng.random((M, n)) < p_plus, 1, -1), n=n)
+        budget = min(budget, n)
+        knobs = dict(eta=0.02, k=budget, tau=tau, t_max=budget, seed=seed)
+        for alg in ("ferro", "lc"):
+            assert learn_full_graph(s, LearnerConfig(alg, **knobs)).meter is None
+        for alg in ("ferro-q", "lc-q"):
+            meter = learn_full_graph(s, LearnerConfig(alg, **knobs)).meter
+            assert isinstance(meter, QueryMeter)
+            assert meter.raw_queries == meter.score_evals * M + meter.index_queries
+            assert meter.score_evals >= meter.grover_iterations
