@@ -8,6 +8,7 @@ configuration or arguments, 2 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness, model, sampling
@@ -81,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--delta", type=float, default=0.1)
     c.add_argument("--zeta", type=float, default=0.1)
 
-    v = sub.add_parser("verify", help="run the invariant battery")
-    v.add_argument("--full", action="store_true", help="larger sample counts")
+    sub.add_parser("verify", help="run the invariant battery")
     return p
 
 
@@ -113,13 +113,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_learn(args) -> int:
     config = ExperimentConfig(
-        kind=args.kind, n=args.n, m=args.m, d2=args.d2, alpha=args.alpha,
-        beta=args.beta, seed=args.seed, sampler=args.sampler,
-        num_samples=args.num_samples, burn_in=args.burn_in, thinning=args.thinning,
-        algorithm=args.algorithm, eta=args.eta, tau=args.tau, k=args.k,
-        t_max=args.t_max, delta=args.delta, zeta=args.zeta,
-        theory_defaults=args.theory_defaults, trials=args.trials,
-        out=args.out, model_file=args.model_file,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
     )
     metrics, _records = harness.run(config)
     print(f"trials={metrics.trials} exact_recovery={metrics.exact_recovery:.3f} "
@@ -153,8 +147,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ok = harness.verify(quick=not args.full)
-    return 0 if ok else 2
+    return 0 if harness.verify() else 2
 
 
 _COMMANDS = {

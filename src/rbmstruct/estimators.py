@@ -79,10 +79,6 @@ class ConfigIndex:
     def num_cells(self) -> int:
         return len(self.groups)
 
-    @property
-    def cell_sizes(self) -> np.ndarray:
-        return np.array([len(g) for g in self.groups], dtype=np.int64)
-
     def configs(self) -> list:
         """Distinct configurations as +-1 tuples in cell order."""
         s = len(self.S)
@@ -148,27 +144,15 @@ def empirical_probability(samples: SampleSet, assignment) -> float:
     return float(mask.sum()) / samples.M
 
 
-def empirical_influence(
-    samples: SampleSet,
-    u: int,
-    S,
-    idx_s: ConfigIndex | None = None,
-    idx_su: ConfigIndex | None = None,
-) -> InfluenceValue:
+def empirical_influence(samples: SampleSet, u: int, S) -> InfluenceValue:
     """Influence of pinning S to +1 on X_u, as the ratio of all-ones counts
     on S union {u} and on S. Undefined when no sample has x_S = 1^s."""
     S = tuple(sorted(int(i) for i in S))
     if u in S:
         raise ValueError("u must not belong to S")
-    if idx_s is None:
-        idx_s = build_index(samples, S)
-    if idx_su is None:
-        idx_su = build_index(samples, S + (u,))
-    if idx_s.S != S or idx_su.S != tuple(sorted(S + (u,))):
-        raise ValueError("index conditioning sets do not match S and S union {u}")
     return InfluenceValue(
-        numer_count=int(len(idx_su.ones_indices)),
-        denom_count=int(len(idx_s.ones_indices)),
+        denom_count=int(len(build_index(samples, S).ones_indices)),
+        numer_count=int(len(build_index(samples, S + (u,)).ones_indices)),
     )
 
 

@@ -370,8 +370,9 @@ def learn_lc(
 class LearnerConfig:
     """Which learner to run over a whole sample set and with what knobs.
 
-    algorithm is one of "ferro", "lc", "ferro-q", "lc-q". The quantum
-    variants draw per-node RNG streams from ``seed``.
+    algorithm is one of "ferro", "lc", "ferro-q", "lc-q". The ferro
+    learners need eta and k, the lc learners tau and t_max (ValueError
+    otherwise). The quantum variants draw per-node RNG streams from ``seed``.
     """
 
     algorithm: str
@@ -386,6 +387,10 @@ class LearnerConfig:
     def __post_init__(self):
         if self.algorithm not in ("ferro", "lc", "ferro-q", "lc-q"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        needed = ("eta", "k") if self.algorithm.startswith("ferro") else ("tau", "t_max")
+        missing = [name for name in needed if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{self.algorithm} needs {' and '.join(missing)}")
 
 
 @dataclass

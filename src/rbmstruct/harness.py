@@ -1,4 +1,5 @@
-"""Experiment runner: generate models, sample, learn, score recovery.
+"""Experiment runner: generate models, sample, learn, score recovery; and
+the invariant checks that ``verify`` shares with the acceptance suite.
 
 Per-trial randomness is derived from the master seed by a counter-based
 split: the RNG for role r of trial t is seeded with the entropy sequence
@@ -20,12 +21,14 @@ import dataclasses
 import json
 import math
 import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimators, greedy, sampling
 from .greedy import (
     LearnerConfig,
     ferro_constants,
@@ -35,14 +38,22 @@ from .greedy import (
 from .model import (
     KIND_FERROMAGNETIC,
     KIND_LOCALLY_CONSISTENT,
+    ExactOracle,
     NonDegeneracyParams,
     RbmModel,
     generate_model,
     load_model,
+    random_model,
     two_hop_graph,
 )
-from .qsearch import QueryMeter, ScoreOracle, dh_max_find
-from .sampling import GibbsConfig, exact_sample, gibbs_sample, split_rhat
+from .qsearch import (
+    QueryMeter,
+    ScoreOracle,
+    dh_max_find,
+    grover_stage,
+    stage_success_probability,
+)
+from .sampling import GibbsConfig, SampleSet, exact_sample, gibbs_sample, split_rhat
 
 THREADS_ENV = "RBM_SL_THREADS"
 
@@ -421,14 +432,98 @@ def format_constants(report: dict) -> str:
     return "\n".join(lines)
 
 
-def verify(quick: bool = True) -> bool:
-    """Run the built-in invariant battery; returns True when everything
-    holds. The full acceptance suite lives in the repository tests and is
-    run with pytest; this battery covers the key identities so an
-    installed package can self-check.
-    """
-    from . import estimators, greedy, model, qsearch, sampling
+# Shared invariant checks. Each returns its measured statistic and leaves
+# the bound to its caller: the acceptance suite (criteria 1, 2, 7 and 10 in
+# tests/test_acceptance.py) runs them at full size, verify() at reduced
+# counts with the same seeds.
 
+
+def covariance_identity_gap(rng, trials: int) -> float:
+    """Largest |direct - decomposed| average conditional covariance over
+    ``trials`` draws of a random model (n 3..6, m 1..3), an exact sample
+    set of 1..500 rows, a pair (u, v) and a conditioning set S."""
+    worst = 0.0
+    for _ in range(trials):
+        mdl = random_model(rng, n_range=(3, 7), m_range=(1, 4))
+        H = int(rng.integers(1, 501))
+        samples = exact_sample(mdl, H, seed=int(rng.integers(2**31)))
+        u, v = (int(x) for x in rng.choice(mdl.n, size=2, replace=False))
+        others = [i for i in range(mdl.n) if i not in (u, v)]
+        S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
+        idx = estimators.build_index(samples, S)
+        direct = estimators.avg_cond_cov_direct(samples, u, v, idx)
+        worst = max(worst, abs(direct - estimators.avg_cond_cov_decomposed(samples, u, v, idx)))
+    return worst
+
+
+def influence_identity_gap(rng, cases: int) -> float:
+    """Largest |influence ratio - conditional mean by row selection| over
+    ``cases`` defined draws of uniform +-1 rows (n 2..6, M 1..399), a node
+    u and a conditioning set S; undefined draws are skipped."""
+    worst = 0.0
+    checked = 0
+    while checked < cases:
+        n = int(rng.integers(2, 7))
+        M = int(rng.integers(1, 400))
+        samples = SampleSet.from_pm1(rng.choice([-1, 1], size=(M, n)), n=n)
+        u = int(rng.integers(n))
+        others = [i for i in range(n) if i != u]
+        S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
+        iv = estimators.empirical_influence(samples, u, S)
+        if not iv.defined:
+            continue
+        sub = estimators.build_index(samples, S).ones_indices
+        direct = float(samples.column(u)[sub].astype(np.float64).mean())
+        worst = max(worst, abs(iv.value - direct))
+        checked += 1
+    return worst
+
+
+def stage_deviations(rng, reps: int) -> list[tuple[float, float, float]]:
+    """(hit rate, law, standard error of the rate) for ``reps`` Grover
+    stages of each j = 0..5 on 64 items with 4 marked; the law is
+    ``stage_success_probability``."""
+    n, t = 64, 4
+    marked = np.arange(t)
+    out = []
+    for j in range(6):
+        hits = sum(grover_stage(marked, n, j, rng) is not None for _ in range(reps))
+        p = stage_success_probability(n, t, j)
+        out.append((hits / reps, p, math.sqrt(p * (1 - p) / reps)))
+    return out
+
+
+def max_find_success(rho: float, runs: int) -> float:
+    """Fraction of ``runs`` maximum-finding searches at failure probability
+    rho that return the argmax of 256 uniform scores; run r draws its
+    scores from seed [71, r] and its search from [72, int(100 rho), r]."""
+    good = 0
+    for r in range(runs):
+        vals = np.random.default_rng([71, r]).random(256)
+        scores = ScoreOracle(vals, cost=1, meter=QueryMeter())
+        i, _ = dh_max_find(scores, rho, np.random.default_rng([72, int(rho * 100), r]))
+        good += i == int(np.argmax(vals))
+    return good / runs
+
+
+def gibbs_tv(model: RbmModel, M: int, cfg: GibbsConfig) -> float:
+    """Total variation between the visible configurations of M Gibbs draws
+    and the exact marginal (``ExactOracle``, so n + m <= ENUM_GUARD)."""
+    exact_p = ExactOracle(model).probabilities
+    samples = gibbs_sample(model, M, cfg)
+    bits = (samples.dense > 0).astype(np.int64)
+    weights = 1 << np.arange(model.n - 1, -1, -1, dtype=np.int64)
+    counts = np.bincount(bits @ weights, minlength=1 << model.n)
+    return float(0.5 * np.abs(counts / samples.M - exact_p).sum())
+
+
+def verify() -> bool:
+    """Invariant battery for an installed package: prints one PASS/FAIL
+    line per check and returns True when all hold. Five checks are
+    acceptance criteria 1, 2, 7 and 10 through the shared checks above, with
+    the criteria's seeds at smaller counts (4 sigma for the stages, success
+    >= 0.9 at rho = 0.1); the bitset, sample-file and normalization checks
+    are verify's own."""
     ok = True
 
     def check(name, cond):
@@ -437,31 +532,16 @@ def verify(quick: bool = True) -> bool:
         print(f"[verify] {name}: {status}")
         ok = ok and bool(cond)
 
-    rng = np.random.default_rng(20240811)
-    # covariance route identity on random data
-    worst = 0.0
-    for _ in range(30 if quick else 200):
-        n = int(rng.integers(3, 7))
-        M = int(rng.integers(1, 300))
-        rows = rng.choice([-1, 1], size=(M, n))
-        samples = sampling.SampleSet.from_pm1(rows)
-        nodes = rng.permutation(n)
-        u, v = int(nodes[0]), int(nodes[1])
-        S = [int(x) for x in nodes[2 : 2 + int(rng.integers(0, n - 1))]]
-        idx = estimators.build_index(samples, S)
-        d = estimators.avg_cond_cov_direct(samples, u, v, idx)
-        e = estimators.avg_cond_cov_decomposed(samples, u, v, idx)
-        worst = max(worst, abs(d - e))
-    check("covariance decomposition identity (<= 1e-12)", worst <= 1e-12)
+    gap = covariance_identity_gap(np.random.default_rng(101), 30)
+    check("covariance decomposition identity (<= 1e-12)", gap <= 1e-12)
 
-    # bitset fast paths against the index and masking references (own
-    # stream, so the draws of the checks below do not move)
+    # bitset fast paths against the index and masking references
     brng = np.random.default_rng(20240812)
     same = True
-    for _ in range(30 if quick else 200):
+    for _ in range(30):
         n = int(brng.integers(3, 12))
         M = int(brng.integers(1, 300))
-        samples = sampling.SampleSet.from_pm1(brng.choice([-1, 1], size=(M, n)))
+        samples = SampleSet.from_pm1(brng.choice([-1, 1], size=(M, n)))
         nodes = [int(x) for x in brng.permutation(n)]
         u, cands = nodes[0], nodes[1:]
         S = cands[: int(brng.integers(0, n - 1))]
@@ -477,72 +557,27 @@ def verify(quick: bool = True) -> bool:
         same = same and denom.tolist() == [iv.denom_count for iv in masked]
     check("bitset scores equal the index and masking routes", same)
 
-    # influence ratio vs conditional mean
-    worst = 0.0
-    for _ in range(30 if quick else 200):
-        n = int(rng.integers(2, 6))
-        M = int(rng.integers(1, 300))
-        rows = rng.choice([-1, 1], size=(M, n))
-        samples = sampling.SampleSet.from_pm1(rows)
-        nodes = rng.permutation(n)
-        u = int(nodes[0])
-        S = [int(x) for x in nodes[1 : 1 + int(rng.integers(0, n))]]
-        iv = estimators.empirical_influence(samples, u, S)
-        if not iv.defined:
-            continue
-        idx = estimators.build_index(samples, S)
-        sub = idx.ones_indices
-        direct = float(samples.column(u)[sub].astype(np.float64).mean())
-        worst = max(worst, abs(iv.value - direct))
-    check("influence expansion identity (<= 1e-12)", worst <= 1e-12)
+    gap = influence_identity_gap(np.random.default_rng(102), 30)
+    check("influence expansion identity (<= 1e-12)", gap <= 1e-12)
 
-    # sample file round trip
-    rows = rng.choice([-1, 1], size=(17, 11))
-    samples = sampling.SampleSet.from_pm1(rows)
-    import tempfile
-
+    samples = SampleSet.from_pm1(np.random.default_rng(20240811).choice([-1, 1], size=(17, 11)))
     with tempfile.TemporaryDirectory() as td:
         p = os.path.join(td, "s.rbms")
         sampling.save(samples, p)
         check("sample file round trip", sampling.load(p) == samples)
 
-    # Grover stage statistics (4 sigma at reduced repetitions)
-    reps = 20000
-    t, n, j = 4, 64, 3
-    hits = 0
-    marked = np.arange(t)
-    for _ in range(reps):
-        hits += qsearch.grover_stage(marked, n, j, rng) is not None
-    p = qsearch.stage_success_probability(n, t, j)
-    se = math.sqrt(p * (1 - p) / reps)
-    check("Grover stage statistics (4 sigma)", abs(hits / reps - p) <= 4 * se)
+    stages = stage_deviations(np.random.default_rng(107), 20_000)
+    within = all(abs(rate - p) <= 4 * se for rate, p, se in stages)
+    check("Grover stage statistics (4 sigma)", within)
 
-    # maximum finding hits the argmax
-    good = 0
-    runs = 200
-    for r in range(runs):
-        vals = np.random.default_rng([7, r]).random(64)
-        meter = qsearch.QueryMeter()
-        scores = qsearch.ScoreOracle(vals, cost=1, meter=meter)
-        i, _ = qsearch.dh_max_find(scores, 0.1, np.random.default_rng([8, r]))
-        good += i == int(np.argmax(vals))
-    check("maximum finding success >= 1 - rho", good / runs >= 0.9)
+    check("maximum finding success >= 1 - rho", max_find_success(0.1, 200) >= 0.9)
 
-    # exact oracle normalization
-    mdl = model.generate_model(
-        KIND_FERROMAGNETIC, 5, 3, 2, NonDegeneracyParams(0.3, 1.5), seed=5
-    )
-    total = model.ExactOracle(mdl).probabilities.sum()
+    mdl = generate_model(KIND_FERROMAGNETIC, 5, 3, 2, NonDegeneracyParams(0.3, 1.5), seed=5)
+    total = ExactOracle(mdl).probabilities.sum()
     check("visible marginal normalization", abs(total - 1.0) <= 1e-12)
 
-    # multi-chain Gibbs against the exact marginal (fixed seeds of its own,
-    # so no other check's draws move)
-    mdl = model.generate_model(
-        KIND_FERROMAGNETIC, 4, 2, 2, NonDegeneracyParams(0.3, 1.5), seed=6
-    )
-    gs = sampling.gibbs_sample(mdl, 50_000, sampling.GibbsConfig(seed=7))
-    # node 0 is each packed byte's top bit and each config index's top bit
-    counts = np.bincount(gs.packed[:, 0] >> (8 - mdl.n), minlength=1 << mdl.n)
-    tv = 0.5 * np.abs(counts / gs.M - model.ExactOracle(mdl).probabilities).sum()
+    # criterion 10's first model and chain seed
+    mdl = generate_model(KIND_FERROMAGNETIC, 6, 4, 2, NonDegeneracyParams(0.3, 1.5), seed=300)
+    tv = gibbs_tv(mdl, 50_000, GibbsConfig(burn_in=1000, thinning=10, seed=400))
     check("Gibbs total variation to the exact marginal (<= 0.03)", tv <= 0.03)
     return ok

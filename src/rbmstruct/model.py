@@ -243,8 +243,7 @@ class ExactOracle:
         self.model = model
         self.n = model.n
         self._size = 1 << model.n
-        self._logp = self._log_marginals()
-        self._p = np.exp(self._logp)
+        self._p = np.exp(self._log_marginals())
         self._columns: dict[int, np.ndarray] = {}
 
     def _log_marginals(self) -> np.ndarray:
@@ -262,10 +261,6 @@ class ExactOracle:
         mx = logw.max()
         log_z = mx + math.log(np.exp(logw - mx).sum())
         return logw - log_z
-
-    @property
-    def log_probabilities(self) -> np.ndarray:
-        return self._logp
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -454,6 +449,23 @@ def generate_model(
     if not report.ok:
         raise RuntimeError(f"generator produced a degenerate model: {report.violations}")
     return model
+
+
+def random_model(rng, kind=KIND_GENERAL, n_range=(2, 5), m_range=(0, 3)) -> RbmModel:
+    """Unconstrained random model drawn from ``rng``: n and m uniform over
+    the half-open ranges, couplings in [-1, 1], fields in [-0.5, 0.5].
+    Ferromagnetic takes absolute values; locally consistent gives each
+    hidden node's column one random sign. No non-degeneracy is enforced."""
+    n = int(rng.integers(*n_range))
+    m = int(rng.integers(*m_range))
+    J = rng.uniform(-1.0, 1.0, size=(n, m))
+    f = rng.uniform(-0.5, 0.5, size=n)
+    g = rng.uniform(-0.5, 0.5, size=m)
+    if kind == KIND_FERROMAGNETIC:
+        J, f, g = np.abs(J), np.abs(f), np.abs(g)
+    elif kind == KIND_LOCALLY_CONSISTENT:
+        J = np.abs(J) * rng.choice([-1.0, 1.0], size=m)
+    return RbmModel(J, f, g, kind=kind)
 
 
 def save_model(model: RbmModel, path) -> None:

@@ -80,19 +80,6 @@ def brute_conditional_mean(rows, u: int, S) -> float | None:
     return sum(r[u] for r in matched) / len(matched)
 
 
-def random_small_model(rng, kind="general", n_range=(2, 5), m_range=(0, 3)) -> RbmModel:
-    n = int(rng.integers(*n_range))
-    m = int(rng.integers(*m_range))
-    J = rng.uniform(-1.0, 1.0, size=(n, m))
-    f = rng.uniform(-0.5, 0.5, size=n)
-    g = rng.uniform(-0.5, 0.5, size=m)
-    if kind == "ferromagnetic":
-        J, f, g = np.abs(J), np.abs(f), np.abs(g)
-    elif kind == "locally-consistent":
-        J = np.abs(J) * rng.choice([-1.0, 1.0], size=m)
-    return RbmModel(J, f, g, kind=kind if kind != "general" else "general")
-
-
 # Demo model: 4 visible, 4 hidden, each hidden node linking a consecutive
 # pair around a ring, so the two-hop graph is the 4-cycle with edge (0, 1).
 def demo_ring_model() -> RbmModel:

@@ -10,10 +10,10 @@ from rbmstruct.estimators import (
     empirical_influence,
     empirical_probability,
 )
-from rbmstruct.model import ExactOracle
+from rbmstruct.model import ExactOracle, random_model
 from rbmstruct.sampling import SampleSet, exact_sample
 
-from conftest import brute_conditional_mean, random_small_model
+from conftest import brute_conditional_mean
 
 
 def _random_samples(rng, n_range=(2, 6), m_range=(1, 60)):
@@ -199,7 +199,7 @@ class TestAvgCondCov:
 class TestLargeSampleConsistency:
     def test_estimators_approach_exact_values(self):
         rng = np.random.default_rng(7)
-        m = random_small_model(rng, kind="ferromagnetic", n_range=(4, 5), m_range=(2, 3))
+        m = random_model(rng, kind="ferromagnetic", n_range=(4, 5), m_range=(2, 3))
         oracle = ExactOracle(m)
         s = exact_sample(m, 100_000, seed=8)
         u, v, w = 0, 1, 2

@@ -249,3 +249,11 @@ class TestLearnFullGraph:
         s = SampleSet.from_pm1(np.full((4, 3), -1, dtype=np.int8))
         res = learn_full_graph(s, LearnerConfig("ferro", eta=0.05, k=2))
         assert all(r.insufficient_samples for r in res.per_node)
+
+    @pytest.mark.parametrize("alg,knobs", [
+        ("ferro", dict(k=2)), ("ferro-q", dict(eta=0.02)),
+        ("lc", dict(eta=0.02, k=2)), ("lc-q", dict(tau=0.025)),
+    ])
+    def test_missing_learner_knobs_rejected(self, alg, knobs):
+        with pytest.raises(ValueError, match=f"{alg} needs"):
+            LearnerConfig(alg, **knobs)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from rbmstruct import cli, harness
+from rbmstruct import cli, estimators, harness
 from rbmstruct import model as model_mod
 from rbmstruct.greedy import learn_full_graph
 from rbmstruct.harness import (
@@ -296,6 +297,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: k must be >= 1" in err
         assert "error: delta must lie in (0, 1)" in err
+
+    def test_learn_flags_mirror_experiment_config(self):
+        args = cli._build_parser().parse_args(["learn"])
+        parsed = {k: v for k, v in vars(args).items() if k != "command"}
+        assert parsed == dataclasses.asdict(ExperimentConfig())
+
+    def test_verify_command(self, monkeypatch, capsys):
+        assert cli.main(["verify"]) == 0
+        assert capsys.readouterr().out.count(": PASS\n") == 8
+        decomposed = estimators.avg_cond_cov_decomposed
+        monkeypatch.setattr(
+            estimators, "avg_cond_cov_decomposed", lambda *a: decomposed(*a) + 1e-9
+        )
+        assert cli.main(["verify"]) == 2
+        assert "covariance decomposition identity (<= 1e-12): FAIL" in capsys.readouterr().out
 
     def test_bad_flag_exit_code(self):
         assert cli.main(["learn", "--algorithm", "bogus"]) == 1

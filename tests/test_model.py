@@ -12,6 +12,7 @@ from rbmstruct.model import (
     exact_influence,
     generate_model,
     load_model,
+    random_model,
     save_model,
     two_hop_graph,
     validate_nondegenerate,
@@ -23,7 +24,6 @@ from conftest import (
     brute_influence,
     brute_visible_marginal,
     demo_ring_model,
-    random_small_model,
 )
 
 
@@ -86,13 +86,13 @@ class TestVisibleMarginal:
     def test_normalization_random_models(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            m = random_small_model(rng, n_range=(2, 7), m_range=(0, 6))
+            m = random_model(rng, n_range=(2, 7), m_range=(0, 6))
             assert ExactOracle(m).probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_matches_direct_hidden_sum(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            m = random_small_model(rng, n_range=(2, 4), m_range=(1, 4))
+            m = random_model(rng, n_range=(2, 4), m_range=(1, 4))
             oracle = ExactOracle(m)
             for x in [(1,) * m.n, (-1,) * m.n]:
                 assert oracle.marginal(x) == pytest.approx(
@@ -147,7 +147,7 @@ class TestExactInfluence:
     def test_empty_conditioning_is_unconditional_mean(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
-            m = random_small_model(rng, n_range=(2, 4), m_range=(1, 3))
+            m = random_model(rng, n_range=(2, 4), m_range=(1, 3))
             assert exact_influence(m, 0, []) == pytest.approx(
                 brute_influence(m, 0, ()), rel=1e-11, abs=1e-12
             )
@@ -155,7 +155,7 @@ class TestExactInfluence:
     def test_matches_brute_oracle(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
-            m = random_small_model(rng, n_range=(3, 5), m_range=(1, 3))
+            m = random_model(rng, n_range=(3, 5), m_range=(1, 3))
             u = int(rng.integers(m.n))
             others = [i for i in range(m.n) if i != u]
             S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
@@ -189,7 +189,7 @@ class TestExactAvgCondCov:
     def test_matches_brute_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            m = random_small_model(rng, n_range=(3, 5), m_range=(1, 3))
+            m = random_model(rng, n_range=(3, 5), m_range=(1, 3))
             u, v = rng.choice(m.n, size=2, replace=False)
             others = [i for i in range(m.n) if i not in (u, v)]
             S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
@@ -206,7 +206,7 @@ class TestGhsProperties:
     def test_monotone_and_submodular(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            m = random_small_model(rng, kind="ferromagnetic", n_range=(3, 5), m_range=(1, 3))
+            m = random_model(rng, kind="ferromagnetic", n_range=(3, 5), m_range=(1, 3))
             oracle = ExactOracle(m)
             u = 0
             others = [i for i in range(m.n) if i != u]
@@ -264,7 +264,7 @@ class TestModelFile:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(41)
         for i in range(5):
-            m = random_small_model(rng, n_range=(2, 6), m_range=(0, 4))
+            m = random_model(rng, n_range=(2, 6), m_range=(0, 4))
             path = tmp_path / f"model_{i}.json"
             save_model(m, path)
             loaded = load_model(path)

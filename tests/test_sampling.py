@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rbmstruct.model import ExactOracle, RbmModel
+from rbmstruct.model import ExactOracle, RbmModel, random_model
 from rbmstruct.sampling import (
     GibbsConfig,
     SampleFileError,
@@ -14,8 +14,6 @@ from rbmstruct.sampling import (
     save,
     split_rhat,
 )
-
-from conftest import random_small_model
 
 
 def sigmoid(x):
@@ -81,7 +79,7 @@ class TestGibbsConditionals:
     def test_conditionals_match_enumeration(self):
         # P(y_j = +1 | x) and P(x_i = +1 | y) against the joint table
         rng = np.random.default_rng(5)
-        m = random_small_model(rng, n_range=(3, 4), m_range=(2, 3))
+        m = random_model(rng, n_range=(3, 4), m_range=(2, 3))
         n, mm = m.n, m.m
         for _ in range(10):
             x = rng.choice([-1.0, 1.0], size=n)
