@@ -5,12 +5,10 @@ query-metered simulations of their quantum-search variants."""
 from .estimators import (
     ConfigIndex,
     InfluenceValue,
-    a_coefficient,
     avg_cond_cov_decomposed,
     avg_cond_cov_direct,
     build_index,
     empirical_influence,
-    empirical_probability,
 )
 from .greedy import (
     FerroTheoryConstants,
@@ -30,14 +28,11 @@ from .model import (
     NonDegeneracyParams,
     RbmModel,
     TwoHopGraph,
-    exact_avg_cond_cov,
-    exact_influence,
     generate_model,
     load_model,
     save_model,
     two_hop_graph,
     validate_nondegenerate,
-    visible_marginal,
 )
 from .qsearch import (
     QueryMeter,

@@ -169,8 +169,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    # RuntimeError: generate_model found no non-degenerate model for the settings
-    except (ConfigError, FitError, ValueError, OSError, RuntimeError) as exc:
+    # RuntimeError: generate_model found no non-degenerate model for the settings;
+    # OverflowError: theory constants of extreme weight bounds
+    except (ConfigError, FitError, ValueError, OSError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -1,16 +1,18 @@
 """Empirical estimators over sample sets.
 
-Everything the greedy learners consume lives here: empirical
-probabilities, the empirical influence ratio, conditioning index sets
-(which samples realize each observed configuration on a node subset), and
-the average conditional covariance in two algebraically identical forms.
+Everything the greedy learners consume lives here: the empirical
+influence ratio and the average conditional covariance.
 
-The learners themselves use the bitset forms at the end of this module:
-a conditioning set's cells are a stack of bitsets over samples, refined
-by one column per added node, and every count is a popcount. Those
-routes give the same integers as the index routes above, and the same
-covariance floats bit for bit, because the float work is done in the
-same order (cells by first occurrence, one division per cell).
+The learners use the bitset forms at the end of this module: a
+conditioning set's cells are a stack of bitsets over samples, refined by
+one column per added node, and every count is a popcount. Each fast path
+has one slow reference above it, which the tests and ``verify`` compare
+it against: ``empirical_influence`` (row masking) for
+``influence_counts``, ``build_index`` groups for ``conditioning_cells``,
+and ``avg_cond_cov_direct`` for ``cov_scores``. ``cov_scores`` gives the
+same floats as ``avg_cond_cov_decomposed`` bit for bit, because the float
+work is done in the same order (cells by first occurrence, one division
+per cell).
 
 All counting is exact integer arithmetic (float64 sums of +-1 entries
 stay integral far below 2**53); each estimator divides once at the end.
@@ -25,9 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import SampleSet
-
-# Conditioning patterns are packed into int64 keys, one bit per node.
-_MAX_CONDITIONING = 62
 
 
 @dataclass(frozen=True)
@@ -52,116 +51,57 @@ class InfluenceValue:
             return None
         return 2.0 * self.numer_count / self.denom_count - 1.0
 
-    def value_or(self, default: float) -> float:
-        v = self.value
-        return default if v is None else v
-
 
 class ConfigIndex:
-    """Index of the distinct configurations a sample set shows on S.
+    """The samples grouped by their configuration on S.
 
     Cell l holds the sample indices whose restriction to S equals the
     l-th distinct configuration; cells are ordered by first occurrence
-    and partition range(M). ``ones_indices`` is the cell of the all-ones
-    configuration (empty array if never observed).
+    and partition range(M).
     """
 
-    __slots__ = ("S", "patterns", "groups", "cell_of", "n_samples")
+    __slots__ = ("S", "groups", "n_samples")
 
-    def __init__(self, S, patterns, groups, cell_of, n_samples):
+    def __init__(self, S, groups, n_samples):
         self.S = S
-        self.patterns = patterns
         self.groups = groups
-        self.cell_of = cell_of
         self.n_samples = n_samples
 
     @property
     def num_cells(self) -> int:
         return len(self.groups)
 
-    def configs(self) -> list:
-        """Distinct configurations as +-1 tuples in cell order."""
-        s = len(self.S)
-        out = []
-        for pat in self.patterns:
-            out.append(tuple(1 if (pat >> (s - 1 - k)) & 1 else -1 for k in range(s)))
-        return out
-
-    @property
-    def ones_indices(self) -> np.ndarray:
-        target = (1 << len(self.S)) - 1
-        for l, pat in enumerate(self.patterns):
-            if pat == target:
-                return self.groups[l]
-        return np.empty(0, dtype=np.int64)
-
 
 def build_index(samples: SampleSet, S) -> ConfigIndex:
-    """Group sample indices by their configuration on S (first-occurrence
-    cell order; ascending-node MSB-first bit patterns as keys)."""
+    """Group sample indices by their configuration on S, cells in
+    first-occurrence order."""
     S = tuple(sorted(int(i) for i in S))
     if len(set(S)) != len(S):
         raise ValueError("duplicate nodes in S")
     if S and not (0 <= S[0] and S[-1] < samples.n):
         raise ValueError("node index out of range")
-    if len(S) > _MAX_CONDITIONING:
-        raise ValueError(f"conditioning sets larger than {_MAX_CONDITIONING} unsupported")
-    M = samples.M
-    if not S:
-        cell_of = np.zeros(M, dtype=np.int64)
-        return ConfigIndex(S, [0], [np.arange(M, dtype=np.int64)], cell_of, M)
-    s = len(S)
-    bits = (samples.dense[:, list(S)] > 0).astype(np.int64)
-    weights = (1 << np.arange(s - 1, -1, -1, dtype=np.int64))
-    keys = bits @ weights
-    uniq, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq), dtype=np.int64)
-    cell_of = rank[inverse]
-    sort_idx = np.argsort(cell_of, kind="stable")
-    counts = np.bincount(cell_of, minlength=len(uniq))
-    groups = np.split(sort_idx, np.cumsum(counts)[:-1])
-    patterns = [int(uniq[o]) for o in order]
-    return ConfigIndex(S, patterns, groups, cell_of, M)
-
-
-def empirical_probability(samples: SampleSet, assignment) -> float:
-    """Fraction of samples matching a partial +-1 assignment exactly.
-
-    ``assignment`` maps node index to +-1 and must be nonempty; the sample
-    set must be nonempty.
-    """
-    if not assignment:
-        raise ValueError("assignment must cover at least one node")
-    if samples.M == 0:
-        raise ValueError("need at least one sample")
-    mask = np.ones(samples.M, dtype=bool)
-    for node, value in assignment.items():
-        if value not in (-1, 1):
-            raise ValueError("assignment values must be +-1")
-        mask &= samples.column(int(node)) == value
-    return float(mask.sum()) / samples.M
+    _, first, inverse = np.unique(
+        samples.dense[:, list(S)], axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)
+    groups = [np.flatnonzero(inverse == l) for l in np.argsort(first)]
+    return ConfigIndex(S, groups, samples.M)
 
 
 def empirical_influence(samples: SampleSet, u: int, S) -> InfluenceValue:
     """Influence of pinning S to +1 on X_u, as the ratio of all-ones counts
-    on S union {u} and on S. Undefined when no sample has x_S = 1^s."""
+    on S union {u} and on S, counted by row masking. Undefined when no
+    sample has x_S = 1^s."""
     S = tuple(sorted(int(i) for i in S))
     if u in S:
         raise ValueError("u must not belong to S")
+    mask = np.ones(samples.M, dtype=bool)
+    for i in S:
+        mask &= samples.column(i) == 1
     return InfluenceValue(
-        denom_count=int(len(build_index(samples, S).ones_indices)),
-        numer_count=int(len(build_index(samples, S + (u,)).ones_indices)),
+        numer_count=int((mask & (samples.column(u) == 1)).sum()),
+        denom_count=int(mask.sum()),
     )
-
-
-def a_coefficient(samples: SampleSet, j: int, f_l) -> int:
-    """Signed sum of x_j over the listed sample indices."""
-    f_l = np.asarray(f_l, dtype=np.int64)
-    if f_l.size == 0:
-        return 0
-    return int(samples.column(j)[f_l].astype(np.int64).sum())
 
 
 def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, idx: ConfigIndex) -> float:
@@ -192,10 +132,12 @@ def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, idx: ConfigIndex
     about 1e-15)."""
     _check_cov_args(u, v, idx)
     M = samples.M
-    z_total = int(samples.column(u).astype(np.int64) @ samples.column(v).astype(np.int64))
+    xu = samples.column(u).astype(np.int64)
+    xv = samples.column(v).astype(np.int64)
+    z_total = int(xu @ xv)
     corr = 0.0
     for g in idx.groups:
-        corr += a_coefficient(samples, u, g) * a_coefficient(samples, v, g) / len(g)
+        corr += int(xu[g].sum()) * int(xv[g].sum()) / len(g)
     return (z_total - corr) / M
 
 

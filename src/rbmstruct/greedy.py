@@ -171,16 +171,6 @@ class NeighborhoodResult:
     exhausted: bool = False
 
 
-def _influence_counts(samples: SampleSet, u: int, S) -> InfluenceValue:
-    """InfluenceValue of u given S, by direct masking (no index reuse)."""
-    mask = np.ones(samples.M, dtype=bool)
-    for i in S:
-        mask &= samples.column(i) == 1
-    denom = int(mask.sum())
-    numer = int((mask & (samples.column(u) == 1)).sum())
-    return InfluenceValue(numer_count=numer, denom_count=denom)
-
-
 def _influence_bits(samples: SampleSet, u: int, S) -> InfluenceValue:
     """InfluenceValue of u given S, by popcounts over the column bitsets."""
     m_s = ones_mask(samples, S)

@@ -137,6 +137,8 @@ class ExperimentConfig:
             raise ConfigError("thinning must be >= 1")
         if self.n < 1 or self.m < 0 or not 0 <= self.d2 <= self.n - 1:
             raise ConfigError("bad model dimensions")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ConfigError("alpha and beta must be finite")
         if self.alpha <= 0 or self.beta < self.alpha:
             raise ConfigError("need 0 < alpha <= beta")
         for name in ("eta", "tau"):
@@ -459,7 +461,9 @@ def covariance_identity_gap(rng, trials: int) -> float:
 def influence_identity_gap(rng, cases: int) -> float:
     """Largest |influence ratio - conditional mean by row selection| over
     ``cases`` defined draws of uniform +-1 rows (n 2..6, M 1..399), a node
-    u and a conditioning set S; undefined draws are skipped."""
+    u and a conditioning set S; undefined draws are skipped. The ratio is
+    the learners' bitset count, the mean runs over the rows a boolean mask
+    selects."""
     worst = 0.0
     checked = 0
     while checked < cases:
@@ -469,11 +473,11 @@ def influence_identity_gap(rng, cases: int) -> float:
         u = int(rng.integers(n))
         others = [i for i in range(n) if i != u]
         S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
-        iv = estimators.empirical_influence(samples, u, S)
+        iv = greedy._influence_bits(samples, u, S)
         if not iv.defined:
             continue
-        sub = estimators.build_index(samples, S).ones_indices
-        direct = float(samples.column(u)[sub].astype(np.float64).mean())
+        rows = (samples.dense[:, S] == 1).all(axis=1)
+        direct = float(samples.column(u)[rows].astype(np.float64).mean())
         worst = max(worst, abs(iv.value - direct))
         checked += 1
     return worst
@@ -552,7 +556,7 @@ def verify() -> bool:
         same = same and fast.tolist() == ref
         m_s = estimators.ones_mask(samples, S)
         numer, denom = estimators.influence_counts(samples, cands, m_s, m_s & samples.bits[u])
-        masked = [greedy._influence_counts(samples, u, S + [j]) for j in cands]
+        masked = [estimators.empirical_influence(samples, u, S + [j]) for j in cands]
         same = same and numer.tolist() == [iv.numer_count for iv in masked]
         same = same and denom.tolist() == [iv.denom_count for iv in masked]
     check("bitset scores equal the index and masking routes", same)

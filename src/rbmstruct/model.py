@@ -47,6 +47,8 @@ class NonDegeneracyParams:
     beta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if not (0.0 < self.alpha <= self.beta):
             raise ValueError("require 0 < alpha <= beta")
 
@@ -229,9 +231,8 @@ class ExactOracle:
 
     Builds the normalized log-probability table over all 2^n visible
     configurations once; marginal/influence/covariance queries are then
-    vectorized table lookups. Use this directly when issuing many queries
-    against one model; the module-level convenience functions construct a
-    fresh oracle per call.
+    vectorized table lookups, so build one oracle per model and query it
+    as often as needed.
     """
 
     def __init__(self, model: RbmModel):
@@ -302,6 +303,8 @@ class ExactOracle:
     def avg_cond_cov(self, u: int, v: int, S) -> float:
         """E_{x_S}[ Cov(X_u, X_v | X_S = x_S) ], averaged over the law of X_S."""
         S = _node_set(S, self.n)
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError("u and v must be visible nodes")
         if u == v:
             raise ValueError("u and v must differ")
         if u in S or v in S:
@@ -330,21 +333,6 @@ def _node_set(S, n: int) -> tuple:
     if S and not (0 <= S[0] and S[-1] < n):
         raise ValueError("node index out of range")
     return S
-
-
-def visible_marginal(model: RbmModel, x) -> float:
-    """P(X = x) under the exact visible marginal (n + m <= 24)."""
-    return ExactOracle(model).marginal(x)
-
-
-def exact_influence(model: RbmModel, u: int, S) -> float:
-    """Exact discrete influence E[X_u | X_S = 1^s] by enumeration."""
-    return ExactOracle(model).influence(u, S)
-
-
-def exact_avg_cond_cov(model: RbmModel, u: int, v: int, S) -> float:
-    """Exact average conditional covariance of (X_u, X_v) given X_S."""
-    return ExactOracle(model).avg_cond_cov(u, v, S)
 
 
 def generate_model(

@@ -129,9 +129,6 @@ class SampleSet:
     def column(self, j: int) -> np.ndarray:
         return self.dense[:, j]
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self.dense[i, j])
-
     def __eq__(self, other):
         if not isinstance(other, SampleSet):
             return NotImplemented

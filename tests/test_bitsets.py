@@ -15,12 +15,7 @@ from rbmstruct.estimators import (
     influence_counts,
     ones_mask,
 )
-from rbmstruct.greedy import (
-    UNDEFINED_SCORE,
-    _influence_bits,
-    _influence_counts,
-    _score_candidates_ferro,
-)
+from rbmstruct.greedy import UNDEFINED_SCORE, _influence_bits, _score_candidates_ferro
 from rbmstruct.sampling import SampleSet
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -113,12 +108,9 @@ def test_influence_counts_equal_masked_and_index_counts(case):
     m_s = ones_mask(samples, S)
     m_su = m_s & samples.bits[u]
     numer, denom = influence_counts(samples, cands, m_s, m_su)
-    masked = [_influence_counts(samples, u, S + [j]) for j in cands]
-    indexed = [empirical_influence(samples, u, S + [j]) for j in cands]
+    masked = [empirical_influence(samples, u, S + [j]) for j in cands]
     assert numer.tolist() == [iv.numer_count for iv in masked]
     assert denom.tolist() == [iv.denom_count for iv in masked]
-    assert masked == indexed
     scores = _score_candidates_ferro(samples, cands, m_s, m_su)
-    assert scores.tolist() == [iv.value_or(UNDEFINED_SCORE) for iv in indexed]
-    assert _influence_bits(samples, u, S) == _influence_counts(samples, u, S)
-
+    assert scores.tolist() == [iv.value if iv.defined else UNDEFINED_SCORE for iv in masked]
+    assert _influence_bits(samples, u, S) == empirical_influence(samples, u, S)

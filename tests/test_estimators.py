@@ -3,12 +3,11 @@ import pytest
 
 from rbmstruct.estimators import (
     InfluenceValue,
-    a_coefficient,
     avg_cond_cov_decomposed,
     avg_cond_cov_direct,
     build_index,
+    conditioning_cells,
     empirical_influence,
-    empirical_probability,
 )
 from rbmstruct.model import ExactOracle, random_model
 from rbmstruct.sampling import SampleSet, exact_sample
@@ -22,51 +21,23 @@ def _random_samples(rng, n_range=(2, 6), m_range=(1, 60)):
     return SampleSet.from_pm1(rng.choice([-1, 1], size=(M, n)), n=n)
 
 
-class TestEmpiricalProbability:
-    def test_single_node(self):
-        s = SampleSet.from_pm1(np.array([[1, 1], [1, -1], [-1, 1]]))
-        assert empirical_probability(s, {0: 1}) == pytest.approx(2 / 3)
-
-    def test_no_match(self):
-        s = SampleSet.from_pm1(np.array([[1, 1], [1, 1]]))
-        assert empirical_probability(s, {0: 1, 1: -1}) == 0.0
-
-    def test_empty_assignment_rejected(self):
-        s = SampleSet.from_pm1(np.array([[1, 1]]))
-        with pytest.raises(ValueError):
-            empirical_probability(s, {})
-
-    def test_full_assignments_partition(self):
-        rng = np.random.default_rng(1)
-        s = _random_samples(rng, n_range=(3, 4), m_range=(30, 60))
-        total = 0.0
-        for c in range(1 << s.n):
-            assignment = {i: 1 if (c >> (s.n - 1 - i)) & 1 else -1 for i in range(s.n)}
-            total += empirical_probability(s, assignment)
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-
 class TestBuildIndex:
     def test_empty_conditioning_set(self):
         s = SampleSet.from_pm1(np.array([[1, 1], [-1, 1], [1, -1]]))
         idx = build_index(s, [])
         assert idx.num_cells == 1
-        assert idx.configs() == [()]
         assert np.array_equal(idx.groups[0], [0, 1, 2])
-        assert np.array_equal(idx.ones_indices, [0, 1, 2])
 
     def test_first_occurrence_order_and_ones_cell(self):
         s = SampleSet.from_pm1(np.array([[1, 1], [1, -1], [1, 1]]))
         idx = build_index(s, [0, 1])
-        assert idx.configs() == [(1, 1), (1, -1)]
-        assert [len(g) for g in idx.groups] == [2, 1]
-        assert np.array_equal(idx.ones_indices, [0, 2])
+        assert [g.tolist() for g in idx.groups] == [[0, 2], [1]]
 
     def test_all_rows_identical(self):
         s = SampleSet.from_pm1(np.full((7, 3), -1, dtype=np.int8))
         idx = build_index(s, [0, 2])
         assert idx.num_cells == 1
-        assert len(idx.ones_indices) == 0
+        assert np.array_equal(idx.groups[0], np.arange(7))
 
     def test_partition_property_random(self):
         rng = np.random.default_rng(2)
@@ -78,8 +49,19 @@ class TestBuildIndex:
             seen = np.concatenate(idx.groups) if idx.groups else np.empty(0, dtype=int)
             assert sorted(seen.tolist()) == list(range(s.M))
             assert idx.num_cells <= min(s.M, 1 << len(S))
-            for l, g in enumerate(idx.groups):
-                assert (idx.cell_of[g] == l).all()
+            firsts = [int(g[0]) for g in idx.groups]
+            assert firsts == sorted(firsts)
+            rows = s.dense[:, sorted(S)]
+            for g in idx.groups:
+                assert (rows[g] == rows[g[0]]).all()
+            assert len({rows[g[0]].tobytes() for g in idx.groups}) == idx.num_cells
+        # conditioning sets wider than a 64-bit key
+        s = _random_samples(rng, n_range=(70, 71), m_range=(200, 201))
+        S = list(range(65))
+        cells = conditioning_cells(s, S)
+        flags = np.unpackbits(cells.view(np.uint8), axis=-1, bitorder="little")[:, : s.M]
+        groups = build_index(s, S).groups
+        assert [g.tolist() for g in groups] == [np.flatnonzero(f).tolist() for f in flags]
 
 
 class TestEmpiricalInfluence:
@@ -99,7 +81,6 @@ class TestEmpiricalInfluence:
         iv = empirical_influence(s, 0, [1])
         assert not iv.defined
         assert iv.value is None
-        assert iv.value_or(-2.0) == -2.0
 
     def test_matches_conditional_mean_oracle(self):
         rng = np.random.default_rng(3)
@@ -121,30 +102,6 @@ class TestEmpiricalInfluence:
     def test_invariant_value_formula(self):
         iv = InfluenceValue(numer_count=7, denom_count=10)
         assert iv.value == pytest.approx(2 * 7 / 10 - 1)
-
-
-class TestACoefficient:
-    def test_listed_indices(self):
-        rows = np.full((8, 2), -1, dtype=np.int8)
-        rows[[0, 2], 1] = 1
-        s = SampleSet.from_pm1(rows)
-        assert a_coefficient(s, 1, [0, 2, 6]) == 1
-
-    def test_empty_list(self):
-        s = SampleSet.from_pm1(np.ones((3, 2), dtype=np.int8))
-        assert a_coefficient(s, 0, []) == 0
-
-    def test_all_plus(self):
-        s = SampleSet.from_pm1(np.ones((5, 2), dtype=np.int8))
-        assert a_coefficient(s, 1, [0, 1, 2, 3, 4]) == 5
-
-    def test_parity_and_bound(self):
-        rng = np.random.default_rng(4)
-        s = _random_samples(rng)
-        idx = list(rng.choice(s.M, size=min(s.M, 5), replace=False))
-        a = a_coefficient(s, 0, idx)
-        assert abs(a) <= len(idx)
-        assert (a - len(idx)) % 2 == 0
 
 
 class TestAvgCondCov:

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +301,19 @@ class TestCli:
         assert "error: k must be >= 1" in err
         assert "error: delta must lie in (0, 1)" in err
 
+    def test_extreme_weight_bounds_exit_code(self, monkeypatch, capsys):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was generated")
+
+        assert cli.main(["gen-model", "--beta", "inf", "--out", "/dev/null"]) == 1
+        monkeypatch.setattr(harness, "generate_model", no_model)
+        assert cli.main(["learn", "--num-samples", "100", "--beta", "inf"]) == 1
+        assert cli.main(["constants", "--alpha", "1e200", "--beta", "1e200",
+                         "--d2", "2", "--n", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 3
+        assert "error: alpha and beta must be finite" in err
+
     def test_learn_flags_mirror_experiment_config(self):
         args = cli._build_parser().parse_args(["learn"])
         parsed = {k: v for k, v in vars(args).items() if k != "command"}
@@ -329,3 +345,15 @@ class TestCli:
             "--seed", "5", "--out", str(out_path),
         ]) == 0
         assert load_samples(out_path).M == 500
+
+
+def test_benchmark_hooks_resolve():
+    """Every name the benchmark's tracer requires still exists, so a
+    deletion that would break traced benchmark runs fails here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = types.ModuleType("perfbench_spans")  # executed from source: no bytecode cache
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
+    for mod_name, attr, _, _, required in spans.SPAN_HOOKS:
+        if required:
+            assert hasattr(importlib.import_module(f"rbmstruct.{mod_name}"), attr), attr
+    assert callable(importlib.import_module("rbmstruct.qsearch").dh_max_find)

@@ -8,15 +8,12 @@ from rbmstruct.model import (
     ExactOracle,
     NonDegeneracyParams,
     RbmModel,
-    exact_avg_cond_cov,
-    exact_influence,
     generate_model,
     load_model,
     random_model,
     save_model,
     two_hop_graph,
     validate_nondegenerate,
-    visible_marginal,
 )
 
 from conftest import (
@@ -71,15 +68,15 @@ class TestModelConstruction:
 class TestVisibleMarginal:
     def test_single_free_spin(self):
         m = RbmModel(np.zeros((1, 0)), [0.0], [])
-        assert visible_marginal(m, [1]) == pytest.approx(0.5, abs=1e-15)
+        assert ExactOracle(m).marginal([1]) == pytest.approx(0.5, abs=1e-15)
 
     def test_two_visible_one_hidden(self):
         # frozen from the brute-force sum over y: P(1,1) = cosh(2)/(2 cosh(2) + 2)
         m = RbmModel([[1.0], [1.0]], [0, 0], [0])
         expected = brute_visible_marginal(m, (1, 1))
         assert expected == pytest.approx(math.cosh(2) / (2 * math.cosh(2) + 2), rel=1e-14)
-        assert visible_marginal(m, [1, 1]) == pytest.approx(expected, rel=1e-13)
-        assert visible_marginal(m, [1, -1]) == pytest.approx(
+        assert ExactOracle(m).marginal([1, 1]) == pytest.approx(expected, rel=1e-13)
+        assert ExactOracle(m).marginal([1, -1]) == pytest.approx(
             brute_visible_marginal(m, (1, -1)), rel=1e-13
         )
 
@@ -136,19 +133,19 @@ class TestExactInfluence:
         m = RbmModel([[1.0], [1.0]], [0, 0], [0])
         expected = brute_influence(m, 0, (1,))
         assert expected == pytest.approx((math.cosh(2) - 1) / (math.cosh(2) + 1), rel=1e-13)
-        assert exact_influence(m, 0, [1]) == pytest.approx(expected, rel=1e-12)
+        assert ExactOracle(m).influence(0, [1]) == pytest.approx(expected, rel=1e-12)
 
     def test_detached_node_has_no_influence(self):
         J = np.array([[0.0], [0.7]])
         m = RbmModel(J, [0.0, 0.2], [0.1])
         for S in ([], [1]):
-            assert exact_influence(m, 0, S) == pytest.approx(0.0, abs=1e-12)
+            assert ExactOracle(m).influence(0, S) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_conditioning_is_unconditional_mean(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
             m = random_model(rng, n_range=(2, 4), m_range=(1, 3))
-            assert exact_influence(m, 0, []) == pytest.approx(
+            assert ExactOracle(m).influence(0, []) == pytest.approx(
                 brute_influence(m, 0, ()), rel=1e-11, abs=1e-12
             )
 
@@ -159,32 +156,32 @@ class TestExactInfluence:
             u = int(rng.integers(m.n))
             others = [i for i in range(m.n) if i != u]
             S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
-            assert exact_influence(m, u, S) == pytest.approx(
+            assert ExactOracle(m).influence(u, S) == pytest.approx(
                 brute_influence(m, u, S), rel=1e-11, abs=1e-12
             )
 
     def test_u_in_s_rejected(self):
         m = RbmModel([[1.0], [1.0]], [0, 0], [0])
         with pytest.raises(ValueError):
-            exact_influence(m, 0, [0, 1])
+            ExactOracle(m).influence(0, [0, 1])
 
 
 class TestExactAvgCondCov:
     def test_conditional_independence_given_neighborhood(self):
         # ring: conditioning on N2(0) = {1, 3} separates 0 from 2
         m = demo_ring_model()
-        assert exact_avg_cond_cov(m, 0, 2, [1, 3]) == pytest.approx(0.0, abs=1e-10)
+        assert ExactOracle(m).avg_cond_cov(0, 2, [1, 3]) == pytest.approx(0.0, abs=1e-10)
 
     def test_shared_hidden_node_positive(self):
         m = RbmModel([[1.0], [1.0]], [0, 0], [0])
-        value = exact_avg_cond_cov(m, 0, 1, [])
+        value = ExactOracle(m).avg_cond_cov(0, 1, [])
         assert value == pytest.approx(brute_avg_cond_cov(m, 0, 1, ()), rel=1e-12)
         assert value > 0.1
 
     def test_disjoint_components_zero(self):
         J = np.array([[0.8, 0.0], [0.0, 0.9], [0.8, 0.0], [0.0, 0.9]])
         m = RbmModel(J, np.zeros(4), np.zeros(2))
-        assert exact_avg_cond_cov(m, 0, 1, [2, 3]) == pytest.approx(0.0, abs=1e-10)
+        assert ExactOracle(m).avg_cond_cov(0, 1, [2, 3]) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_brute_oracle(self):
         rng = np.random.default_rng(23)
@@ -193,9 +190,15 @@ class TestExactAvgCondCov:
             u, v = rng.choice(m.n, size=2, replace=False)
             others = [i for i in range(m.n) if i not in (u, v)]
             S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
-            assert exact_avg_cond_cov(m, int(u), int(v), S) == pytest.approx(
+            assert ExactOracle(m).avg_cond_cov(int(u), int(v), S) == pytest.approx(
                 brute_avg_cond_cov(m, int(u), int(v), S), rel=1e-11, abs=1e-12
             )
+
+    def test_out_of_range_nodes_rejected(self):
+        oracle = ExactOracle(RbmModel(np.ones((3, 1)), np.zeros(3), np.zeros(1)))
+        for u, v in ((0, 7), (0, -1), (7, 0), (-1, 0)):
+            with pytest.raises(ValueError):
+                oracle.avg_cond_cov(u, v, [])
 
 
 class TestGhsProperties:

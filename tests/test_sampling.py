@@ -37,7 +37,6 @@ class TestSampleSet:
         rows = rng.choice([-1, 1], size=(13, 11)).astype(np.int8)
         s = SampleSet.from_pm1(rows)
         assert np.array_equal(s.dense, rows)
-        assert s.entry(3, 5) == rows[3, 5]
         assert np.array_equal(s.column(2), rows[:, 2])
 
     def test_immutable(self):
