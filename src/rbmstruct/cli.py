@@ -11,59 +11,51 @@ import argparse
 import dataclasses
 import sys
 
-from . import harness, model, sampling
+from . import greedy, harness, model, sampling
 from .harness import ConfigError, ExperimentConfig, FitError
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    d = ExperimentConfig()
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--kind", default=d.kind, choices=model.LEARNABLE_KINDS)
+    shape.add_argument("--n", type=int, default=d.n)
+    shape.add_argument("--m", type=int, default=d.m)
+    shape.add_argument("--d2", type=int, default=d.d2)
+    shape.add_argument("--alpha", type=float, default=d.alpha)
+    shape.add_argument("--beta", type=float, default=d.beta)
+    shape.add_argument("--seed", type=int, default=d.seed)
+    draws = argparse.ArgumentParser(add_help=False)
+    draws.add_argument("--sampler", default=d.sampler, choices=sampling.SAMPLERS)
+    draws.add_argument("--num-samples", type=int, default=d.num_samples)
+    draws.add_argument("--burn-in", type=int, default=d.burn_in)
+    draws.add_argument("--thinning", type=int, default=d.thinning)
+
     p = argparse.ArgumentParser(prog="rbmstruct", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-model", help="generate a random model and write it as JSON")
-    g.add_argument("--kind", default="ferromagnetic",
-                   choices=["ferromagnetic", "locally-consistent"])
-    g.add_argument("--n", type=int, default=10)
-    g.add_argument("--m", type=int, default=5)
-    g.add_argument("--d2", type=int, default=3)
-    g.add_argument("--alpha", type=float, default=0.4)
-    g.add_argument("--beta", type=float, default=2.0)
-    g.add_argument("--seed", type=int, default=0)
+    g = sub.add_parser("gen-model", parents=[shape],
+                       help="generate a random model and write it as JSON")
     g.add_argument("--out", required=True)
 
-    s = sub.add_parser("sample", help="draw samples from a model file")
+    s = sub.add_parser("sample", parents=[draws], help="draw samples from a model file")
     s.add_argument("--model", required=True, help="model JSON path")
-    s.add_argument("--sampler", default="exact", choices=["exact", "gibbs"])
-    s.add_argument("--num-samples", type=int, default=20000)
-    s.add_argument("--burn-in", type=int, default=1000)
-    s.add_argument("--thinning", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=d.seed)
     s.add_argument("--out", required=True)
 
-    l = sub.add_parser("learn", help="run learning trials and report recovery metrics")
-    l.add_argument("--kind", default="ferromagnetic",
-                   choices=["ferromagnetic", "locally-consistent"])
-    l.add_argument("--n", type=int, default=10)
-    l.add_argument("--m", type=int, default=5)
-    l.add_argument("--d2", type=int, default=3)
-    l.add_argument("--alpha", type=float, default=0.4)
-    l.add_argument("--beta", type=float, default=2.0)
-    l.add_argument("--seed", type=int, default=0)
-    l.add_argument("--sampler", default="exact", choices=["exact", "gibbs"])
-    l.add_argument("--num-samples", type=int, default=20000)
-    l.add_argument("--burn-in", type=int, default=1000)
-    l.add_argument("--thinning", type=int, default=10)
-    l.add_argument("--algorithm", default="ferro",
-                   choices=["ferro", "lc", "ferro-q", "lc-q"])
-    l.add_argument("--eta", type=float, default=None)
-    l.add_argument("--tau", type=float, default=None)
-    l.add_argument("--k", type=int, default=None)
-    l.add_argument("--t-max", type=int, default=None)
-    l.add_argument("--delta", type=float, default=0.1)
-    l.add_argument("--zeta", type=float, default=0.1)
+    l = sub.add_parser("learn", parents=[shape, draws],
+                       help="run learning trials and report recovery metrics")
+    l.add_argument("--algorithm", default=d.algorithm, choices=greedy.ALGORITHMS)
+    l.add_argument("--eta", type=float, default=d.eta)
+    l.add_argument("--tau", type=float, default=d.tau)
+    l.add_argument("--k", type=int, default=d.k)
+    l.add_argument("--t-max", type=int, default=d.t_max)
+    l.add_argument("--delta", type=float, default=d.delta)
+    l.add_argument("--zeta", type=float, default=d.zeta)
     l.add_argument("--theory-defaults", action="store_true")
-    l.add_argument("--trials", type=int, default=1)
-    l.add_argument("--out", default=None, help="path prefix for .jsonl and .csv outputs")
-    l.add_argument("--model-file", default=None,
+    l.add_argument("--trials", type=int, default=d.trials)
+    l.add_argument("--out", default=d.out, help="path prefix for .jsonl and .csv outputs")
+    l.add_argument("--model-file", default=d.model_file,
                    help="use this model for every trial instead of generating one")
 
     w = sub.add_parser("sweep", help="argmax-query scaling sweep on synthetic oracles")
@@ -79,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--beta", type=float, required=True)
     c.add_argument("--d2", type=int, default=2)
     c.add_argument("--n", type=int, default=100)
-    c.add_argument("--delta", type=float, default=0.1)
-    c.add_argument("--zeta", type=float, default=0.1)
+    c.add_argument("--delta", type=float, default=d.delta)
+    c.add_argument("--zeta", type=float, default=d.zeta)
 
     sub.add_parser("verify", help="run the invariant battery")
     return p

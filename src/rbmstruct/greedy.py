@@ -52,6 +52,10 @@ if TYPE_CHECKING:
 # values always win the argmax.
 UNDEFINED_SCORE = -2.0
 
+# The per-node learners learn_full_graph runs; "-q" marks the metered
+# quantum-search variant of a classical learner.
+ALGORITHMS = ("ferro", "lc", "ferro-q", "lc-q")
+
 _LOG10_E = math.log10(math.e)
 _EXP_OVERFLOW = 700.0
 
@@ -73,7 +77,6 @@ class FerroTheoryConstants:
     k: int
     sample_bound: float
     log10_sample_bound: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,6 @@ class LcTheoryConstants:
     delta_cond: float
     sample_bound: float
     log10_sample_bound: float
-    zeta: float
 
 
 def ferro_constants(
@@ -99,6 +101,8 @@ def ferro_constants(
     if not 0 < delta < 1:
         raise ValueError("require 0 < delta < 1")
     eta = alpha**2 * sigmoid(-2.0 * beta) * (1.0 - math.tanh(beta)) ** 2
+    if eta <= 0.0:
+        raise ValueError("eta underflowed to zero; alpha too small or beta too large")
     k = max(1, math.ceil(d2 * math.log(4.0 / eta)))
     if n <= k:
         raise ValueError(f"require n > k (k = {k})")
@@ -115,7 +119,6 @@ def ferro_constants(
         k=k,
         sample_bound=bound,
         log10_sample_bound=log_bound * _LOG10_E,
-        delta=delta,
     )
 
 
@@ -148,7 +151,6 @@ def lc_constants(alpha: float, beta: float, zeta: float, n: int) -> LcTheoryCons
         delta_cond=delta_cond,
         sample_bound=bound,
         log10_sample_bound=log_bound * _LOG10_E,
-        zeta=zeta,
     )
 
 
@@ -360,9 +362,10 @@ def learn_lc(
 class LearnerConfig:
     """Which learner to run over a whole sample set and with what knobs.
 
-    algorithm is one of "ferro", "lc", "ferro-q", "lc-q". The ferro
-    learners need eta and k, the lc learners tau and t_max (ValueError
-    otherwise). The quantum variants draw per-node RNG streams from ``seed``.
+    algorithm is one of ALGORITHMS. The ferro learners need eta and k,
+    the lc learners tau and t_max. Thresholds must be > 0, budgets >= 1
+    and the failure probabilities delta, zeta in (0, 1); ValueError
+    otherwise. The quantum variants draw per-node RNG streams from ``seed``.
     """
 
     algorithm: str
@@ -375,12 +378,23 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ("ferro", "lc", "ferro-q", "lc-q"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         needed = ("eta", "k") if self.algorithm.startswith("ferro") else ("tau", "t_max")
         missing = [name for name in needed if getattr(self, name) is None]
         if missing:
             raise ValueError(f"{self.algorithm} needs {' and '.join(missing)}")
+        for name in ("eta", "tau"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be > 0")
+        for name in ("k", "t_max"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("delta", "zeta"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1)")
 
 
 @dataclass

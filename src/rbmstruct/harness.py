@@ -37,10 +37,10 @@ from .greedy import (
 )
 from .model import (
     KIND_FERROMAGNETIC,
-    KIND_LOCALLY_CONSISTENT,
     ExactOracle,
     NonDegeneracyParams,
     RbmModel,
+    check_shape,
     generate_model,
     load_model,
     random_model,
@@ -53,7 +53,7 @@ from .qsearch import (
     grover_stage,
     stage_success_probability,
 )
-from .sampling import GibbsConfig, SampleSet, exact_sample, gibbs_sample, split_rhat
+from .sampling import SAMPLERS, GibbsConfig, SampleSet, exact_sample, gibbs_sample, split_rhat
 
 THREADS_ENV = "RBM_SL_THREADS"
 
@@ -120,68 +120,49 @@ class ExperimentConfig:
     # d2 from the file and rejects a kind that differs from it.
     model_file: str | None = None
 
-    def validate(self) -> None:
-        if self.kind not in (KIND_FERROMAGNETIC, KIND_LOCALLY_CONSISTENT):
-            raise ConfigError(f"unknown kind {self.kind!r}")
-        if self.sampler not in ("exact", "gibbs"):
+    def validate(self) -> LearnerConfig:
+        """Check every setting and return the learner the trials run.
+
+        Only the sampler, trials and num_samples are checked here; the
+        model shape, the weight bounds, the Gibbs controls and the learner
+        knobs are checked by the objects that own them (check_shape,
+        NonDegeneracyParams, GibbsConfig, LearnerConfig), whose ValueError
+        becomes a ConfigError, as does the OverflowError of theory
+        constants at extreme weight bounds. Thresholds and budgets left
+        unset come from the theory constants with theory_defaults, else
+        from the practical defaults."""
+        if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if self.algorithm not in ("ferro", "lc", "ferro-q", "lc-q"):
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 0:
             raise ConfigError("trials must be >= 0")
         if self.num_samples < 0:
             raise ConfigError("num_samples must be >= 0")
-        if self.burn_in < 0:
-            raise ConfigError("burn_in must be >= 0")
-        if self.thinning < 1:
-            raise ConfigError("thinning must be >= 1")
-        if self.n < 1 or self.m < 0 or not 0 <= self.d2 <= self.n - 1:
-            raise ConfigError("bad model dimensions")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ConfigError("alpha and beta must be finite")
-        if self.alpha <= 0 or self.beta < self.alpha:
-            raise ConfigError("need 0 < alpha <= beta")
-        for name in ("eta", "tau"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:  # also rejects NaN
-                raise ConfigError(f"{name} must be > 0")
-        for name in ("k", "t_max"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("delta", "zeta"):
-            if not 0 < getattr(self, name) < 1:
-                raise ConfigError(f"{name} must lie in (0, 1)")
-
-    def resolved_learner(self) -> LearnerConfig:
-        """Fill in thresholds and budgets, from theory or practical defaults."""
         eta, tau, k, t_max = self.eta, self.tau, self.k, self.t_max
-        if self.theory_defaults:
-            if self.algorithm.startswith("ferro"):
-                fc = ferro_constants(self.alpha, self.beta, max(1, self.d2), self.delta, self.n)
-                eta = fc.eta if eta is None else eta
-                k = fc.k if k is None else k
-            else:
-                lcc = lc_constants(self.alpha, self.beta, self.zeta, self.n)
-                tau = lcc.tau if tau is None else tau
-                t_max = lcc.t_star if t_max is None else t_max
-        if eta is None:
-            eta = PRACTICAL_ETA
-        if tau is None:
-            tau = PRACTICAL_TAU
-        if k is None:
-            k = self.d2 + PRACTICAL_EXTRA_ROUNDS
-        if t_max is None:
-            t_max = self.d2 + PRACTICAL_EXTRA_ROUNDS
-        return LearnerConfig(
-            algorithm=self.algorithm,
-            eta=eta,
-            k=k,
-            tau=tau,
-            t_max=t_max,
-            delta=self.delta,
-            zeta=self.zeta,
-        )
+        try:
+            check_shape(self.kind, self.n, self.m, self.d2)
+            NonDegeneracyParams(self.alpha, self.beta)
+            GibbsConfig(self.burn_in, self.thinning)
+            if self.theory_defaults:
+                if self.algorithm.startswith("ferro"):
+                    fc = ferro_constants(self.alpha, self.beta, max(1, self.d2), self.delta, self.n)
+                    eta = fc.eta if eta is None else eta
+                    k = fc.k if k is None else k
+                else:
+                    lcc = lc_constants(self.alpha, self.beta, self.zeta, self.n)
+                    tau = lcc.tau if tau is None else tau
+                    t_max = lcc.t_star if t_max is None else t_max
+            budget = self.d2 + PRACTICAL_EXTRA_ROUNDS
+            return LearnerConfig(
+                algorithm=self.algorithm,
+                eta=PRACTICAL_ETA if eta is None else eta,
+                k=budget if k is None else k,
+                tau=PRACTICAL_TAU if tau is None else tau,
+                t_max=budget if t_max is None else t_max,
+                delta=self.delta,
+                zeta=self.zeta,
+            )
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -209,7 +190,9 @@ def _derived_seed(master: int, trial: int, role: int) -> int:
     return int(np.random.SeedSequence([master, trial, role]).generate_state(1)[0])
 
 
-def _run_trial(config: ExperimentConfig, trial: int, model: RbmModel | None = None) -> dict:
+def _run_trial(
+    config: ExperimentConfig, learner: LearnerConfig, trial: int, model: RbmModel | None = None
+) -> dict:
     if model is None:
         model = generate_model(
             config.kind,
@@ -230,9 +213,8 @@ def _run_trial(config: ExperimentConfig, trial: int, model: RbmModel | None = No
         )
         samples = gibbs_sample(model, config.num_samples, cfg)
         rhat = split_rhat(samples)
-    lcfg = config.resolved_learner()
-    lcfg.seed = _derived_seed(config.seed, trial, 2)
-    result = learn_full_graph(samples, lcfg)
+    learner = dataclasses.replace(learner, seed=_derived_seed(config.seed, trial, 2))
+    result = learn_full_graph(samples, learner)
     truth = set(two_hop_graph(model).edges)
     found = set(result.graph.edges)
     precision, recall = _edge_metrics(found, truth)
@@ -280,16 +262,16 @@ def run(config: ExperimentConfig) -> tuple[RecoveryMetrics, list]:
         config = dataclasses.replace(
             config, n=model.n, m=model.m, d2=two_hop_graph(model).max_degree
         )
-    config.validate()
+    learner = config.validate()
     start = time.perf_counter()
     trials = list(range(config.trials))
     workers = int(os.environ.get(THREADS_ENV, "1") or "1")
     if workers > 1 and len(trials) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             n = len(trials)
-            records = list(pool.map(_run_trial, [config] * n, trials, [model] * n))
+            records = list(pool.map(_run_trial, [config] * n, [learner] * n, trials, [model] * n))
     else:
-        records = [_run_trial(config, t, model) for t in trials]
+        records = [_run_trial(config, learner, t, model) for t in trials]
     records.sort(key=lambda r: r["trial"])
 
     exact = [r["exact"] for r in records]
@@ -322,28 +304,11 @@ def write_records(path, records) -> None:
 
 
 def write_aggregate_csv(path, config: ExperimentConfig, metrics: RecoveryMetrics) -> None:
-    values = {
-        "algorithm": config.algorithm,
-        "kind": config.kind,
-        "n": config.n,
-        "m": config.m,
-        "d2": config.d2,
-        "alpha": repr(config.alpha),
-        "beta": repr(config.beta),
-        "sampler": config.sampler,
-        "num_samples": config.num_samples,
-        "trials": metrics.trials,
-        "exact_recovery": repr(metrics.exact_recovery),
-        "edge_precision": repr(metrics.edge_precision),
-        "edge_recall": repr(metrics.edge_recall),
-        "raw_queries_mean": repr(metrics.raw_queries_mean),
-        "raw_queries_stderr": repr(metrics.raw_queries_stderr),
-        "score_evals_mean": repr(metrics.score_evals_mean),
-        "score_evals_stderr": repr(metrics.score_evals_stderr),
-    }
+    # metrics last: the trials column counts the trials that ran
+    row = {**dataclasses.asdict(config), **dataclasses.asdict(metrics)}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.write(",".join(str(values[c]) for c in CSV_COLUMNS) + "\n")
+        fh.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
 
 
 class FitError(ValueError):
@@ -403,6 +368,7 @@ def calc_constants(
 ) -> dict:
     """Evaluate both theory-constant sets and flag sample bounds beyond
     desk scale (> 1e12)."""
+    NonDegeneracyParams(alpha, beta)
     fc = ferro_constants(alpha, beta, d2, delta, n)
     lcc = lc_constants(alpha, beta, zeta, n)
     return {

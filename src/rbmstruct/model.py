@@ -35,7 +35,9 @@ ENUM_GUARD = 24
 KIND_FERROMAGNETIC = "ferromagnetic"
 KIND_LOCALLY_CONSISTENT = "locally-consistent"
 KIND_GENERAL = "general"
-_KINDS = (KIND_FERROMAGNETIC, KIND_LOCALLY_CONSISTENT, KIND_GENERAL)
+# The kinds generate_model draws, and so the kinds an experiment can learn.
+LEARNABLE_KINDS = (KIND_FERROMAGNETIC, KIND_LOCALLY_CONSISTENT)
+_KINDS = (*LEARNABLE_KINDS, KIND_GENERAL)
 
 
 @dataclass(frozen=True)
@@ -335,6 +337,19 @@ def _node_set(S, n: int) -> tuple:
     return S
 
 
+def check_shape(kind: str, n: int, m: int, d2_target: int) -> None:
+    """Raise ValueError unless ``kind`` is learnable and (n, m, d2_target)
+    is a shape generate_model accepts, before any weight bound is known."""
+    if kind not in LEARNABLE_KINDS:
+        raise ValueError("kind must be " + " or ".join(map(repr, LEARNABLE_KINDS)))
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    if not 0 <= d2_target <= n - 1:
+        raise ValueError("d2_target must be in [0, n-1]")
+    if d2_target > 0 and m == 0:
+        raise ValueError("d2_target > 0 requires at least one hidden node")
+
+
 def generate_model(
     kind: str,
     n: int,
@@ -356,14 +371,7 @@ def generate_model(
 
     Deterministic given ``seed``. Raises ValueError on infeasible requests.
     """
-    if kind not in (KIND_FERROMAGNETIC, KIND_LOCALLY_CONSISTENT):
-        raise ValueError("kind must be 'ferromagnetic' or 'locally-consistent'")
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    if not 0 <= d2_target <= n - 1:
-        raise ValueError("d2_target must be in [0, n-1]")
-    if d2_target > 0 and m == 0:
-        raise ValueError("d2_target > 0 requires at least one hidden node")
+    check_shape(kind, n, m, d2_target)
     # 0.9 beta goes to couplings, 0.1 beta to fields; a node can then carry
     # at most floor(0.9 beta / alpha) incident couplings of magnitude >= alpha
     max_units = int(math.floor(0.9 * params.beta / params.alpha))

@@ -245,8 +245,8 @@ def quantum_learn_lc(
     """learn_lc with each round's argmax replaced by metered maximum
     finding at failure probability zeta / (2 t_max), charged to ``meter``.
 
-    Per round with |S| = s: the unique-configuration scan charges H*s raw
-    queries, each covariance evaluation H. Pruning is classical: one
+    Per round with |S| = s: the scan of the conditioning set charges H*s
+    raw queries, each covariance evaluation H. Pruning is classical: one
     H-query evaluation per chosen node plus the H*(s-1) scan for its
     leave-one-out conditioning set.
     """

@@ -37,6 +37,8 @@ _HEADER = struct.Struct("<4sBIQ")
 # sweep loop but more burn-in draws: at n=64, m=32, M=20k, 32 to 64 chains
 # were fastest, and small models with large M gain up to 256.
 _CHAINS = 64
+# exact: exact_sample (n + m <= ENUM_GUARD); gibbs: gibbs_sample.
+SAMPLERS = ("exact", "gibbs")
 
 
 class SampleFileError(Exception):

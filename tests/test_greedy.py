@@ -54,6 +54,11 @@ class TestFerroConstants:
         with pytest.raises(ValueError, match="n > k"):
             ferro_constants(0.2, 1.0, 2, 0.1, 10)  # k = 20 >= n
 
+    @pytest.mark.parametrize("alpha,beta", [(1e-200, 1.0), (0.4, 30.0)])
+    def test_underflowed_eta_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="eta underflowed to zero"):
+            ferro_constants(alpha, beta, 2, 0.1, 100)
+
 
 class TestLcConstants:
     def test_frozen_reference_values(self):

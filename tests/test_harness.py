@@ -11,7 +11,7 @@ import pytest
 
 from rbmstruct import cli, estimators, harness
 from rbmstruct import model as model_mod
-from rbmstruct.greedy import learn_full_graph
+from rbmstruct.greedy import lc_constants, learn_full_graph
 from rbmstruct.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -174,9 +174,18 @@ class TestRun:
             dict(algorithm="lc", t_max=0),
             dict(delta=0.0),
             dict(algorithm="lc-q", zeta=1.0),
+            dict(alpha=1e200, beta=1e200, theory_defaults=True),
         ):
             with pytest.raises(ConfigError):
                 run(ExperimentConfig(**bad))
+
+    def test_theory_defaults_resolve_lc_constants(self):
+        cfg = ExperimentConfig(theory_defaults=True, algorithm="lc", n=5, m=2, d2=1)
+        lcc = lc_constants(cfg.alpha, cfg.beta, cfg.zeta, cfg.n)
+        learner = cfg.validate()
+        assert (learner.tau, learner.t_max) == (lcc.tau, lcc.t_star)
+        explicit = dataclasses.replace(cfg, tau=0.03).validate()
+        assert (explicit.tau, explicit.t_max) == (0.03, lcc.t_star)
 
     def test_csv_column_order_stable(self, tmp_path):
         cfg = ExperimentConfig(
@@ -297,9 +306,11 @@ class TestCli:
         monkeypatch.setattr(harness, "generate_model", no_model)
         assert cli.main(["learn", "--num-samples", "100", "--k", "0"]) == 1
         assert cli.main(["learn", "--num-samples", "100", "--delta", "0"]) == 1
+        assert cli.main(["learn", "--theory-defaults"]) == 1
         err = capsys.readouterr().err
         assert "error: k must be >= 1" in err
         assert "error: delta must lie in (0, 1)" in err
+        assert "error: require n > k" in err
 
     def test_extreme_weight_bounds_exit_code(self, monkeypatch, capsys):
         def no_model(*args, **kwargs):
@@ -313,11 +324,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error: ") == 3
         assert "error: alpha and beta must be finite" in err
+        assert cli.main(["constants", "--alpha", "1e-200", "--beta", "1"]) == 1
+        assert cli.main(["constants", "--alpha", "0.4", "--beta", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: eta underflowed to zero" in err
+        assert "error: require 0 < alpha <= beta" in err
 
     def test_learn_flags_mirror_experiment_config(self):
-        args = cli._build_parser().parse_args(["learn"])
+        parser = cli._build_parser()
+        args = parser.parse_args(["learn"])
         parsed = {k: v for k, v in vars(args).items() if k != "command"}
-        assert parsed == dataclasses.asdict(ExperimentConfig())
+        defaults = dataclasses.asdict(ExperimentConfig())
+        assert parsed == defaults
+        for argv in (["gen-model", "--out", "x"], ["sample", "--model", "m", "--out", "x"]):
+            shared = {k: v for k, v in vars(parser.parse_args(argv)).items()
+                      if k not in ("command", "model", "out")}
+            assert shared == {k: defaults[k] for k in shared}, argv[0]
 
     def test_verify_command(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0
