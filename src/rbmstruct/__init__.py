@@ -40,8 +40,6 @@ from .qsearch import (
     dh_max_find,
     grover_stage,
     qsearch_sim,
-    quantum_learn_ferro,
-    quantum_learn_lc,
     repetitions,
     stage_success_probability,
 )

@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # RuntimeError: generate_model found no non-degenerate model for the settings;
-    # OverflowError: theory constants of extreme weight bounds
+    # OverflowError: integer settings too large for a float
     except (ConfigError, FitError, ValueError, OSError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

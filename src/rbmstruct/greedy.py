@@ -12,10 +12,11 @@ Two learners, both reading nothing but a SampleSet:
   additions), then prunes each kept v whose covariance conditioned on the
   rest falls below tau.
 
-Both run on one candidate loop (``_greedy``), which also drives the
-quantum variants in ``qsearch``: each learner supplies its scorer, state
-update, stop rule and index-cost law, and takes the per-round selector
-(exhaustive argmax by default) and an optional QueryMeter to charge.
+Both run on one candidate loop (``_greedy``): each learner supplies its
+scorer, state update, stop rule and index-cost law, and takes the
+per-round selector (exhaustive argmax by default) and an optional
+QueryMeter to charge. The quantum variants ("-q") are the same learners
+with metered maximum finding (``qsearch.max_find_pick``) as the selector.
 
 The theory thresholds (eta, tau) and iteration budgets (k, T_star) are
 computed by ferro_constants / lc_constants with natural logarithms. They
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,18 +42,16 @@ from .estimators import (
     split_cells,
 )
 from .model import TwoHopGraph
+from .qsearch import QueryMeter, max_find_pick
 from .sampling import SampleSet
-
-if TYPE_CHECKING:
-    from .qsearch import QueryMeter
 
 # Score assigned to candidates whose influence is undefined (no sample
 # matches the conditioning event): below any achievable score, so defined
 # values always win the argmax.
 UNDEFINED_SCORE = -2.0
 
-# The per-node learners learn_full_graph runs; "-q" marks the metered
-# quantum-search variant of a classical learner.
+# The per-node learners learn_full_graph runs: a family ("ferro" or "lc"),
+# and with "-q" its metered quantum-search variant.
 ALGORITHMS = ("ferro", "lc", "ferro-q", "lc-q")
 
 _LOG10_E = math.log10(math.e)
@@ -100,7 +98,10 @@ def ferro_constants(
         raise ValueError("require alpha > 0, beta > 0, d2 >= 1")
     if not 0 < delta < 1:
         raise ValueError("require 0 < delta < 1")
-    eta = alpha**2 * sigmoid(-2.0 * beta) * (1.0 - math.tanh(beta)) ** 2
+    try:
+        eta = alpha**2 * sigmoid(-2.0 * beta) * (1.0 - math.tanh(beta)) ** 2
+    except OverflowError:
+        raise ValueError("alpha too large") from None
     if eta <= 0.0:
         raise ValueError("eta underflowed to zero; alpha too small or beta too large")
     k = max(1, math.ceil(d2 * math.log(4.0 / eta)))
@@ -132,10 +133,16 @@ def lc_constants(alpha: float, beta: float, zeta: float, n: int) -> LcTheoryCons
         raise ValueError("require 0 < zeta < 1")
     if n < 1:
         raise ValueError("require n >= 1")
-    tau = alpha**2 * math.exp(-12.0 * beta)
+    try:
+        tau = alpha**2 * math.exp(-12.0 * beta)
+        tau_sq = tau**2
+    except OverflowError:
+        raise ValueError("alpha too large") from None
     if tau <= 0.0:
-        raise ValueError("tau underflowed to zero; beta too large")
-    t_star = math.ceil(8.0 / tau**2)
+        raise ValueError("tau underflowed to zero; alpha too small or beta too large")
+    if tau_sq == 0.0 or 8.0 / tau_sq == math.inf:
+        raise ValueError("tau too small for T* = ceil(8/tau^2)")
+    t_star = math.ceil(8.0 / tau_sq)
     delta_cond = 0.5 * math.exp(-2.0 * beta)
     prefactor = math.log(1.0 / zeta) + t_star * math.log(n) if n > 1 else math.log(1.0 / zeta)
     log_bound = (
@@ -259,7 +266,7 @@ def _prune_ferro(samples, u, chosen, eta, meter=None):
 
 def learn_ferro(
     u: int, samples: SampleSet, eta: float, k: int,
-    pick=_argmax, meter: "QueryMeter | None" = None,
+    pick=_argmax, meter: QueryMeter | None = None,
 ) -> NeighborhoodResult:
     """Influence-maximization greedy for ferromagnetic models.
 
@@ -323,7 +330,7 @@ def _prune_lc(samples, u, chosen, tau, meter=None):
 
 def learn_lc(
     u: int, samples: SampleSet, tau: float, t_max: int,
-    pick=_argmax, meter: "QueryMeter | None" = None,
+    pick=_argmax, meter: QueryMeter | None = None,
 ) -> NeighborhoodResult:
     """Conditional-covariance greedy for locally consistent models.
 
@@ -401,7 +408,7 @@ class LearnerConfig:
 class FullGraphResult:
     graph: TwoHopGraph
     per_node: list
-    meter: "QueryMeter | None" = None
+    meter: QueryMeter | None = None
 
 
 def _or_edges(n: int, estimates) -> frozenset:
@@ -415,28 +422,21 @@ def _or_edges(n: int, estimates) -> frozenset:
 
 def learn_full_graph(samples: SampleSet, config: LearnerConfig) -> FullGraphResult:
     """Run the configured per-node learner for every visible node and
-    combine the estimates with the OR rule. The quantum variants charge
-    one QueryMeter for the whole graph."""
-    from . import qsearch
-
-    alg = config.algorithm
-    meter = qsearch.QueryMeter() if alg.endswith("-q") else None
+    combine the estimates with the OR rule. A "-q" variant selects each
+    round by maximum finding at failure probability rho = (delta or zeta)
+    / (2 budget), drawing node u's search randomness from the stream
+    [seed, u], and charges one QueryMeter for the whole graph."""
+    if config.algorithm.startswith("ferro"):
+        learn, threshold, budget, fail = learn_ferro, config.eta, config.k, config.delta
+    else:
+        learn, threshold, budget, fail = learn_lc, config.tau, config.t_max, config.zeta
+    meter = QueryMeter() if config.algorithm.endswith("-q") else None
     results = []
     for u in range(samples.n):
-        if alg == "ferro":
-            res = learn_ferro(u, samples, config.eta, config.k)
-        elif alg == "lc":
-            res = learn_lc(u, samples, config.tau, config.t_max)
-        else:
+        pick = _argmax
+        if meter is not None:
             rng = np.random.default_rng([config.seed, u])
-            if alg == "ferro-q":
-                res = qsearch.quantum_learn_ferro(
-                    u, samples, meter, config.eta, config.k, config.delta, rng
-                )
-            else:
-                res = qsearch.quantum_learn_lc(
-                    u, samples, meter, config.tau, config.t_max, config.zeta, rng
-                )
-        results.append(res)
+            pick = max_find_pick(samples.M, meter, fail / (2.0 * budget), rng)
+        results.append(learn(u, samples, threshold, budget, pick=pick, meter=meter))
     graph = TwoHopGraph(n=samples.n, edges=_or_edges(samples.n, [r.estimate for r in results]))
     return FullGraphResult(graph=graph, per_node=results, meter=meter)

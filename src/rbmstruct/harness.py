@@ -40,6 +40,7 @@ from .model import (
     ExactOracle,
     NonDegeneracyParams,
     RbmModel,
+    check_enumerable,
     check_shape,
     generate_model,
     load_model,
@@ -123,12 +124,11 @@ class ExperimentConfig:
     def validate(self) -> LearnerConfig:
         """Check every setting and return the learner the trials run.
 
-        Only the sampler, trials and num_samples are checked here; the
-        model shape, the weight bounds, the Gibbs controls and the learner
-        knobs are checked by the objects that own them (check_shape,
-        NonDegeneracyParams, GibbsConfig, LearnerConfig), whose ValueError
-        becomes a ConfigError, as does the OverflowError of theory
-        constants at extreme weight bounds. Thresholds and budgets left
+        Only the sampler, trials and num_samples are checked here; every
+        other setting is checked by the code that owns it (check_shape,
+        check_enumerable for the exact sampler, NonDegeneracyParams,
+        GibbsConfig, the theory constants, LearnerConfig), whose ValueError
+        or OverflowError becomes a ConfigError. Thresholds and budgets left
         unset come from the theory constants with theory_defaults, else
         from the practical defaults."""
         if self.sampler not in SAMPLERS:
@@ -140,6 +140,8 @@ class ExperimentConfig:
         eta, tau, k, t_max = self.eta, self.tau, self.k, self.t_max
         try:
             check_shape(self.kind, self.n, self.m, self.d2)
+            if self.sampler == "exact":
+                check_enumerable(self.n, self.m)
             NonDegeneracyParams(self.alpha, self.beta)
             GibbsConfig(self.burn_in, self.thinning)
             if self.theory_defaults:

@@ -228,6 +228,12 @@ def pm1_to_index(x) -> int:
     return idx
 
 
+def check_enumerable(n: int, m: int) -> None:
+    """Raise ValueError unless ExactOracle can enumerate n + m spins."""
+    if n + m > ENUM_GUARD:
+        raise ValueError(f"exact enumeration limited to n + m <= {ENUM_GUARD} spins (got {n + m})")
+
+
 class ExactOracle:
     """Exact visible-layer quantities by full enumeration.
 
@@ -238,11 +244,7 @@ class ExactOracle:
     """
 
     def __init__(self, model: RbmModel):
-        if model.n + model.m > ENUM_GUARD:
-            raise ValueError(
-                f"exact enumeration limited to n + m <= {ENUM_GUARD} spins "
-                f"(got {model.n + model.m})"
-            )
+        check_enumerable(model.n, model.m)
         self.model = model
         self.n = model.n
         self._size = 1 << model.n

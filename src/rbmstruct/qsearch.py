@@ -1,5 +1,5 @@
 """Query-metered simulation of Grover search and threshold-descent
-maximum finding, and the quantum variants of the greedy learners.
+maximum finding, and the per-round selector of the quantum learners.
 
 The simulation is outcome-exact rather than amplitude-level. A Grover
 stage that runs j oracle iterations against a marked set of size t out of
@@ -24,8 +24,9 @@ score_eval plus that oracle's per-evaluation price in raw sample queries
 iterations applies the oracle j+1 times; constructing the conditioning
 index for a set of size s costs M*s raw queries.
 
-The quantum learners are ``greedy.learn_ferro`` and ``greedy.learn_lc``
-with each round's argmax replaced by metered maximum finding.
+``max_find_pick`` makes metered maximum finding a per-round selector for
+the greedy learners; ``greedy.learn_full_graph`` runs the "-q" learners
+with it. This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .greedy import NeighborhoodResult, learn_ferro, learn_lc
-from .sampling import SampleSet
 
 # Search schedule; only the asymptotic shape is fixed by the analysis.
 GROWTH = 1.2
@@ -80,9 +78,9 @@ class QueryMeter:
 class ScoreOracle:
     """Candidate index -> score, with a fixed per-evaluation raw-query cost.
 
-    ``values`` holds the true scores; the simulator reads them freely via
-    true_value (simulation-level knowledge), while metered access goes
-    through evaluate and the searches' stage charges.
+    ``values`` holds the true scores; the simulator reads them freely
+    (simulation-level knowledge), while metered access goes through
+    evaluate and the searches' stage charges.
     """
 
     def __init__(self, values, cost: int, meter: QueryMeter):
@@ -95,9 +93,6 @@ class ScoreOracle:
     @property
     def n(self) -> int:
         return self.values.size
-
-    def true_value(self, i: int) -> float:
-        return float(self.values[i])
 
     def evaluate(self, i: int) -> float:
         self.meter.charge_scores(1, self.cost)
@@ -133,14 +128,13 @@ def grover_stage(marked_idx, n: int, j: int, rng) -> int | None:
 
 def qsearch_sim(
     marked,
-    n: int,
     rng,
     meter: QueryMeter | None = None,
     eval_cost: int = 0,
     max_iterations: int | None = None,
 ) -> SearchResult:
-    """Exponential Grover search for a marked item among n candidates;
-    ``marked`` is a boolean mask of length n.
+    """Exponential Grover search for a marked item among the n candidates
+    of the boolean mask ``marked``.
 
     Stages draw j uniformly from {0, ..., ceil(m)-1} with m growing by
     GROWTH up to STAGE_CAP_FACTOR * sqrt(n); each stage charges j+1 Grover
@@ -148,6 +142,7 @@ def qsearch_sim(
     once the iteration budget (default ceil(SEARCH_BUDGET_FACTOR *
     sqrt(n))) is spent, which is how an empty marked set terminates.
     """
+    n = len(marked)
     if n < 1:
         raise ValueError("need n >= 1")
     midx = np.flatnonzero(marked)
@@ -184,7 +179,6 @@ def _dh_core(scores: ScoreOracle, rng) -> tuple[int, float]:
     while used < budget:
         res = qsearch_sim(
             scores.values > best_v,
-            n,
             rng,
             meter=scores.meter,
             eval_cost=scores.cost,
@@ -193,7 +187,7 @@ def _dh_core(scores: ScoreOracle, rng) -> tuple[int, float]:
         used += res.iterations
         if res.index is not None:
             best_i = res.index
-            best_v = scores.true_value(res.index)
+            best_v = float(scores.values[res.index])
     return best_i, best_v
 
 
@@ -217,43 +211,8 @@ def dh_max_find(scores: ScoreOracle, rho: float, rng) -> tuple[int, float]:
     return best_i, best_v
 
 
-def quantum_learn_ferro(
-    u: int, samples: SampleSet, meter: QueryMeter, eta: float, k: int, delta: float, rng
-) -> NeighborhoodResult:
-    """learn_ferro with each round's argmax replaced by metered maximum
-    finding at failure probability delta / (2k), charged to ``meter``.
-
-    Per round with |S| = s: conditioning-set construction charges
-    M*s + M*(s+1) raw queries (the sets for S and S union {u}); each
-    influence evaluation inside the search charges M raw queries. The
-    final pruning pass is evaluated classically, charging one M-query
-    score evaluation per pruning score plus the index construction for
-    each leave-one-out conditioning set.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("require 0 < delta < 1")
-    M = samples.M
-    return learn_ferro(
-        u, samples, eta, k, meter=meter,
-        pick=lambda values: dh_max_find(ScoreOracle(values, M, meter), delta / (2.0 * k), rng),
-    )
-
-
-def quantum_learn_lc(
-    u: int, samples: SampleSet, meter: QueryMeter, tau: float, t_max: int, zeta: float, rng
-) -> NeighborhoodResult:
-    """learn_lc with each round's argmax replaced by metered maximum
-    finding at failure probability zeta / (2 t_max), charged to ``meter``.
-
-    Per round with |S| = s: the scan of the conditioning set charges H*s
-    raw queries, each covariance evaluation H. Pruning is classical: one
-    H-query evaluation per chosen node plus the H*(s-1) scan for its
-    leave-one-out conditioning set.
-    """
-    if not 0.0 < zeta < 1.0:
-        raise ValueError("require 0 < zeta < 1")
-    H = samples.M
-    return learn_lc(
-        u, samples, tau, t_max, meter=meter,
-        pick=lambda values: dh_max_find(ScoreOracle(values, H, meter), zeta / (2.0 * t_max), rng),
-    )
+def max_find_pick(cost: int, meter: QueryMeter, rho: float, rng):
+    """Greedy-learner selector: maximum finding at failure probability rho
+    over a round's scores, each evaluation charging ``cost`` raw queries to
+    ``meter``. dh_max_find is looked up per call, so rebinding it reaches it."""
+    return lambda values: dh_max_find(ScoreOracle(values, cost, meter), rho, rng)

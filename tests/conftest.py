@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
+from rbmstruct.greedy import learn_ferro, learn_lc
 from rbmstruct.model import RbmModel
+from rbmstruct.qsearch import max_find_pick
 
 
 def brute_joint_weight(model: RbmModel, x, y) -> float:
@@ -90,3 +92,18 @@ def demo_ring_model() -> RbmModel:
     f = np.full(4, 0.1)
     g = np.full(4, 0.1)
     return RbmModel(J, f, g, kind="ferromagnetic")
+
+
+# The "-q" learners for one node, as learn_full_graph runs them: the
+# classical learner with metered maximum finding at failure probability
+# delta / (2k) or zeta / (2 t_max) as its per-round selector.
+
+
+def metered_ferro(u, samples, meter, eta, k, delta, rng):
+    pick = max_find_pick(samples.M, meter, delta / (2.0 * k), rng)
+    return learn_ferro(u, samples, eta, k, pick=pick, meter=meter)
+
+
+def metered_lc(u, samples, meter, tau, t_max, zeta, rng):
+    pick = max_find_pick(samples.M, meter, zeta / (2.0 * t_max), rng)
+    return learn_lc(u, samples, tau, t_max, pick=pick, meter=meter)

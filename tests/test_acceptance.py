@@ -22,7 +22,7 @@ from rbmstruct.model import (
     random_model,
     two_hop_graph,
 )
-from rbmstruct.qsearch import QueryMeter, quantum_learn_ferro, quantum_learn_lc
+from rbmstruct.qsearch import QueryMeter
 from rbmstruct.greedy import learn_ferro, learn_lc
 from rbmstruct.harness import (
     covariance_identity_gap,
@@ -33,6 +33,8 @@ from rbmstruct.harness import (
     sweep_scaling,
 )
 from rbmstruct.sampling import GibbsConfig, exact_sample
+
+from conftest import metered_ferro, metered_lc
 
 
 def _report(num: int, name: str) -> None:
@@ -181,12 +183,12 @@ def test_criterion_06_quantum_classical_agreement():
         ref_f = learn_ferro(u, samples_f, eta=0.02, k=4).estimate
         ref_l = learn_lc(u, samples_l, tau=0.025, t_max=4).estimate
         for r in range(runs_per_model):
-            res = quantum_learn_ferro(
+            res = metered_ferro(
                 u, samples_f, QueryMeter(), eta=0.02, k=4, delta=0.1,
                 rng=np.random.default_rng([61, mi, r]),
             )
             agree_f += res.estimate == ref_f
-            res = quantum_learn_lc(
+            res = metered_lc(
                 u, samples_l, QueryMeter(), tau=0.025, t_max=4, zeta=0.1,
                 rng=np.random.default_rng([62, mi, r]),
             )

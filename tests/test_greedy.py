@@ -59,6 +59,10 @@ class TestFerroConstants:
         with pytest.raises(ValueError, match="eta underflowed to zero"):
             ferro_constants(alpha, beta, 2, 0.1, 100)
 
+    def test_overflowing_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha too large"):
+            ferro_constants(1e200, 1e200, 2, 0.1, 100)
+
 
 class TestLcConstants:
     def test_frozen_reference_values(self):
@@ -76,6 +80,18 @@ class TestLcConstants:
         lcc = lc_constants(1.0, 0.0, 0.1, 10)
         assert lcc.tau == 1.0
         assert lcc.t_star == 8
+
+    # tau^2 underflows to zero at beta 31 and at alpha 1e-90, and to a
+    # subnormal (8 / tau^2 = inf) at alpha 1e-161
+    @pytest.mark.parametrize("alpha,beta", [(0.4, 31.0), (1e-90, 1.0), (1e-161, 0.0)])
+    def test_vanishing_tau_squared_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"tau too small for T\* = ceil\(8/tau\^2\)"):
+            lc_constants(alpha, beta, 0.1, 100)
+
+    @pytest.mark.parametrize("alpha,beta", [(1e200, 1e200), (1e100, 0.0)])
+    def test_overflowing_alpha_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha too large"):
+            lc_constants(alpha, beta, 0.1, 100)
 
 
 class TestLearnFerro:

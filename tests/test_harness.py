@@ -3,15 +3,16 @@ import importlib
 import json
 import math
 import os
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rbmstruct import cli, estimators, harness
+from rbmstruct import cli, estimators, harness, qsearch
 from rbmstruct import model as model_mod
-from rbmstruct.greedy import lc_constants, learn_full_graph
+from rbmstruct.greedy import ALGORITHMS, LearnerConfig, lc_constants, learn_full_graph
 from rbmstruct.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -29,6 +30,7 @@ from rbmstruct.model import (
     save_model,
     two_hop_graph,
 )
+from rbmstruct.sampling import exact_sample
 from rbmstruct.sampling import load as load_samples
 
 from conftest import demo_ring_model
@@ -330,6 +332,37 @@ class TestCli:
         assert "error: eta underflowed to zero" in err
         assert "error: require 0 < alpha <= beta" in err
 
+    def test_theory_constants_errors_name_the_setting(self, monkeypatch, capsys):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was generated")
+
+        monkeypatch.setattr(harness, "generate_model", no_model)
+        for argv in (["--beta", "31"], ["--alpha", "1e-90", "--beta", "1"]):
+            assert cli.main(["learn", "--theory-defaults", "--algorithm", "lc",
+                             "--num-samples", "10", *argv]) == 1
+        assert cli.main(["learn", "--theory-defaults", "--algorithm", "lc",
+                         "--alpha", "1e200", "--beta", "1e200"]) == 1
+        assert cli.main(["constants", "--alpha", "1e200", "--beta", "1e200"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: tau too small for T* = ceil(8/tau^2)") == 2
+        assert err.count("error: alpha too large") == 2
+
+    def test_exact_enumeration_limit_rejected_before_any_model(self, monkeypatch, capsys, tmp_path):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was generated")
+
+        monkeypatch.setattr(harness, "generate_model", no_model)
+        assert cli.main(["learn", "--kind", "locally-consistent", "--algorithm", "lc",
+                         "--n", "40", "--num-samples", "100"]) == 1
+        big = model_mod.RbmModel(np.zeros((20, 5)), np.zeros(20), np.zeros(5),
+                                 kind="ferromagnetic")
+        save_model(big, tmp_path / "big.json")
+        assert cli.main(["learn", "--model-file", str(tmp_path / "big.json"),
+                         "--num-samples", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: exact enumeration limited to n + m <= 24 spins (got 45)") == 1
+        assert err.count("error: exact enumeration limited to n + m <= 24 spins (got 25)") == 1
+
     def test_learn_flags_mirror_experiment_config(self):
         parser = cli._build_parser()
         args = parser.parse_args(["learn"])
@@ -369,13 +402,44 @@ class TestCli:
         assert load_samples(out_path).M == 500
 
 
-def test_benchmark_hooks_resolve():
-    """Every name the benchmark's tracer requires still exists, so a
-    deletion that would break traced benchmark runs fails here."""
+def _benchmark_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spans = types.ModuleType("perfbench_spans")  # executed from source: no bytecode cache
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
+    return spans
+
+
+def test_benchmark_hooks_resolve():
+    """Every name the benchmark's tracer requires still exists, so a
+    deletion that would break traced benchmark runs fails here."""
+    spans = _benchmark_spans()
     for mod_name, attr, _, _, required in spans.SPAN_HOOKS:
         if required:
             assert hasattr(importlib.import_module(f"rbmstruct.{mod_name}"), attr), attr
     assert callable(importlib.import_module("rbmstruct.qsearch").dh_max_find)
+
+
+def test_benchmark_max_find_capture_reaches_learners():
+    """The benchmark's maximum-finding wrapper sees the one meter each
+    quantum graph charges and none on a classical graph, and every name
+    it rebinds is restored."""
+    spans = _benchmark_spans()
+    before = {m: dict(vars(m)) for name, m in sys.modules.items()
+              if name.split(".")[0] == "rbmstruct"}
+    original = qsearch.dh_max_find
+    samples = exact_sample(demo_ring_model(), 500, seed=3)
+    log = spans.MeterLog()
+    with spans.instrument(log):
+        assert qsearch.dh_max_find is not original
+        for trial, alg in enumerate(ALGORITHMS):
+            log.trial_id = trial
+            config = LearnerConfig(alg, eta=0.02, k=2, tau=0.03, t_max=2, seed=trial)
+            result = learn_full_graph(samples, config)
+            seen = log.pop_trial(trial)
+            if alg.endswith("-q"):
+                assert len(seen) == 1 and seen[0][0] is result.meter
+                assert seen[0][1] == samples.M
+            else:
+                assert seen == [] and result.meter is None
+    for mod, names in before.items():
+        assert all(vars(mod)[k] is v for k, v in names.items()), mod.__name__

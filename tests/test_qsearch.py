@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,14 +13,12 @@ from rbmstruct.qsearch import (
     dh_max_find,
     grover_stage,
     qsearch_sim,
-    quantum_learn_ferro,
-    quantum_learn_lc,
     repetitions,
     stage_success_probability,
 )
 from rbmstruct.sampling import SampleSet, exact_sample
 
-from conftest import demo_ring_model
+from conftest import demo_ring_model, metered_ferro, metered_lc
 
 # Cost-shape constants, fitted once on Monte Carlo calibration runs and
 # frozen (see the per-test notes for the measured values).
@@ -72,14 +72,14 @@ class TestGroverStage:
 class TestQsearchSim:
     def test_all_marked_first_stage(self):
         rng = np.random.default_rng(4)
-        res = qsearch_sim(np.ones(32, dtype=bool), 32, rng)
+        res = qsearch_sim(np.ones(32, dtype=bool), rng)
         assert res.index is not None
         assert res.iterations == 1  # first stage forces j = 0, theta = pi/2
 
     def test_empty_marked_not_found(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            res = qsearch_sim(np.zeros(64, dtype=bool), 64, rng)
+            res = qsearch_sim(np.zeros(64, dtype=bool), rng)
             assert res.index is None
             assert res.iterations >= math.ceil(4.5 * 8)
 
@@ -93,7 +93,7 @@ class TestQsearchSim:
         iters = []
         found = 0
         for _ in range(10_000):
-            res = qsearch_sim(mask, n, rng)
+            res = qsearch_sim(mask, rng)
             iters.append(res.iterations)
             found += res.index == 517
         assert np.mean(iters) <= 1.1 * 4.5 * math.sqrt(n)
@@ -102,8 +102,7 @@ class TestQsearchSim:
     def test_meter_charges_per_stage(self):
         rng = np.random.default_rng(6)
         meter = QueryMeter()
-        res = qsearch_sim(np.zeros(16, dtype=bool), 16, rng,
-                          meter=meter, eval_cost=7)
+        res = qsearch_sim(np.zeros(16, dtype=bool), rng, meter=meter, eval_cost=7)
         assert meter.grover_iterations == res.iterations
         assert meter.score_evals == res.iterations
         assert meter.raw_queries == 7 * res.iterations
@@ -165,7 +164,7 @@ class TestQuantumLearnFerro:
         s = _ring_samples()
         for u in range(4):
             classical = learn_ferro(u, s, eta=0.02, k=3)
-            res = quantum_learn_ferro(
+            res = metered_ferro(
                 u, s, QueryMeter(), eta=0.02, k=3, delta=1e-8,
                 rng=np.random.default_rng([21, u]),
             )
@@ -180,7 +179,7 @@ class TestQuantumLearnFerro:
         runs = 60
         for r in range(runs):
             classical = learn_ferro(1, s, eta=0.02, k=3)
-            res = quantum_learn_ferro(
+            res = metered_ferro(
                 1, s, QueryMeter(), eta=0.02, k=3, delta=delta,
                 rng=np.random.default_rng([23, r]),
             )
@@ -191,7 +190,7 @@ class TestQuantumLearnFerro:
         s = _ring_samples(M=2000, seed=24)
         M, k = s.M, 3
         meter = QueryMeter()
-        res = quantum_learn_ferro(
+        res = metered_ferro(
             0, s, meter, eta=0.02, k=k, delta=0.1, rng=np.random.default_rng(25)
         )
         assert len(res.trace) == k and not res.insufficient_samples
@@ -207,11 +206,11 @@ class TestQuantumLearnFerro:
     def test_smaller_budget_when_delta_near_one(self):
         s = _ring_samples(M=1000, seed=26)
         loose, tight = QueryMeter(), QueryMeter()
-        quantum_learn_ferro(
+        metered_ferro(
             0, s, loose, eta=0.02, k=2, delta=0.99,
             rng=np.random.default_rng(27),
         )
-        quantum_learn_ferro(
+        metered_ferro(
             0, s, tight, eta=0.02, k=2, delta=0.01,
             rng=np.random.default_rng(27),
         )
@@ -220,7 +219,7 @@ class TestQuantumLearnFerro:
 
     def test_insufficient_flag_matches_classical(self):
         s = SampleSet.from_pm1(np.full((5, 4), -1, dtype=np.int8))
-        res = quantum_learn_ferro(
+        res = metered_ferro(
             0, s, QueryMeter(), eta=0.02, k=2, delta=0.1,
             rng=np.random.default_rng(28),
         )
@@ -241,7 +240,7 @@ class TestQuantumLearnFerro:
                 super().charge_index(q)
 
         meter = SnapMeter()
-        res = quantum_learn_ferro(
+        res = metered_ferro(
             0, s, meter, eta=0.5, k=k, delta=delta,
             rng=np.random.default_rng(30),
         )
@@ -259,7 +258,7 @@ class TestQuantumLearnLc:
         s = _ring_samples(M=5000, seed=31)
         for u in range(4):
             classical = learn_lc(u, s, tau=0.03, t_max=3)
-            res = quantum_learn_lc(
+            res = metered_lc(
                 u, s, QueryMeter(), tau=0.03, t_max=3, zeta=1e-8,
                 rng=np.random.default_rng([32, u]),
             )
@@ -273,7 +272,7 @@ class TestQuantumLearnLc:
         runs = 60
         for r in range(runs):
             classical = learn_lc(2, s, tau=0.03, t_max=3)
-            res = quantum_learn_lc(
+            res = metered_lc(
                 2, s, QueryMeter(), tau=0.03, t_max=3, zeta=zeta,
                 rng=np.random.default_rng([34, r]),
             )
@@ -287,7 +286,7 @@ class TestQuantumLearnLc:
         s = _ring_samples(M=2000, seed=35)
         H, t_max = s.M, 2
         meter = QueryMeter()
-        res = quantum_learn_lc(
+        res = metered_lc(
             0, s, meter, tau=1e-6, t_max=t_max, zeta=0.1,
             rng=np.random.default_rng(36),
         )
@@ -301,7 +300,7 @@ class TestQuantumLearnLc:
     def test_t_max_one_single_addition(self):
         s = _ring_samples(M=2000, seed=37)
         meter = QueryMeter()
-        res = quantum_learn_lc(
+        res = metered_lc(
             0, s, meter, tau=0.01, t_max=1, zeta=0.1,
             rng=np.random.default_rng(38),
         )
@@ -314,7 +313,7 @@ class TestQuantumLearnLc:
 
     def test_empty_samples(self):
         s = SampleSet.from_pm1(np.zeros((0, 3), dtype=np.int8))
-        res = quantum_learn_lc(
+        res = metered_lc(
             0, s, QueryMeter(), tau=0.05, t_max=2, zeta=0.1,
             rng=np.random.default_rng(39),
         )
@@ -345,3 +344,14 @@ class TestMeterIdentity:
             assert isinstance(meter, QueryMeter)
             assert meter.raw_queries == meter.score_evals * M + meter.index_queries
             assert meter.score_evals >= meter.grover_iterations
+
+
+def test_qsearch_imports_nothing_from_the_package():
+    """qsearch sits below greedy; an import back into the package would
+    bring the greedy <-> qsearch cycle back."""
+    path = Path(__file__).resolve().parents[1] / "src" / "rbmstruct" / "qsearch.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("rbmstruct"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "rbmstruct" for a in node.names)
