@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import node_set
 from .sampling import SampleSet
 
 
@@ -75,11 +76,7 @@ class ConfigIndex:
 def build_index(samples: SampleSet, S) -> ConfigIndex:
     """Group sample indices by their configuration on S, cells in
     first-occurrence order."""
-    S = tuple(sorted(int(i) for i in S))
-    if len(set(S)) != len(S):
-        raise ValueError("duplicate nodes in S")
-    if S and not (0 <= S[0] and S[-1] < samples.n):
-        raise ValueError("node index out of range")
+    S = node_set(S, samples.n)
     _, first, inverse = np.unique(
         samples.dense[:, list(S)], axis=0, return_index=True, return_inverse=True
     )
@@ -92,9 +89,9 @@ def empirical_influence(samples: SampleSet, u: int, S) -> InfluenceValue:
     """Influence of pinning S to +1 on X_u, as the ratio of all-ones counts
     on S union {u} and on S, counted by row masking. Undefined when no
     sample has x_S = 1^s."""
-    S = tuple(sorted(int(i) for i in S))
-    if u in S:
-        raise ValueError("u must not belong to S")
+    S = node_set(S, samples.n)
+    if u in S or not 0 <= u < samples.n:
+        raise ValueError("u must be a visible node outside S")
     mask = np.ones(samples.M, dtype=bool)
     for i in S:
         mask &= samples.column(i) == 1
@@ -108,7 +105,7 @@ def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, idx: ConfigIndex) ->
     """Average conditional covariance, cell by cell: each observed
     configuration of S contributes its within-cell covariance weighted by
     the cell's empirical probability."""
-    _check_cov_args(u, v, idx)
+    _check_cov_args(samples, u, v, idx)
     M = samples.M
     xu = samples.column(u).astype(np.float64)
     xv = samples.column(v).astype(np.float64)
@@ -130,7 +127,7 @@ def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, idx: ConfigIndex
     where a_j,l is the signed sum of x_j over cell l. Agrees with the
     direct route as an exact rational identity (float routes match to
     about 1e-15)."""
-    _check_cov_args(u, v, idx)
+    _check_cov_args(samples, u, v, idx)
     M = samples.M
     xu = samples.column(u).astype(np.int64)
     xv = samples.column(v).astype(np.int64)
@@ -141,7 +138,9 @@ def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, idx: ConfigIndex
     return (z_total - corr) / M
 
 
-def _check_cov_args(u: int, v: int, idx: ConfigIndex) -> None:
+def _check_cov_args(samples: SampleSet, u: int, v: int, idx: ConfigIndex) -> None:
+    if not (0 <= u < samples.n and 0 <= v < samples.n):
+        raise ValueError("u and v must be visible nodes")
     if u == v:
         raise ValueError("u and v must differ")
     if u in idx.S or v in idx.S:

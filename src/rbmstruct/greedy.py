@@ -12,11 +12,18 @@ Two learners, both reading nothing but a SampleSet:
   additions), then prunes each kept v whose covariance conditioned on the
   rest falls below tau.
 
-Both run on one candidate loop (``_greedy``): each learner supplies its
-scorer, state update, stop rule and index-cost law, and takes the
-per-round selector (exhaustive argmax by default) and an optional
-QueryMeter to charge. The quantum variants ("-q") are the same learners
-with metered maximum finding (``qsearch.max_find_pick``) as the selector.
+Both run on one candidate loop (``_greedy``) and one leave-one-out prune
+(``_prune``): each learner supplies its scorer, state update, stop rule,
+keep rule and index-cost law, and takes the per-round selector
+(exhaustive argmax by default) and an optional QueryMeter to charge. The
+quantum variants ("-q") are the same learners with metered maximum
+finding (``qsearch.max_find_pick``) as the selector.
+
+Query costs follow from one index-cost law per family, the raw queries
+to scan the conditioning structure of a set of size s: M(2s+1) for ferro
+(the all-ones sets of S and S union {u}), M*s for lc. Round s charges
+law(s) before it scores; pruning charges s leave-one-out evaluations at
+M queries each (ferro one more, for the full set) plus s*law(s-1).
 
 The theory thresholds (eta, tau) and iteration budgets (k, T_star) are
 computed by ferro_constants / lc_constants with natural logarithms. They
@@ -80,7 +87,8 @@ class FerroTheoryConstants:
 @dataclass(frozen=True)
 class LcTheoryConstants:
     """Threshold, iteration cap and sample bound for the locally consistent
-    learner. delta_cond is the structural constant 0.5 * exp(-2 beta)."""
+    learner. delta_cond is the structural constant 0.5 * exp(-2 beta).
+    sample_bound may overflow to inf; log10_sample_bound is always finite."""
 
     tau: float
     t_star: int
@@ -151,6 +159,8 @@ def lc_constants(alpha: float, beta: float, zeta: float, n: int) -> LcTheoryCons
         - 2.0 * math.log(tau)
         - 2.0 * t_star * math.log(delta_cond)
     )
+    if not math.isfinite(log_bound):
+        raise ValueError("tau too small for a finite sample bound")
     bound = math.exp(log_bound) if log_bound < _EXP_OVERFLOW else math.inf
     return LcTheoryConstants(
         tau=tau,
@@ -216,8 +226,7 @@ def _greedy(u, samples, budget, state, score, add, stop, index_cost, pick, meter
     the node joins the chosen set, the pair (node, value) the trace, and
     ``add(state, node)`` refines the conditioning state. Runs at most
     ``budget`` rounds. With a meter, each round first charges
-    ``index_cost(|S|)`` raw queries for the conditioning structure it is
-    scored against. Returns (chosen, trace, stopped, exhausted)."""
+    ``index_cost(|S|)``. Returns (chosen, trace, stopped, exhausted)."""
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
     while len(chosen) < budget:
@@ -237,31 +246,21 @@ def _greedy(u, samples, budget, state, score, add, stop, index_cost, pick, meter
     return chosen, trace, False, False
 
 
-def _prune_ferro(samples, u, chosen, eta, meter=None):
-    """Keep j in chosen when dropping it lowers the influence by >= eta.
-    With a meter, charges one M-query evaluation for the full-set influence
-    and one for each leave-one-out influence, plus M(s-1) + M s raw queries
-    per leave-one-out set for its conditioning scans without and with u."""
+def _prune(samples, chosen, keep, index_cost, meter, full_evals=0):
+    """Leave-one-out pruning shared by both learners: j stays in chosen
+    when ``keep(j, rest)`` holds for rest = chosen minus j. With a meter,
+    charges s + full_evals evaluations and s * index_cost(s - 1).
+    Returns (sorted kept, pruned) as tuples."""
     if not chosen:
-        return [], []
+        return (), ()
     if meter is not None:
-        s, M = len(chosen), samples.M
-        meter.charge_scores(s + 1, M)
-        meter.charge_index(s * M * (2 * s - 1))
-    i_full = _influence_bits(samples, u, chosen)
+        s = len(chosen)
+        meter.charge_scores(s + full_evals, samples.M)
+        meter.charge_index(s * index_cost(s - 1))
     kept, pruned = [], []
     for j in chosen:
-        rest = [i for i in chosen if i != j]
-        i_rest = _influence_bits(samples, u, rest)
-        if (
-            i_full.defined
-            and i_rest.defined
-            and i_full.value - i_rest.value >= eta
-        ):
-            kept.append(j)
-        else:
-            pruned.append(j)
-    return kept, pruned
+        (kept if keep(j, [i for i in chosen if i != j]) else pruned).append(j)
+    return tuple(sorted(kept)), tuple(pruned)
 
 
 def learn_ferro(
@@ -273,59 +272,41 @@ def learn_ferro(
     Runs k rounds choosing a candidate with ``pick`` (by default the
     exhaustive argmax, ties to the lowest node index), then prunes. Flags
     insufficient_samples when a round finds every candidate undefined,
-    exhausted when candidates run out early. With a meter, round s
-    charges M(2s+1) raw queries for the conditioning sets of S and
-    S union {u}.
+    exhausted when candidates run out early.
     """
     n, M = samples.n, samples.M
     if not 0 <= u < n:
         raise ValueError("u out of range")
-    if eta <= 0:
+    if not eta > 0:  # also rejects NaN
         raise ValueError("eta must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
     bits = samples.bits
     m_s = ones_mask(samples)
+    index_cost = lambda s: M * (2 * s + 1)  # scans of S and of S union {u}
     chosen, trace, insufficient, exhausted = _greedy(
         u, samples, k, (m_s, m_s & bits[u]),
         score=lambda cands, st: _score_candidates_ferro(samples, cands, *st),
         add=lambda st, j: (st[0] & bits[j], st[1] & bits[j]),
         stop=lambda values, _: not np.any(values > UNDEFINED_SCORE),
-        index_cost=lambda s: M * (2 * s + 1),
+        index_cost=index_cost,
         pick=pick,
         meter=meter,
     )
-    kept, pruned = _prune_ferro(samples, u, chosen, eta, meter)
-    return NeighborhoodResult(
-        u, tuple(sorted(kept)), trace, tuple(pruned), insufficient, exhausted
-    )
+    i_full = _influence_bits(samples, u, chosen)
+
+    def keep(j, rest):
+        i_rest = _influence_bits(samples, u, rest)
+        return i_full.defined and i_rest.defined and i_full.value - i_rest.value >= eta
+
+    estimate, pruned = _prune(samples, chosen, keep, index_cost, meter, full_evals=1)
+    return NeighborhoodResult(u, estimate, trace, pruned, insufficient, exhausted)
 
 
 def _score_candidates_lc(samples, u, cands, cells) -> np.ndarray:
     """Average conditional covariance of u with each candidate over the
     cells of the current conditioning set."""
     return cov_scores(samples, u, cands, cells)
-
-
-def _prune_lc(samples, u, chosen, tau, meter=None):
-    """Keep v when its covariance with u conditioned on the other chosen
-    nodes stays at least tau. (Conditioning on v itself would be
-    identically zero, so the conditioning set is chosen minus v.) With a
-    meter, charges each of these an H-query evaluation plus the scan of
-    its conditioning set."""
-    if meter is not None:
-        s, H = len(chosen), samples.M
-        meter.charge_scores(s, H)
-        meter.charge_index(s * H * (s - 1))
-    kept, pruned = [], []
-    for v in chosen:
-        rest = [i for i in chosen if i != v]
-        cells = conditioning_cells(samples, rest)
-        if cov_scores(samples, u, [v], cells)[0] >= tau:
-            kept.append(v)
-        else:
-            pruned.append(v)
-    return kept, pruned
 
 
 def learn_lc(
@@ -336,33 +317,33 @@ def learn_lc(
 
     Adds the candidate chosen by ``pick`` (by default the exhaustive
     argmax) while its score stays at least tau, at most t_max times, then
-    prunes. With a meter, round s charges H*s raw queries for the scan of
-    the conditioning set.
+    prunes.
     """
     n, H = samples.n, samples.M
     if not 0 <= u < n:
         raise ValueError("u out of range")
-    if tau <= 0:
+    if not tau > 0:  # also rejects NaN
         raise ValueError("tau must be positive")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if H == 0:
-        return NeighborhoodResult(
-            u=u, estimate=(), trace=[], pruned=(), insufficient_samples=True
-        )
+        return NeighborhoodResult(u, (), [], (), insufficient_samples=True)
+    index_cost = lambda s: H * s  # scan of S
     chosen, trace, _, exhausted = _greedy(
         u, samples, t_max, conditioning_cells(samples),
         score=lambda cands, cells: _score_candidates_lc(samples, u, cands, cells),
         add=lambda cells, v: split_cells(cells, samples.bits[v]),
         stop=lambda _, value: value < tau,
-        index_cost=lambda s: H * s,
+        index_cost=index_cost,
         pick=pick,
         meter=meter,
     )
-    kept, pruned = _prune_lc(samples, u, chosen, tau, meter)
-    return NeighborhoodResult(
-        u, tuple(sorted(kept)), trace, tuple(pruned), exhausted=exhausted
+    estimate, pruned = _prune(
+        samples, chosen,
+        lambda v, rest: cov_scores(samples, u, [v], conditioning_cells(samples, rest))[0] >= tau,
+        index_cost, meter,
     )
+    return NeighborhoodResult(u, estimate, trace, pruned, exhausted=exhausted)
 
 
 @dataclass

@@ -103,6 +103,10 @@ class RbmModel:
     def __setattr__(self, name, value):
         raise AttributeError("RbmModel is immutable")
 
+    def __reduce__(self):
+        # rebuild through the constructor, so unpickling validates again
+        return type(self), (self.J, self.f, self.g, self.kind)
+
     @property
     def n(self) -> int:
         return self.J.shape[0]
@@ -294,7 +298,7 @@ class ExactOracle:
 
     def influence(self, u: int, S) -> float:
         """E[X_u | X_S = 1^s]: expected magnetization of u with S pinned to +1."""
-        S = _node_set(S, self.n)
+        S = node_set(S, self.n)
         if u in S or not 0 <= u < self.n:
             raise ValueError("u must be a visible node outside S")
         mask = self._ones_mask(S)
@@ -306,7 +310,7 @@ class ExactOracle:
 
     def avg_cond_cov(self, u: int, v: int, S) -> float:
         """E_{x_S}[ Cov(X_u, X_v | X_S = x_S) ], averaged over the law of X_S."""
-        S = _node_set(S, self.n)
+        S = node_set(S, self.n)
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("u and v must be visible nodes")
         if u == v:
@@ -330,7 +334,8 @@ class ExactOracle:
         return float(np.sum(zuv[nz] - au[nz] * av[nz] / w[nz]))
 
 
-def _node_set(S, n: int) -> tuple:
+def node_set(S, n: int) -> tuple:
+    """S as a sorted tuple of distinct nodes in range(n); ValueError otherwise."""
     S = tuple(sorted(int(i) for i in S))
     if len(set(S)) != len(S):
         raise ValueError("duplicate nodes in S")

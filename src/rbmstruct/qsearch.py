@@ -21,8 +21,8 @@ Costs are charged to a QueryMeter in the underlying cost model, not in
 simulation work: each conceptual score-oracle application costs one
 score_eval plus that oracle's per-evaluation price in raw sample queries
 (M for influence scores, H for covariance scores); a stage of j Grover
-iterations applies the oracle j+1 times; constructing the conditioning
-index for a set of size s costs M*s raw queries.
+iterations applies the oracle j+1 times; the learners charge the scans of
+their conditioning sets by their own index-cost laws (see ``greedy``).
 
 ``max_find_pick`` makes metered maximum finding a per-round selector for
 the greedy learners; ``greedy.learn_full_graph`` runs the "-q" learners

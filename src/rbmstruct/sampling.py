@@ -70,6 +70,10 @@ class SampleSet:
     def __setattr__(self, name, value):
         raise AttributeError("SampleSet is immutable")
 
+    def __reduce__(self):
+        # rebuild through the constructor, so unpickling validates again
+        return type(self), (self.n, self.packed)
+
     @classmethod
     def from_pm1(cls, rows, n: int | None = None) -> "SampleSet":
         """Build from an (M, n) array with entries +-1."""

@@ -64,6 +64,25 @@ class TestBuildIndex:
         assert [g.tolist() for g in groups] == [np.flatnonzero(f).tolist() for f in flags]
 
 
+class TestNodeChecks:
+    def test_out_of_range_nodes_rejected(self):
+        s = SampleSet.from_pm1(np.array([[1, 1, -1], [-1, 1, 1]]))
+        idx = build_index(s, [1])
+        calls = [
+            lambda: build_index(s, [-1]),
+            lambda: empirical_influence(s, 0, [-1]),
+            lambda: empirical_influence(s, 0, [3]),
+            lambda: empirical_influence(s, 0, [1, 1]),
+            lambda: empirical_influence(s, -1, [0]),
+            lambda: empirical_influence(s, 3, [0]),
+            lambda: avg_cond_cov_direct(s, 0, -1, idx),
+            lambda: avg_cond_cov_decomposed(s, 3, 0, idx),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
+
 class TestEmpiricalInfluence:
     def test_balanced_example(self):
         s = SampleSet.from_pm1(np.array([[1, 1], [1, -1], [-1, 1]]))

@@ -93,6 +93,11 @@ class TestLcConstants:
         with pytest.raises(ValueError, match="alpha too large"):
             lc_constants(alpha, beta, 0.1, 100)
 
+    def test_infinite_log_bound_rejected(self):
+        # T* is about 9.6e307, so 2 T* ln 2 overflows the log bound
+        with pytest.raises(ValueError, match="tau too small for a finite sample bound"):
+            lc_constants(1.7e-77, 0.0, 0.1, 10)
+
 
 class TestLearnFerro:
     def test_ring_model_finds_documented_edge(self):
@@ -147,6 +152,8 @@ class TestLearnFerro:
         s = SampleSet.from_pm1(np.ones((2, 2), dtype=np.int8))
         with pytest.raises(ValueError):
             learn_ferro(0, s, eta=0.0, k=1)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            learn_ferro(0, s, eta=float("nan"), k=1)
         with pytest.raises(ValueError):
             learn_ferro(0, s, eta=0.1, k=0)
         with pytest.raises(ValueError):
@@ -197,6 +204,16 @@ class TestLearnLc:
         s = SampleSet.from_pm1(np.zeros((0, 3), dtype=np.int8))
         res = learn_lc(0, s, tau=0.05, t_max=2)
         assert res.insufficient_samples
+
+    def test_validation(self):
+        s = SampleSet.from_pm1(np.ones((2, 2), dtype=np.int8))
+        for tau in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                learn_lc(0, s, tau=tau, t_max=1)
+        with pytest.raises(ValueError):
+            learn_lc(0, s, tau=0.1, t_max=0)
+        with pytest.raises(ValueError):
+            learn_lc(5, s, tau=0.1, t_max=1)
 
 
 class TestPruningSoundnessExactScores:

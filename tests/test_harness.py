@@ -72,6 +72,21 @@ class TestRun:
             del os.environ["RBM_SL_THREADS"]
         assert serial == pooled
 
+    def test_worker_pool_matches_serial_with_model_file(self, tmp_path, monkeypatch):
+        # the pool pickles the loaded RbmModel into each worker
+        path = tmp_path / "m.json"
+        save_model(demo_ring_model(), path)
+
+        def one(tag, threads):
+            monkeypatch.setenv("RBM_SL_THREADS", threads)
+            run(ExperimentConfig(
+                model_file=str(path), num_samples=3000, algorithm="ferro", eta=0.02,
+                k=3, trials=3, seed=6, out=str(tmp_path / tag),
+            ))
+            return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("jsonl", "csv")]
+
+        assert one("serial", "1") == one("pooled", "2")
+
     def test_ring_model_file_edge_recall(self, tmp_path):
         path = tmp_path / "ring.json"
         save_model(demo_ring_model(), path)
@@ -272,6 +287,11 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "n,classical_mean_queries,quantum_mean_queries"
         assert len(lines) == 4
+
+    def test_infinite_lc_sample_bound_exit_code(self, capsys):
+        assert cli.main(["constants", "--alpha", "1.7e-77", "--beta", "1.7e-77",
+                         "--d2", "1", "--n", "100000"]) == 1
+        assert "error: tau too small for a finite sample bound" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, capsys):
         assert cli.main([

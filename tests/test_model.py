@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ class TestModelConstruction:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             RbmModel([[np.inf]], [0.0], [0.0])
+
+    def test_pickle_round_trip(self):
+        m = RbmModel([[0.5, -0.5], [0.5, -0.5]], [0.3, -0.3], [0, 0], kind="locally-consistent")
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and back.kind == m.kind
+        assert not back.J.flags.writeable
+        with pytest.raises(AttributeError):
+            back.kind = "general"
 
 
 class TestVisibleMarginal:

@@ -339,11 +339,24 @@ class TestMeterIdentity:
         knobs = dict(eta=0.02, k=budget, tau=tau, t_max=budget, seed=seed)
         for alg in ("ferro", "lc"):
             assert learn_full_graph(s, LearnerConfig(alg, **knobs)).meter is None
-        for alg in ("ferro-q", "lc-q"):
-            meter = learn_full_graph(s, LearnerConfig(alg, **knobs)).meter
+        # each family's index-cost law, charged once per scored round and
+        # s times at law(s - 1) by the leave-one-out prune
+        laws = {"ferro-q": lambda size: M * (2 * size + 1), "lc-q": lambda size: M * size}
+        for alg, law in laws.items():
+            result = learn_full_graph(s, LearnerConfig(alg, **knobs))
+            meter = result.meter
             assert isinstance(meter, QueryMeter)
             assert meter.raw_queries == meter.score_evals * M + meter.index_queries
             assert meter.score_evals >= meter.grover_iterations
+            expected = 0
+            for r in result.per_node:
+                rounds = len(r.trace) + (
+                    r.insufficient_samples if alg == "ferro-q"
+                    else not r.exhausted and len(r.trace) < budget
+                )
+                size = len(r.estimate) + len(r.pruned)
+                expected += sum(law(i) for i in range(rounds)) + size * law(size - 1)
+            assert meter.index_queries == expected
 
 
 def test_qsearch_imports_nothing_from_the_package():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ class TestSampleSet:
     def test_bad_entries_rejected(self):
         with pytest.raises(ValueError):
             SampleSet.from_pm1(np.array([[1, 0]]))
+
+    def test_pickle_round_trip(self):
+        rows = np.random.default_rng(1).choice([-1, 1], size=(70, 11))
+        s = SampleSet.from_pm1(rows)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back.n == s.n
+        assert np.array_equal(back.bits, s.bits) and np.array_equal(back.dense, rows)
+        with pytest.raises(AttributeError):
+            back.n = 5
 
 
 class TestExactSampler:
