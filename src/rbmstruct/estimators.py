@@ -147,6 +147,8 @@ def _check_cov_args(samples: SampleSet, u: int, v: int, idx: ConfigIndex) -> Non
         raise ValueError("u and v must lie outside the conditioning set")
     if idx.n_samples == 0:
         raise ValueError("need at least one sample")
+    if idx.n_samples != samples.M:
+        raise ValueError(f"index built from {idx.n_samples} samples, not {samples.M}")
 
 
 def popcount(words: np.ndarray) -> np.ndarray:

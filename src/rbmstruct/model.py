@@ -212,15 +212,8 @@ def two_hop_graph(model: RbmModel) -> TwoHopGraph:
     return TwoHopGraph(n=model.n, edges=frozenset(edges))
 
 
-def index_to_pm1(indices, n: int) -> np.ndarray:
-    """Decode configuration indices to +-1 rows (node i is bit n-1-i)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (indices[..., None] >> shifts) & 1
-    return (2 * bits - 1).astype(np.int8)
-
 def pm1_to_index(x) -> int:
-    """Inverse of index_to_pm1 for a single configuration."""
+    """Index of a single +-1 configuration (node i is bit n-1-i)."""
     x = np.asarray(x)
     n = x.shape[0]
     idx = 0
@@ -318,10 +311,8 @@ class ExactOracle:
         if u in S or v in S:
             raise ValueError("u and v must lie outside S")
         key = np.zeros(self._size, dtype=np.int64)
-        for pos, i in enumerate(S):
-            key |= ((np.arange(self._size, dtype=np.int64) >> (self.n - 1 - i)) & 1) << (
-                len(S) - 1 - pos
-            )
+        for i in S:  # the first node of S is the key's most significant bit
+            key = 2 * key + (self._column(i) > 0)
         _, key = np.unique(key, return_inverse=True)
         p = self._p
         xu = self._column(u)

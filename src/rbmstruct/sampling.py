@@ -5,13 +5,16 @@ each byte, bit 1 meaning +1; rows are ceil(n/8) bytes with zero pad bits.
 The learners read it transposed, as one bitset over samples per node
 (``SampleSet.bits``).
 Small models are sampled exactly by inverse CDF over the enumerated
-visible marginal; larger ones via layer-wise block Gibbs (all hidden
-given visible, then all visible given hidden, which are exact conditional
-independences in an RBM). The Gibbs sampler runs C = min(64, M)
-independent chains as one state matrix, applies burn-in and thinning to
-each chain, and interleaves their draws: row k * C + c is the k-th
-retained state of chain c. ``split_rhat`` reads the chains back from
-that layout to report how well they mixed.
+visible marginal: the uniforms are searched in the CDF in sorted order,
+and each drawn configuration index, shifted to the top of its row, is
+written as big-endian bytes, which are the packed row. Larger models are
+sampled via layer-wise block Gibbs (all hidden given visible, then all
+visible given hidden, which are exact conditional independences in an
+RBM). The Gibbs sampler runs C = min(64, M) independent chains as one
+state matrix, applies burn-in and thinning to each chain, and interleaves
+their draws: row k * C + c is the k-th retained state of chain c.
+``split_rhat`` reads the chains back from that layout to report how well
+they mixed.
 
 Binary file format (little-endian):
     magic   4 bytes  b"RBMS"
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExactOracle, RbmModel, index_to_pm1
+from .model import ExactOracle, RbmModel
 
 _MAGIC = b"RBMS"
 _VERSION = 1
@@ -167,17 +170,21 @@ def exact_sample(model: RbmModel, M: int, seed) -> SampleSet:
     """M i.i.d. draws from the exact visible marginal (n + m <= 24)."""
     if M < 0:
         raise ValueError("M must be >= 0")
-    oracle = ExactOracle(model)
     n = model.n
-    if M == 0:
-        return SampleSet.from_pm1(np.zeros((0, n), dtype=np.int8))
-    cdf = np.cumsum(oracle.probabilities)
+    row_bytes = (n + 7) // 8
+    cdf = np.cumsum(ExactOracle(model).probabilities)
     cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    u = rng.random(M)
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, (1 << n) - 1)
-    return SampleSet.from_pm1(index_to_pm1(idx, n))
+    u = np.random.default_rng(seed).random(M)
+    # search the uniforms in sorted order, then scatter back to draw order
+    order = np.argsort(u)
+    idx = np.empty(M, dtype=np.uint32)
+    idx[order] = np.searchsorted(cdf, u[order], side="right")
+    np.minimum(idx, (1 << n) - 1, out=idx)
+    # node i is bit n-1-i of the index: shift node 0 to the top of the row
+    # and the big-endian bytes are the packed row, pad bits zero (n <= 24)
+    idx <<= 8 * row_bytes - n
+    rows = idx.astype(">u4").view(np.uint8).reshape(M, 4)
+    return SampleSet(n, rows[:, 4 - row_bytes :])
 
 
 def gibbs_sample(model: RbmModel, M: int, cfg: GibbsConfig) -> SampleSet:

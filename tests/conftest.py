@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 from rbmstruct.greedy import learn_ferro, learn_lc
-from rbmstruct.model import RbmModel
+from rbmstruct.model import ExactOracle, RbmModel
 from rbmstruct.qsearch import max_find_pick
+from rbmstruct.sampling import SampleSet
 
 
 def brute_joint_weight(model: RbmModel, x, y) -> float:
@@ -72,6 +73,19 @@ def brute_avg_cond_cov(model: RbmModel, u: int, v: int, S) -> float:
         ev = sum(w * x[v] for x, w in members) / wsum
         total += (wsum / z) * (euv - eu * ev)
     return total
+
+
+def brute_exact_sample(model: RbmModel, M: int, seed) -> SampleSet:
+    """Inverse-CDF draws the plain way: search each uniform in draw order,
+    decode each configuration index bit by bit to a +-1 row (node i is
+    bit n-1-i), and pack the rows with SampleSet.from_pm1."""
+    n = model.n
+    cdf = np.cumsum(ExactOracle(model).probabilities)
+    cdf[-1] = 1.0
+    u = np.random.default_rng(seed).random(M)
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), (1 << n) - 1)
+    rows = [[1 if (int(k) >> (n - 1 - i)) & 1 else -1 for i in range(n)] for k in idx]
+    return SampleSet.from_pm1(np.array(rows, dtype=np.int8).reshape(M, n), n=n)
 
 
 def brute_conditional_mean(rows, u: int, S) -> float | None:

@@ -161,6 +161,17 @@ class TestAvgCondCov:
                 avg_cond_cov_decomposed(s, u, v, idx), abs=1e-12
             )
 
+    def test_index_of_other_sample_set_rejected(self):
+        # an index of 10 rows applied to 20 rows would average over the
+        # first 10 rows only
+        rng = np.random.default_rng(7)
+        short = SampleSet.from_pm1(rng.choice([-1, 1], size=(10, 4)))
+        full = SampleSet.from_pm1(rng.choice([-1, 1], size=(20, 4)))
+        idx = build_index(short, [2])
+        for route in (avg_cond_cov_direct, avg_cond_cov_decomposed):
+            with pytest.raises(ValueError, match="built from 10 samples"):
+                route(full, 0, 1, idx)
+
     def test_empty_conditioning_reduces_to_covariance(self):
         rng = np.random.default_rng(6)
         rows = rng.choice([-1, 1], size=(40, 3))

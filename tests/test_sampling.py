@@ -1,10 +1,21 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rbmstruct.model import ExactOracle, RbmModel, random_model
+from rbmstruct.model import (
+    KIND_GENERAL,
+    LEARNABLE_KINDS,
+    ExactOracle,
+    NonDegeneracyParams,
+    RbmModel,
+    generate_model,
+    random_model,
+)
 from rbmstruct.sampling import (
     GibbsConfig,
     SampleFileError,
@@ -15,6 +26,8 @@ from rbmstruct.sampling import (
     save,
     split_rhat,
 )
+
+from conftest import brute_exact_sample
 
 
 def sigmoid(x):
@@ -82,6 +95,44 @@ class TestExactSampler:
     def test_deterministic(self):
         m = RbmModel([[0.5], [0.5]], [0.1, 0.0], [0.0])
         assert exact_sample(m, 500, seed=7) == exact_sample(m, 500, seed=7)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from((KIND_GENERAL, *LEARNABLE_KINDS)),
+        n=st.one_of(st.integers(1, 18), st.sampled_from([7, 8, 9, 15, 16, 17, 20])),
+        m=st.integers(0, 4),
+        model_seed=st.integers(0, 2**32 - 1),
+        M=st.one_of(st.sampled_from([0, 1, 999, 1000, 1001]), st.integers(0, 70)),
+        seed=st.one_of(
+            st.integers(0, 2**64 - 1),
+            st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        ),
+    )
+    def test_matches_brute_reference(self, kind, n, m, model_seed, M, seed):
+        # packed rows written from the indices equal the decode-and-pack
+        # route byte for byte, across 1-, 2- and 3-byte rows
+        model = random_model(
+            np.random.default_rng(model_seed), kind, n_range=(n, n + 1), m_range=(m, m + 1)
+        )
+        s = exact_sample(model, M, seed)
+        assert s == brute_exact_sample(model, M, seed)
+        row_bytes = (n + 7) // 8
+        assert s.packed.shape == (M, row_bytes)
+        pad_mask = (1 << (8 * row_bytes - n)) - 1
+        assert not (s.packed[:, -1] & pad_mask).any()
+
+    def test_peak_memory_per_sample(self):
+        # guards against an (M, n) decode temporary, which alone costs
+        # 8 n bytes per sample as int64
+        model = generate_model("ferromagnetic", 16, 8, 3, NonDegeneracyParams(0.4, 2.0), seed=0)
+        M = 256_000
+        tracemalloc.start()
+        try:
+            exact_sample(model, M, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * M
 
 
 class TestGibbsConditionals:
