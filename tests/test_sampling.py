@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import tracemalloc
@@ -133,6 +134,22 @@ class TestExactSampler:
         finally:
             tracemalloc.stop()
         assert peak < 96 * M
+
+    @pytest.mark.parametrize(
+        "kind, model_seed, seed, digest",
+        [
+            ("ferromagnetic", 0, 1, "c767825e1c23025cd23cc70006b0e5ad"),
+            ("ferromagnetic", 5, 2, "c37f07f29cc6b0bb0821aa2f8ee61aa9"),
+            ("locally-consistent", 0, 1, "e9f091a4937679b61ba6f2daaee51fd5"),
+            ("locally-consistent", 5, 2, "d8d7bccbb8ee5027c93b823db5c77fa4"),
+        ],
+    )
+    def test_pinned_sample_digests(self, kind, model_seed, seed, digest):
+        # the benchmark-shaped draws (n=16, m=8, d2=3, M=128k) stay byte-equal
+        # to the recorded ones; never regenerate these digests to fit a change
+        model = generate_model(kind, 16, 8, 3, NonDegeneracyParams(0.4, 2.0), seed=model_seed)
+        packed = exact_sample(model, 128_000, seed=seed).packed
+        assert hashlib.blake2b(packed.tobytes(), digest_size=16).hexdigest() == digest
 
 
 class TestGibbsConditionals:
