@@ -9,11 +9,14 @@ Summing out the hidden layer gives the visible marginal in closed form,
 
     P(x) propto exp(f.T x) * prod_j 2 cosh(g_j + (J.T x)_j),
 
-which ExactOracle evaluates by enumerating all 2^n visible configurations
-(log-space with max-shift, so large couplings do not overflow). Everything
-exact in this package (marginals, influence, average conditional
-covariance, the two-hop graph) comes from this module and serves as the
-reference the sample-based learners are tested against.
+which ExactOracle tabulates over all 2^n visible configurations. Each
+factor depends only on the spins it couples, so the log table is built as
+a sum of small factor tables (the fields, and one per hidden unit over the
+2^|S_j| patterns of its support S_j) broadcast into an n-axis array, then
+max-shifted so large couplings do not overflow. Everything exact in this
+package (marginals, influence, average conditional covariance, the two-hop
+graph) comes from this module and serves as the reference the sample-based
+learners are tested against.
 
 Node indices are 0-based throughout. Configuration index c encodes node i
 in bit (n-1-i), bit 1 meaning +1, so configurations enumerate in
@@ -212,19 +215,6 @@ def two_hop_graph(model: RbmModel) -> TwoHopGraph:
     return TwoHopGraph(n=model.n, edges=frozenset(edges))
 
 
-def pm1_to_index(x) -> int:
-    """Index of a single +-1 configuration (node i is bit n-1-i)."""
-    x = np.asarray(x)
-    n = x.shape[0]
-    idx = 0
-    for i in range(n):
-        if x[i] == 1:
-            idx |= 1 << (n - 1 - i)
-        elif x[i] != -1:
-            raise ValueError("configuration entries must be +-1")
-    return idx
-
-
 def check_enumerable(n: int, m: int) -> None:
     """Raise ValueError unless ExactOracle can enumerate n + m spins."""
     if n + m > ENUM_GUARD:
@@ -234,72 +224,69 @@ def check_enumerable(n: int, m: int) -> None:
 class ExactOracle:
     """Exact visible-layer quantities by full enumeration.
 
-    Builds the normalized log-probability table over all 2^n visible
-    configurations once; marginal/influence/covariance queries are then
-    vectorized table lookups, so build one oracle per model and query it
-    as often as needed.
+    Builds the normalized probability table over all 2^n visible
+    configurations once, as an n-axis (2,)*n array: axis i is node i,
+    index 0 meaning -1 and 1 meaning +1, so the flattened table is in
+    configuration-index order. The log-weight is a sum of factors, each
+    built over only the spins it depends on: the field term by outer sums,
+    one axis at a time, and for each hidden unit j the term
+    log 2cosh(g_j + sum_{i in S_j} J_ij x_i) over the 2^|S_j| patterns of
+    its support S_j, broadcast into the table over those axes. A build
+    costs sum_j 2^|S_j| log-cosh evaluations plus n + m table-sized adds,
+    so sparse supports are cheap and no +-1 configuration matrix is made.
+    Marginal, influence and covariance queries fix axes and sum out the
+    rest; build one oracle per model and query it as often as needed.
     """
 
     def __init__(self, model: RbmModel):
         check_enumerable(model.n, model.m)
         self.model = model
         self.n = model.n
-        self._size = 1 << model.n
-        self._p = np.exp(self._log_marginals())
-        self._columns: dict[int, np.ndarray] = {}
+        self._p = self._probability_table()
 
-    def _log_marginals(self) -> np.ndarray:
-        n, m = self.model.n, self.model.m
+    def _probability_table(self) -> np.ndarray:
         J, f, g = self.model.J, self.model.f, self.model.g
-        logw = np.empty(self._size, dtype=np.float64)
-        chunk = 1 << 14
-        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-        for start in range(0, self._size, chunk):
-            idx = np.arange(start, min(start + chunk, self._size), dtype=np.int64)
-            x = ((idx[:, None] >> shifts) & 1) * 2.0 - 1.0
-            t = x @ J + g  # hidden pre-activations, shape (chunk, m)
-            # log 2cosh(t) = logaddexp(t, -t), stable for large |t|
-            logw[start : start + len(idx)] = x @ f + np.logaddexp(t, -t).sum(axis=1)
-        mx = logw.max()
-        log_z = mx + math.log(np.exp(logw - mx).sum())
-        return logw - log_z
+        logw = _outer_sum(0.0, f).reshape((2,) * self.n)
+        for j in range(self.model.m):
+            # unit j's factor over its support's patterns, broadcast on those
+            # axes; no name holds it, so it is freed before the next is built
+            on = J[:, j] != 0
+            logw += _log_2cosh(_outer_sum(g[j], J[on, j])).reshape(np.where(on, 2, 1))
+        # max-shift so large couplings do not overflow
+        logw -= logw.max()
+        p = np.exp(logw, out=logw)
+        p /= p.sum()
+        return p
 
     @property
     def probabilities(self) -> np.ndarray:
-        return self._p
-
-    def _column(self, i: int) -> np.ndarray:
-        col = self._columns.get(i)
-        if col is None:
-            idx = np.arange(self._size, dtype=np.int64)
-            col = (((idx >> (self.n - 1 - i)) & 1) * 2 - 1).astype(np.float64)
-            self._columns[i] = col
-        return col
-
-    def _ones_mask(self, S) -> np.ndarray:
-        mask = np.ones(self._size, dtype=bool)
-        for i in S:
-            mask &= self._column(i) > 0
-        return mask
+        """The table flattened to configuration-index order."""
+        return self._p.reshape(-1)
 
     def marginal(self, x) -> float:
         """P(X = x) for a full +-1 configuration."""
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError("configuration length must equal n")
-        return float(self._p[pm1_to_index(x)])
+        if not np.isin(x, (-1, 1)).all():
+            raise ValueError("configuration entries must be +-1")
+        return float(self._p[tuple((x > 0).astype(np.intp))])
 
     def influence(self, u: int, S) -> float:
         """E[X_u | X_S = 1^s]: expected magnetization of u with S pinned to +1."""
         S = node_set(S, self.n)
         if u in S or not 0 <= u < self.n:
             raise ValueError("u must be a visible node outside S")
-        mask = self._ones_mask(S)
-        den = float(self._p[mask].sum())
+        # fix S and u to +1, then u to -1, and sum out the free axes
+        index = [1 if i in S else slice(None) for i in range(self.n)]
+        index[u] = 1
+        plus = float(self._p[tuple(index)].sum())
+        index[u] = 0
+        minus = float(self._p[tuple(index)].sum())
+        den = plus + minus
         if den <= 0.0:
             raise ValueError("conditioning event has probability zero")
-        num = float((self._p[mask] * self._column(u)[mask]).sum())
-        return num / den
+        return (plus - minus) / den
 
     def avg_cond_cov(self, u: int, v: int, S) -> float:
         """E_{x_S}[ Cov(X_u, X_v | X_S = x_S) ], averaged over the law of X_S."""
@@ -310,19 +297,31 @@ class ExactOracle:
             raise ValueError("u and v must differ")
         if u in S or v in S:
             raise ValueError("u and v must lie outside S")
-        key = np.zeros(self._size, dtype=np.int64)
-        for i in S:  # the first node of S is the key's most significant bit
-            key = 2 * key + (self._column(i) > 0)
-        _, key = np.unique(key, return_inverse=True)
-        p = self._p
-        xu = self._column(u)
-        xv = self._column(v)
-        w = np.bincount(key, weights=p)
-        au = np.bincount(key, weights=p * xu)
-        av = np.bincount(key, weights=p * xv)
-        zuv = np.bincount(key, weights=p * xu * xv)
+        kept = sorted((*S, u, v))
+        free = tuple(i for i in range(self.n) if i not in kept)
+        # the marginal over S, u, v as one (cell, x_u, x_v) array
+        q = self._p.sum(axis=free)
+        q = np.moveaxis(q, (kept.index(u), kept.index(v)), (-2, -1)).reshape(-1, 2, 2)
+        w = q.sum(axis=(1, 2))
+        au = (q[:, 1] - q[:, 0]).sum(axis=1)
+        av = (q[:, :, 1] - q[:, :, 0]).sum(axis=1)
+        zuv = q[:, 1, 1] + q[:, 0, 0] - q[:, 0, 1] - q[:, 1, 0]
         nz = w > 0
         return float(np.sum(zuv[nz] - au[nz] * av[nz] / w[nz]))
+
+
+def _log_2cosh(t: np.ndarray) -> np.ndarray:
+    """log 2cosh(t) = logaddexp(t, -t), stable for large |t|, in place."""
+    return np.logaddexp(t, -t, out=t)
+
+
+def _outer_sum(start: float, weights) -> np.ndarray:
+    """start + sum_i w_i s_i over all 2^k patterns s of k = len(weights)
+    spins, the first spin most significant and index bit 1 meaning +1."""
+    t = np.full(1, start, dtype=np.float64)
+    for w in weights:
+        t = np.add.outer(t, (-w, w)).ravel()
+    return t
 
 
 def node_set(S, n: int) -> tuple:

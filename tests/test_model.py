@@ -1,11 +1,16 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmstruct.model import (
     ENUM_GUARD,
+    KIND_GENERAL,
+    LEARNABLE_KINDS,
     ExactOracle,
     NonDegeneracyParams,
     RbmModel,
@@ -21,6 +26,7 @@ from conftest import (
     brute_avg_cond_cov,
     brute_influence,
     brute_visible_marginal,
+    brute_visible_weights,
     demo_ring_model,
 )
 
@@ -104,6 +110,49 @@ class TestVisibleMarginal:
                 assert oracle.marginal(x) == pytest.approx(
                     brute_visible_marginal(m, x), rel=1e-12
                 )
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from((KIND_GENERAL, *LEARNABLE_KINDS)),
+        n=st.integers(1, 8),
+        m=st.integers(0, 5),
+        model_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_matches_brute_weights(self, kind, n, m, model_seed):
+        # zero-masked columns give empty, partial and full hidden supports,
+        # so every factor-table shape is built
+        rng = np.random.default_rng(model_seed)
+        base = random_model(rng, kind, n_range=(n, n + 1), m_range=(m, m + 1))
+        keep = rng.random((n, m)) < rng.choice([0.0, 0.5, 1.0], size=m)
+        model = RbmModel(base.J * keep, base.f, base.g, kind=kind)
+        weights = brute_visible_weights(model)
+        z = sum(weights.values())
+        expected = [weights[x] / z for x in sorted(weights)]  # configuration-index order
+        assert ExactOracle(model).probabilities == pytest.approx(expected, rel=1e-12)
+
+    def test_peak_memory_per_configuration(self):
+        # the build holds the table and one factor table with its negation,
+        # 24 bytes per configuration on a dense model; a +-1 configuration
+        # matrix or a second table-sized temporary goes past the bound
+        rng = np.random.default_rng(0)
+        n, m = 20, 4
+        model = RbmModel(
+            rng.uniform(-1, 1, (n, m)), rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, m)
+        )
+        tracemalloc.start()
+        try:
+            ExactOracle(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * (1 << n)
+
+    def test_marginal_rejects_non_spin_entries(self):
+        oracle = ExactOracle(RbmModel([[1.0], [1.0]], [0, 0], [0]))
+        with pytest.raises(ValueError, match="entries"):
+            oracle.marginal([1, 0])
+        with pytest.raises(ValueError, match="length"):
+            oracle.marginal([1, 1, 1])
 
     def test_enumeration_guard(self):
         m = RbmModel(np.zeros((20, 8)), np.zeros(20), np.zeros(8))
