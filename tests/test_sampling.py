@@ -151,6 +151,22 @@ class TestExactSampler:
         packed = exact_sample(model, 128_000, seed=seed).packed
         assert hashlib.blake2b(packed.tobytes(), digest_size=16).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "kind, n, digest",
+        [
+            ("ferromagnetic", 8, "1f989ecfdd9225917663e54f4d6e6aa4"),
+            ("locally-consistent", 8, "365493f5f52ab19f9af0635d8a8e9f5e"),
+            ("ferromagnetic", 20, "4a32c726fba283f6698867f1c0635553"),
+            ("locally-consistent", 20, "1060d56563ea33734ca96184d341784c"),
+        ],
+    )
+    def test_pinned_row_width_digests(self, kind, n, digest):
+        # 1-byte (n=8) and 3-byte (n=20) rows, m=4, M=20k, stay byte-equal
+        # to the recorded draws; never regenerate these digests to fit a change
+        model = generate_model(kind, n, 4, 3, NonDegeneracyParams(0.4, 2.0), seed=0)
+        packed = exact_sample(model, 20_000, seed=1).packed
+        assert hashlib.blake2b(packed.tobytes(), digest_size=16).hexdigest() == digest
+
 
 class TestGibbsConditionals:
     def test_conditionals_match_enumeration(self):
