@@ -494,8 +494,8 @@ def verify() -> bool:
     line per check and returns True when all hold. Five checks are
     acceptance criteria 1, 2, 7 and 10 through the shared checks above, with
     the criteria's seeds at smaller counts (4 sigma for the stages, success
-    >= 0.9 at rho = 0.1); the bitset, sample-file and normalization checks
-    are verify's own."""
+    >= 0.9 at rho = 0.1); the bitset, sample-file, normalization and exact
+    sampler checks are verify's own."""
     ok = True
 
     def check(name, cond):
@@ -547,6 +547,22 @@ def verify() -> bool:
     mdl = generate_model(KIND_FERROMAGNETIC, 5, 3, 2, NonDegeneracyParams(0.3, 1.5), seed=5)
     total = ExactOracle(mdl).probabilities.sum()
     check("visible marginal normalization", abs(total - 1.0) <= 1e-12)
+
+    # the exact sampler against searchsorted of the same uniforms in draw
+    # order, on random models and sizes and one model with nearly all mass
+    # on all +1
+    vrng = np.random.default_rng(20240813)
+    cases = [(random_model(vrng, n_range=(6, 13), m_range=(0, 4)), int(vrng.integers(1, 3000)))
+             for _ in range(4)]
+    cases.append((RbmModel(np.zeros((12, 0)), np.full(12, 20.0), []), 1000))
+    same = True
+    for seed, (mdl, M) in enumerate(cases):
+        cdf = np.cumsum(ExactOracle(mdl).probabilities)
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, np.random.default_rng(seed).random(M), side="right")
+        bits = (idx[:, None] >> np.arange(mdl.n - 1, -1, -1)) & 1
+        same = same and np.array_equal(exact_sample(mdl, M, seed).dense, 2 * bits - 1)
+    check("exact sampler equals the draw-order CDF search", same)
 
     # criterion 10's first model and chain seed
     mdl = generate_model(KIND_FERROMAGNETIC, 6, 4, 2, NonDegeneracyParams(0.3, 1.5), seed=300)

@@ -5,14 +5,15 @@ each byte, bit 1 meaning +1; rows are ceil(n/8) bytes with zero pad bits.
 The learners read it transposed, as one bitset over samples per node
 (``SampleSet.bits``).
 Small models are sampled exactly by inverse CDF over the enumerated
-visible marginal: the uniforms are searched in the CDF in sorted order,
-and each drawn configuration index, shifted to the top of its row, is
-written as big-endian bytes, which are the packed row. Larger models are
-sampled via layer-wise block Gibbs (all hidden given visible, then all
-visible given hidden, which are exact conditional independences in an
-RBM). The Gibbs sampler runs C = min(64, M) independent chains as one
-state matrix, applies burn-in and thinning to each chain, and interleaves
-their draws: row k * C + c is the k-th retained state of chain c.
+visible marginal: each uniform is looked up in draw order through a guide
+table over the CDF, and each drawn configuration index, shifted to the top
+of its row, is written one byte column at a time as its big-endian bytes,
+which are the packed row. Larger models are sampled via layer-wise block
+Gibbs (all hidden given visible, then all visible given hidden, which are
+exact conditional independences in an RBM). The Gibbs sampler runs
+C = min(64, M) independent chains as one state matrix, applies burn-in and
+thinning to each chain, and interleaves their draws: row k * C + c is the
+k-th retained state of chain c.
 ``split_rhat`` reads the chains back from that layout to report how well
 they mixed.
 
@@ -167,7 +168,20 @@ class GibbsConfig:
 
 
 def exact_sample(model: RbmModel, M: int, seed) -> SampleSet:
-    """M i.i.d. draws from the exact visible marginal (n + m <= 24)."""
+    """M i.i.d. draws from the exact visible marginal (n + m <= 24).
+
+    Draw k is configuration r = searchsorted(cdf, u_k, side="right") of
+    the k-th uniform, found in draw order through a guide table (the
+    cut-point method of Chen and Asau). K, a power of two, is at most
+    min(2^n, M), so the table never costs more than the draws; the
+    configurations fall in K blocks of R = 2^n / K, and start[b] is R
+    times the number of blocks whose last cdf entry is <= b / K. As u K
+    and b / K are exact, the r of a u in bucket b = floor(u K) lies in
+    [start[b], start[b + 1] + R - 1] (start[K] = 2^n - R). A draw with
+    cdf[start[b]] > u is done; the rest are lifted from start[b] + 1 by
+    descending powers of two, enough to span the widest bucket. r < 2^n
+    for every u < 1, since cdf[-1] = 1.
+    """
     if M < 0:
         raise ValueError("M must be >= 0")
     n = model.n
@@ -175,16 +189,32 @@ def exact_sample(model: RbmModel, M: int, seed) -> SampleSet:
     cdf = np.cumsum(ExactOracle(model).probabilities)
     cdf[-1] = 1.0
     u = np.random.default_rng(seed).random(M)
-    # search the uniforms in sorted order, then scatter back to draw order
-    order = np.argsort(u)
-    idx = np.empty(M, dtype=np.uint32)
-    idx[order] = np.searchsorted(cdf, u[order], side="right")
-    np.minimum(idx, (1 << n) - 1, out=idx)
-    # node i is bit n-1-i of the index: shift node 0 to the top of the row
-    # and the big-endian bytes are the packed row, pad bits zero (n <= 24)
+    K = 1 << min(n, max(int(M).bit_length() - 1, 0))
+    R = (1 << n) // K
+    # block j ends at cdf[jR + R - 1], which is <= b / K for b >= ceil(K cdf)
+    q = cdf[R - 1 :: R] * K
+    np.ceil(q, out=q)
+    start = np.empty(K + 1, dtype=np.uint32)
+    start[:K] = np.cumsum(np.bincount(q.astype(np.intp), minlength=K + 1)[:K])
+    start[K] = K - 1
+    start *= np.uint32(R)
+    idx = start.take((u * K).astype(np.uint32))
+    sel = np.flatnonzero(cdf.take(idx) <= u)
+    r, us = idx.take(sel) + 1, u.take(sel)
+    # add each step whose probe cdf[r + step - 1] is still <= u; a probe
+    # past the end is clipped to cdf[-1] = 1 > u
+    span = int(np.diff(start).max()) + R - 2
+    for k in reversed(range(max(span, 0).bit_length())):
+        step = np.uint32(1 << k)
+        r += (cdf.take(r + (step - 1), mode="clip") <= us) * step
+    idx[sel] = r
+    # node i is bit n-1-i of the index: shifted left by the pad width, byte
+    # c of the big-endian index is byte c of the packed row, pad bits zero
     idx <<= 8 * row_bytes - n
-    rows = idx.astype(">u4").view(np.uint8).reshape(M, 4)
-    return SampleSet(n, rows[:, 4 - row_bytes :])
+    rows = np.empty((M, row_bytes), dtype=np.uint8)
+    for c in range(row_bytes):
+        rows[:, c] = idx >> 8 * (row_bytes - 1 - c)
+    return SampleSet(n, rows)
 
 
 def gibbs_sample(model: RbmModel, M: int, cfg: GibbsConfig) -> SampleSet:

@@ -396,7 +396,7 @@ class TestCli:
 
     def test_verify_command(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0
-        assert capsys.readouterr().out.count(": PASS\n") == 8
+        assert capsys.readouterr().out.count(": PASS\n") == 9
         decomposed = estimators.avg_cond_cov_decomposed
         monkeypatch.setattr(
             estimators, "avg_cond_cov_decomposed", lambda *a: decomposed(*a) + 1e-9

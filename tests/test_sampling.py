@@ -122,6 +122,32 @@ class TestExactSampler:
         pad_mask = (1 << (8 * row_bytes - n)) - 1
         assert not (s.packed[:, -1] & pad_mask).any()
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from((KIND_GENERAL, *LEARNABLE_KINDS)),
+        n=st.integers(1, 16),
+        m=st.integers(0, 4),
+        scale=st.floats(1.0, 40.0),
+        model_seed=st.integers(0, 2**32 - 1),
+        M=st.sampled_from([0, 1, 999, 5000]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_peaked_models_match_brute_reference(self, kind, n, m, scale, model_seed, M, seed):
+        # scaled weights pile the CDF steps into few buckets, so most draws
+        # are finished by lifting across wide buckets
+        base = random_model(
+            np.random.default_rng(model_seed), kind, n_range=(n, n + 1), m_range=(m, m + 1)
+        )
+        model = RbmModel(base.J * scale, base.f * scale, base.g * scale, kind=kind)
+        assert exact_sample(model, M, seed) == brute_exact_sample(model, M, seed)
+
+    def test_near_point_mass_matches_brute_reference(self):
+        # all 2^n - 1 steps below the all-(+1) configuration fit in bucket 0
+        model = RbmModel(np.zeros((12, 0)), np.full(12, 20.0), [])
+        s = exact_sample(model, 5000, seed=4)
+        assert s == brute_exact_sample(model, 5000, 4)
+        assert (s.dense == 1).all()
+
     def test_peak_memory_per_sample(self):
         # guards against an (M, n) decode temporary, which alone costs
         # 8 n bytes per sample as int64
