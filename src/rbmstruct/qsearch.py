@@ -7,22 +7,27 @@ N candidates succeeds with probability sin^2((2j+1) * asin(sqrt(t/N))),
 returning a uniformly random marked item (``grover_stage``, the one
 outcome law every search draws from). Exponential search (Boyer,
 Brassard, Hoyer and Tapp) draws each stage's j uniformly below m, growing
-m by the factor GROWTH up to STAGE_CAP_FACTOR * sqrt(N), and gives up
-after SEARCH_BUDGET_FACTOR * sqrt(N) iterations. GROWTH must lie in
-(1, 4/3): above 1 so that m reaches the size at which a stage succeeds
-with probability at least 1/4, below 4/3 so that the expected cost of the
-stages after that point, a geometric series in 3 * GROWTH / 4, converges
-to O(sqrt(N/t)). Maximum finding (Durr and Hoyer) runs a threshold-descent
-core under an iteration budget of CORE_BUDGET_FACTOR * sqrt(N) and boosts
-to failure probability rho with ``repetitions(rho)`` = ceil(log2(1/rho))
+m by the factor GROWTH up to STAGE_CAP_FACTOR * sqrt(N), under a hard
+budget of SEARCH_BUDGET_FACTOR * sqrt(N) iterations: the last stage is cut
+at the budget, and a search with nothing marked spends the whole budget
+without simulating a stage. GROWTH must lie in (1, 4/3): above 1 so that
+m reaches the size at which a stage succeeds with probability at least
+1/4, below 4/3 so that the expected cost of the stages after that point, a
+geometric series in 3 * GROWTH / 4, converges to O(sqrt(N/t)). Maximum
+finding (Durr and Hoyer) runs a threshold-descent core under a budget of
+B = ceil(CORE_BUDGET_FACTOR * sqrt(N)) iterations and boosts to failure
+probability rho with R = ``repetitions(rho)`` = ceil(log2(1/rho))
 independent cores, keeping the best result (ties to the lowest index).
+The simulator reads the true scores, so it stops once the answer is
+fixed: a core that holds the maximum ends at once, and no core runs after
+one holds it.
 
 Costs are charged to a QueryMeter in the underlying cost model, not in
-simulation work: each conceptual score-oracle application costs one
-score_eval plus that oracle's per-evaluation price in raw sample queries
-(M for influence scores, H for covariance scores); a stage of j Grover
-iterations applies the oracle j+1 times; the learners charge the scans of
-their conditioning sets by their own index-cost laws (see ``greedy``).
+simulation work, in closed form once per maximum-finding call (see
+``dh_max_find``): each score-oracle application costs one score_eval plus
+the oracle's per-evaluation price in raw sample queries (M for influence
+scores, H for covariance scores). The learners charge the scans of their
+conditioning sets by their own index-cost laws (see ``greedy``).
 
 ``max_find_pick`` makes metered maximum finding a per-round selector for
 the greedy learners; ``greedy.learn_full_graph`` runs the "-q" learners
@@ -76,11 +81,12 @@ class QueryMeter:
 
 
 class ScoreOracle:
-    """Candidate index -> score, with a fixed per-evaluation raw-query cost.
+    """A round's candidate scores, with the raw-query price of one score
+    evaluation and the meter that maximum finding charges.
 
-    ``values`` holds the true scores; the simulator reads them freely
-    (simulation-level knowledge), while metered access goes through
-    evaluate and the searches' stage charges.
+    ``values`` holds the true scores. The simulator reads them freely, as
+    simulation-level knowledge; what the algorithm pays is charged in closed
+    form by ``dh_max_find``.
     """
 
     def __init__(self, values, cost: int, meter: QueryMeter):
@@ -93,10 +99,6 @@ class ScoreOracle:
     @property
     def n(self) -> int:
         return self.values.size
-
-    def evaluate(self, i: int) -> float:
-        self.meter.charge_scores(1, self.cost)
-        return float(self.values[i])
 
 
 class SearchResult(NamedTuple):
@@ -126,40 +128,34 @@ def grover_stage(marked_idx, n: int, j: int, rng) -> int | None:
     return None
 
 
-def qsearch_sim(
-    marked,
-    rng,
-    meter: QueryMeter | None = None,
-    eval_cost: int = 0,
-    max_iterations: int | None = None,
-) -> SearchResult:
+def qsearch_sim(marked, rng, max_iterations: int | None = None) -> SearchResult:
     """Exponential Grover search for a marked item among the n candidates
-    of the boolean mask ``marked``.
+    of the boolean mask ``marked``, under an iteration budget (default
+    ceil(SEARCH_BUDGET_FACTOR * sqrt(n))).
 
     Stages draw j uniformly from {0, ..., ceil(m)-1} with m growing by
-    GROWTH up to STAGE_CAP_FACTOR * sqrt(n); each stage charges j+1 Grover
-    iterations and j+1 score evaluations. Returns the found index or None
-    once the iteration budget (default ceil(SEARCH_BUDGET_FACTOR *
-    sqrt(n))) is spent, which is how an empty marked set terminates.
+    GROWTH up to STAGE_CAP_FACTOR * sqrt(n); a stage of j iterations uses
+    j+1 of the budget, and one that would pass it is cut to what is left.
+    Returns the found index and the iterations used, or None and the whole
+    budget; with nothing marked that is at once, drawing nothing from rng.
     """
     n = len(marked)
     if n < 1:
         raise ValueError("need n >= 1")
-    midx = np.flatnonzero(marked)
-    cap = max(1.0, STAGE_CAP_FACTOR * math.sqrt(n))
     budget = (
         max_iterations
         if max_iterations is not None
         else math.ceil(SEARCH_BUDGET_FACTOR * math.sqrt(n))
     )
+    midx = np.flatnonzero(marked)
+    if midx.size == 0:
+        return SearchResult(None, budget)
+    cap = max(1.0, STAGE_CAP_FACTOR * math.sqrt(n))
     m_stage = 1.0
     used = 0
     while used < budget:
-        j = int(rng.integers(0, math.ceil(m_stage)))
+        j = min(int(rng.integers(0, math.ceil(m_stage))), budget - used - 1)
         used += j + 1
-        if meter is not None:
-            meter.charge_grover(j + 1)
-            meter.charge_scores(j + 1, eval_cost)
         found = grover_stage(midx, n, j, rng)
         if found is not None:
             return SearchResult(found, used)
@@ -167,47 +163,55 @@ def qsearch_sim(
     return SearchResult(None, used)
 
 
-def _dh_core(scores: ScoreOracle, rng) -> tuple[int, float]:
+def _dh_core(values, budget: int, rng) -> tuple[int, float]:
     """One threshold-descent pass: start at a random candidate, repeatedly
     search for anything scoring above the current threshold, stop when the
-    per-core iteration budget is gone."""
-    n = scores.n
-    budget = math.ceil(CORE_BUDGET_FACTOR * math.sqrt(n))
-    best_i = int(rng.integers(n))
-    best_v = scores.evaluate(best_i)
+    core's ``budget`` of Grover iterations is gone. Once the threshold is
+    the maximum, the search finds nothing marked and spends the rest of the
+    budget at once."""
+    best_i = int(rng.integers(values.size))
+    best_v = float(values[best_i])
     used = 0
     while used < budget:
-        res = qsearch_sim(
-            scores.values > best_v,
-            rng,
-            meter=scores.meter,
-            eval_cost=scores.cost,
-            max_iterations=budget - used,
-        )
+        res = qsearch_sim(values > best_v, rng, max_iterations=budget - used)
         used += res.iterations
         if res.index is not None:
             best_i = res.index
-            best_v = float(scores.values[res.index])
+            best_v = float(values[res.index])
     return best_i, best_v
 
 
 def dh_max_find(scores: ScoreOracle, rho: float, rng) -> tuple[int, float]:
     """Maximum finding with failure probability at most rho.
 
-    Runs repetitions(rho) independent threshold-descent cores and keeps
-    the best score. The returned index is canonicalized to the lowest
+    Runs up to repetitions(rho) independent threshold-descent cores and
+    keeps the best score. The returned index is canonicalized to the lowest
     index attaining the returned score, matching the classical argmax
-    tie-break exactly.
+    tie-break exactly. Once a core holds the maximum of ``scores.values``
+    the answer is fixed, so the remaining cores are not simulated.
+
+    The call charges ``scores.meter`` once, for all R = repetitions(rho)
+    cores, each of which spends its whole budget B = ceil(CORE_BUDGET_FACTOR
+    * sqrt(N)): R*B Grover iterations and R*(B+1) score evaluations (one
+    start per core and one oracle application per iteration) at
+    ``scores.cost`` raw queries each.
     """
+    reps = repetitions(rho)
+    budget = math.ceil(CORE_BUDGET_FACTOR * math.sqrt(scores.n))
+    top = scores.values.max()
     best_i: int | None = None
     best_v = -math.inf
-    for _ in range(repetitions(rho)):
-        i, v = _dh_core(scores, rng)
-        if best_i is None or v > best_v or (v == best_v and i < best_i):
+    for _ in range(reps):
+        i, v = _dh_core(scores.values, budget, rng)
+        if best_i is None or v > best_v:
             best_i, best_v = i, v
+        if best_v == top:
+            break
     ties = np.flatnonzero(scores.values == best_v)
     if ties.size:
         best_i = int(ties[0])
+    scores.meter.charge_grover(reps * budget)
+    scores.meter.charge_scores(reps * (budget + 1), scores.cost)
     return best_i, best_v
 
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from rbmstruct import qsearch
 from rbmstruct.greedy import learn_ferro, learn_lc
 from rbmstruct.model import ExactOracle, RbmModel
 from rbmstruct.qsearch import max_find_pick
@@ -121,3 +122,29 @@ def metered_ferro(u, samples, meter, eta, k, delta, rng):
 def metered_lc(u, samples, meter, tau, t_max, zeta, rng):
     pick = max_find_pick(samples.M, meter, zeta / (2.0 * t_max), rng)
     return learn_lc(u, samples, tau, t_max, pick=pick, meter=meter)
+
+
+def all_cores_max_find(values, rho: float, rng) -> tuple[int, float]:
+    """Threshold-descent maximum finding that simulates every one of the
+    repetitions(rho) cores to the end of its budget, drawing from ``rng``
+    in the same order as ``dh_max_find``: per core, a uniform start, then
+    searches for anything above the current value until the core's
+    ceil(CORE_BUDGET_FACTOR * sqrt(n)) iterations are spent (the factor
+    read at call time). Returns the lowest index of the best value any
+    core reached, found by a scan."""
+    values = [float(v) for v in values]
+    n = len(values)
+    budget = math.ceil(qsearch.CORE_BUDGET_FACTOR * math.sqrt(n))
+    reached = []
+    for _ in range(qsearch.repetitions(rho)):
+        i = int(rng.integers(n))
+        used = 0
+        while used < budget:
+            above = np.array([v > values[i] for v in values])
+            res = qsearch.qsearch_sim(above, rng, max_iterations=budget - used)
+            used += res.iterations
+            if res.index is not None:
+                i = res.index
+        reached.append(values[i])
+    best = max(reached)
+    return min(k for k, v in enumerate(values) if v == best), best

@@ -100,7 +100,13 @@ def test_golden_outputs():
         expected = dict(json.loads(line) for line in fh)
     computed = dict(golden_cases())
     assert list(computed) == list(expected)
-    changed = [case for case in expected if computed[case] != expected[case]]
+    # each changed case with the fields that differ, e.g.
+    # "ring-M0/practical/ferro-q: meter"
+    changed = [
+        f"{case}: {', '.join(k for k in dump if computed[case].get(k) != dump[k])}"
+        for case, dump in expected.items()
+        if computed[case] != dump
+    ]
     assert changed == []
 
 
