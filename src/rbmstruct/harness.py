@@ -105,15 +105,15 @@ class ExperimentConfig:
     seed: int = 0
     sampler: str = "exact"
     num_samples: int = 20000
-    burn_in: int = 1000
-    thinning: int = 10
+    burn_in: int = GibbsConfig.burn_in
+    thinning: int = GibbsConfig.thinning
     algorithm: str = "ferro"
     eta: float | None = None
     tau: float | None = None
     k: int | None = None
     t_max: int | None = None
-    delta: float = 0.1
-    zeta: float = 0.1
+    delta: float = LearnerConfig.delta
+    zeta: float = LearnerConfig.zeta
     theory_defaults: bool = False
     trials: int = 1
     out: str | None = None
@@ -253,7 +253,9 @@ def run(config: ExperimentConfig) -> tuple[RecoveryMetrics, list]:
     With ``model_file`` set, the file is loaded once and its n, m and
     two-hop degree d2 replace the config's (in the CSV and in the
     practical round budget d2 + 1); a kind other than the file's is a
-    ConfigError."""
+    ConfigError, as is an RBM_SL_THREADS that is set but not an integer
+    >= 1 (unset or empty means one process)."""
+    workers = _workers()
     model = None
     if config.model_file is not None:
         model = load_model(config.model_file)
@@ -267,7 +269,6 @@ def run(config: ExperimentConfig) -> tuple[RecoveryMetrics, list]:
     learner = config.validate()
     start = time.perf_counter()
     trials = list(range(config.trials))
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
     if workers > 1 and len(trials) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             n = len(trials)
@@ -296,6 +297,17 @@ def run(config: ExperimentConfig) -> tuple[RecoveryMetrics, list]:
         write_records(config.out + ".jsonl", records)
         write_aggregate_csv(config.out + ".csv", config, metrics)
     return metrics, records
+
+
+def _workers() -> int:
+    raw = os.environ.get(THREADS_ENV) or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def write_records(path, records) -> None:
@@ -409,9 +421,11 @@ def format_constants(report: dict) -> str:
 
 
 def covariance_identity_gap(rng, trials: int) -> float:
-    """Largest |direct - decomposed| average conditional covariance over
+    """Largest |direct - bitset| average conditional covariance over
     ``trials`` draws of a random model (n 3..6, m 1..3), an exact sample
-    set of 1..500 rows, a pair (u, v) and a conditioning set S."""
+    set of 1..500 rows, a pair (u, v) and a conditioning set S. The direct
+    route averages over ``build_index`` groups; the bitset route is the
+    learners' ``cov_scores`` over ``conditioning_cells``."""
     worst = 0.0
     for _ in range(trials):
         mdl = random_model(rng, n_range=(3, 7), m_range=(1, 4))
@@ -420,9 +434,9 @@ def covariance_identity_gap(rng, trials: int) -> float:
         u, v = (int(x) for x in rng.choice(mdl.n, size=2, replace=False))
         others = [i for i in range(mdl.n) if i not in (u, v)]
         S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
-        idx = estimators.build_index(samples, S)
-        direct = estimators.avg_cond_cov_direct(samples, u, v, idx)
-        worst = max(worst, abs(direct - estimators.avg_cond_cov_decomposed(samples, u, v, idx)))
+        direct = estimators.avg_cond_cov_direct(samples, u, v, estimators.build_index(samples, S))
+        cells = estimators.conditioning_cells(samples, S)
+        worst = max(worst, abs(direct - float(estimators.cov_scores(samples, u, [v], cells)[0])))
     return worst
 
 
@@ -437,7 +451,7 @@ def influence_identity_gap(rng, cases: int) -> float:
     while checked < cases:
         n = int(rng.integers(2, 7))
         M = int(rng.integers(1, 400))
-        samples = SampleSet.from_pm1(rng.choice([-1, 1], size=(M, n)), n=n)
+        samples = SampleSet.from_pm1(rng.choice([-1, 1], size=(M, n)))
         u = int(rng.integers(n))
         others = [i for i in range(n) if i != u]
         S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))

@@ -194,14 +194,11 @@ class TwoHopGraph:
     def neighbors(self, u: int) -> set:
         return {j for e in self.edges for j in e if u in e and j != u}
 
-    def degree(self, u: int) -> int:
-        return len(self.neighbors(u))
-
     @property
     def max_degree(self) -> int:
         if not self.edges:
             return 0
-        return max(self.degree(u) for u in range(self.n))
+        return max(len(self.neighbors(u)) for u in range(self.n))
 
 
 def two_hop_graph(model: RbmModel) -> TwoHopGraph:

@@ -8,9 +8,9 @@ returning a uniformly random marked item (``grover_stage``, the one
 outcome law every search draws from). Exponential search (Boyer,
 Brassard, Hoyer and Tapp) draws each stage's j uniformly below m, growing
 m by the factor GROWTH up to STAGE_CAP_FACTOR * sqrt(N), under a hard
-budget of SEARCH_BUDGET_FACTOR * sqrt(N) iterations: the last stage is cut
-at the budget, and a search with nothing marked spends the whole budget
-without simulating a stage. GROWTH must lie in (1, 4/3): above 1 so that
+iteration budget that the caller sets: the last stage is cut at the
+budget, and a search with nothing marked spends the whole budget without
+simulating a stage. GROWTH must lie in (1, 4/3): above 1 so that
 m reaches the size at which a stage succeeds with probability at least
 1/4, below 4/3 so that the expected cost of the stages after that point, a
 geometric series in 3 * GROWTH / 4, converges to O(sqrt(N/t)). Maximum
@@ -45,7 +45,6 @@ import numpy as np
 # Search schedule; only the asymptotic shape is fixed by the analysis.
 GROWTH = 1.2
 STAGE_CAP_FACTOR = 1.0
-SEARCH_BUDGET_FACTOR = 4.5
 CORE_BUDGET_FACTOR = 22.5
 
 
@@ -96,10 +95,6 @@ class ScoreOracle:
         self.cost = int(cost)
         self.meter = meter
 
-    @property
-    def n(self) -> int:
-        return self.values.size
-
 
 class SearchResult(NamedTuple):
     index: int | None
@@ -128,10 +123,10 @@ def grover_stage(marked_idx, n: int, j: int, rng) -> int | None:
     return None
 
 
-def qsearch_sim(marked, rng, max_iterations: int | None = None) -> SearchResult:
+def qsearch_sim(marked, rng, budget: int) -> SearchResult:
     """Exponential Grover search for a marked item among the n candidates
-    of the boolean mask ``marked``, under an iteration budget (default
-    ceil(SEARCH_BUDGET_FACTOR * sqrt(n))).
+    of the boolean mask ``marked``, under a budget of ``budget`` Grover
+    iterations.
 
     Stages draw j uniformly from {0, ..., ceil(m)-1} with m growing by
     GROWTH up to STAGE_CAP_FACTOR * sqrt(n); a stage of j iterations uses
@@ -142,11 +137,6 @@ def qsearch_sim(marked, rng, max_iterations: int | None = None) -> SearchResult:
     n = len(marked)
     if n < 1:
         raise ValueError("need n >= 1")
-    budget = (
-        max_iterations
-        if max_iterations is not None
-        else math.ceil(SEARCH_BUDGET_FACTOR * math.sqrt(n))
-    )
     midx = np.flatnonzero(marked)
     if midx.size == 0:
         return SearchResult(None, budget)
@@ -173,7 +163,7 @@ def _dh_core(values, budget: int, rng) -> tuple[int, float]:
     best_v = float(values[best_i])
     used = 0
     while used < budget:
-        res = qsearch_sim(values > best_v, rng, max_iterations=budget - used)
+        res = qsearch_sim(values > best_v, rng, budget - used)
         used += res.iterations
         if res.index is not None:
             best_i = res.index
@@ -197,7 +187,7 @@ def dh_max_find(scores: ScoreOracle, rho: float, rng) -> tuple[int, float]:
     ``scores.cost`` raw queries each.
     """
     reps = repetitions(rho)
-    budget = math.ceil(CORE_BUDGET_FACTOR * math.sqrt(scores.n))
+    budget = math.ceil(CORE_BUDGET_FACTOR * math.sqrt(scores.values.size))
     top = scores.values.max()
     best_i: int | None = None
     best_v = -math.inf

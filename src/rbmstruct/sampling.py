@@ -61,7 +61,7 @@ class SampleSet:
         row_bytes = (n + 7) // 8
         if packed.ndim != 2 or packed.shape[1] != row_bytes:
             raise ValueError(f"packed rows must be {row_bytes} bytes for n = {n}")
-        if packed.shape[0] > 0 and n % 8:
+        if n % 8:
             pad_mask = (1 << (8 - n % 8)) - 1
             if (packed[:, -1] & pad_mask).any():
                 raise ValueError("pad bits must be zero")
@@ -79,39 +79,26 @@ class SampleSet:
         return type(self), (self.n, self.packed)
 
     @classmethod
-    def from_pm1(cls, rows, n: int | None = None) -> "SampleSet":
-        """Build from an (M, n) array with entries +-1."""
+    def from_pm1(cls, rows) -> "SampleSet":
+        """Build from an (M, n) array with entries +-1; n is the row
+        length, and M may be 0."""
         rows = np.asarray(rows)
         if rows.ndim != 2:
             raise ValueError("rows must be 2-d")
-        if n is None:
-            n = rows.shape[1]
-        elif rows.shape[1] != n:
-            raise ValueError("row length mismatch")
-        if rows.size and not np.isin(rows, (-1, 1)).all():
+        if not np.isin(rows, (-1, 1)).all():
             raise ValueError("entries must be +-1")
-        row_bytes = (n + 7) // 8
-        if rows.shape[0] == 0:
-            return cls(n, np.zeros((0, row_bytes), dtype=np.uint8))
-        bits = (rows > 0).astype(np.uint8)
-        return cls(n, np.packbits(bits, axis=1))
+        return cls(rows.shape[1], np.packbits(rows > 0, axis=1))
 
     @property
     def M(self) -> int:
         return self.packed.shape[0]
 
-    def __len__(self) -> int:
-        return self.M
-
     @property
     def dense(self) -> np.ndarray:
         """Decoded (M, n) int8 matrix of +-1 values (cached, read-only)."""
         if self._dense is None:
-            if self.M == 0:
-                d = np.zeros((0, self.n), dtype=np.int8)
-            else:
-                bits = np.unpackbits(self.packed, axis=1, count=self.n)
-                d = (bits.astype(np.int8) * 2 - 1)
+            bits = np.unpackbits(self.packed, axis=1, count=self.n)
+            d = bits.astype(np.int8) * 2 - 1
             d.setflags(write=False)
             object.__setattr__(self, "_dense", d)
         return self._dense

@@ -86,7 +86,7 @@ def brute_exact_sample(model: RbmModel, M: int, seed) -> SampleSet:
     u = np.random.default_rng(seed).random(M)
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), (1 << n) - 1)
     rows = [[1 if (int(k) >> (n - 1 - i)) & 1 else -1 for i in range(n)] for k in idx]
-    return SampleSet.from_pm1(np.array(rows, dtype=np.int8).reshape(M, n), n=n)
+    return SampleSet.from_pm1(np.array(rows, dtype=np.int8).reshape(M, n))
 
 
 def brute_conditional_mean(rows, u: int, S) -> float | None:
@@ -141,7 +141,7 @@ def all_cores_max_find(values, rho: float, rng) -> tuple[int, float]:
         used = 0
         while used < budget:
             above = np.array([v > values[i] for v in values])
-            res = qsearch.qsearch_sim(above, rng, max_iterations=budget - used)
+            res = qsearch.qsearch_sim(above, rng, budget - used)
             used += res.iterations
             if res.index is not None:
                 i = res.index

@@ -35,7 +35,7 @@ def sample_sets(draw, min_n=1, min_M=0):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_plus = rng.uniform(0.1, 0.9, size=n)
     rows = np.where(rng.random((M, n)) < p_plus, 1, -1).astype(np.int8)
-    return SampleSet.from_pm1(rows, n=n), rng
+    return SampleSet.from_pm1(rows), rng
 
 
 def _flags(bitset):

@@ -18,7 +18,7 @@ from conftest import brute_conditional_mean
 def _random_samples(rng, n_range=(2, 6), m_range=(1, 60)):
     n = int(rng.integers(*n_range))
     M = int(rng.integers(*m_range))
-    return SampleSet.from_pm1(rng.choice([-1, 1], size=(M, n)), n=n)
+    return SampleSet.from_pm1(rng.choice([-1, 1], size=(M, n)))
 
 
 class TestBuildIndex:

@@ -397,12 +397,16 @@ class TestCli:
     def test_verify_command(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0
         assert capsys.readouterr().out.count(": PASS\n") == 9
-        decomposed = estimators.avg_cond_cov_decomposed
-        monkeypatch.setattr(
-            estimators, "avg_cond_cov_decomposed", lambda *a: decomposed(*a) + 1e-9
-        )
+        cov_scores = estimators.cov_scores
+        monkeypatch.setattr(estimators, "cov_scores", lambda *a: cov_scores(*a) + 1e-9)
         assert cli.main(["verify"]) == 2
         assert "covariance decomposition identity (<= 1e-12): FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threads", ["abc", "-2"])
+    def test_bad_threads_variable_exit_code(self, threads, monkeypatch, capsys):
+        monkeypatch.setenv("RBM_SL_THREADS", threads)
+        assert cli.main(["learn", "--trials", "2"]) == 1
+        assert "RBM_SL_THREADS" in capsys.readouterr().err
 
     def test_bad_flag_exit_code(self):
         assert cli.main(["learn", "--algorithm", "bogus"]) == 1

@@ -75,7 +75,7 @@ class TestGroverStage:
 class TestQsearchSim:
     def test_all_marked_first_stage(self):
         rng = np.random.default_rng(4)
-        res = qsearch_sim(np.ones(32, dtype=bool), rng)
+        res = qsearch_sim(np.ones(32, dtype=bool), rng, math.ceil(4.5 * math.sqrt(32)))
         assert res.index is not None
         assert res.iterations == 1  # first stage forces j = 0, theta = pi/2
 
@@ -84,8 +84,8 @@ class TestQsearchSim:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             state = rng.bit_generator.state
-            res = qsearch_sim(np.zeros(64, dtype=bool), rng)
-            assert res == (None, math.ceil(4.5 * 8))
+            res = qsearch_sim(np.zeros(64, dtype=bool), rng, 36)
+            assert res == (None, 36)
             assert rng.bit_generator.state == state
 
     def test_single_marked_mean_iterations(self):
@@ -98,7 +98,7 @@ class TestQsearchSim:
         iters = []
         found = 0
         for _ in range(10_000):
-            res = qsearch_sim(mask, rng)
+            res = qsearch_sim(mask, rng, math.ceil(4.5 * math.sqrt(n)))
             iters.append(res.iterations)
             found += res.index == 517
         assert np.mean(iters) <= 1.1 * 4.5 * math.sqrt(n)
@@ -108,17 +108,16 @@ class TestQsearchSim:
     @given(
         n=st.integers(1, 300),
         density=st.sampled_from([0.0, 0.003, 0.05, 0.5, 1.0]),
-        budget=st.one_of(st.none(), st.integers(1, 60)),
+        budget=st.integers(1, 60),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_never_passes_its_budget(self, n, density, budget, seed):
         rng = np.random.default_rng(seed)
         marked = rng.random(n) < density
-        limit = budget if budget is not None else math.ceil(4.5 * math.sqrt(n))
-        res = qsearch_sim(marked, rng, max_iterations=budget)
-        assert 1 <= res.iterations <= limit
+        res = qsearch_sim(marked, rng, budget)
+        assert 1 <= res.iterations <= budget
         if res.index is None:
-            assert res.iterations == limit
+            assert res.iterations == budget
         else:
             assert marked[res.index]
 
@@ -391,7 +390,7 @@ class TestMeterIdentity:
         # nodes); budgets up to n - 1 and tiny tau exhaust the candidates
         rng = np.random.default_rng(seed)
         p_plus = rng.uniform(0.05, 0.95, size=n)
-        s = SampleSet.from_pm1(np.where(rng.random((M, n)) < p_plus, 1, -1), n=n)
+        s = SampleSet.from_pm1(np.where(rng.random((M, n)) < p_plus, 1, -1))
         budget = min(budget, n)
         knobs = dict(eta=0.02, k=budget, tau=tau, t_max=budget, seed=seed)
         for alg in ("ferro", "lc"):

@@ -297,7 +297,7 @@ class TestSampleFile:
         for i in range(100):
             n = int(rng.integers(1, 20))
             M = int(rng.integers(0, 40))
-            s = SampleSet.from_pm1(rng.choice([-1, 1], size=(M, n)), n=n)
+            s = SampleSet.from_pm1(rng.choice([-1, 1], size=(M, n)))
             path = tmp_path / f"s{i}.rbms"
             save(s, path)
             assert load(path) == s
