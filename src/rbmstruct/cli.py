@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from . import greedy, harness, model, sampling
-from .harness import ConfigError, ExperimentConfig, FitError
+from .harness import ExperimentConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     # RuntimeError: generate_model found no non-degenerate model for the settings;
     # OverflowError: integer settings too large for a float
-    except (ConfigError, FitError, ValueError, OSError, RuntimeError, OverflowError) as exc:
+    except (ValueError, OSError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

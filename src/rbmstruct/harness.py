@@ -325,10 +325,6 @@ def write_aggregate_csv(path, config: ExperimentConfig, metrics: RecoveryMetrics
         fh.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
 
 
-class FitError(ValueError):
-    """Degenerate scaling fit: fewer than 3 successful points."""
-
-
 @dataclass
 class SweepResult:
     rows: list  # (n, classical_mean, quantum_mean)
@@ -355,7 +351,7 @@ def sweep_scaling(
     if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
         raise ConfigError("n list must be strictly ascending")
     if len(n_list) < 3:
-        raise FitError(f"degenerate fit: need at least 3 points, got {len(n_list)}")
+        raise ConfigError(f"degenerate fit: need at least 3 points, got {len(n_list)}")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     rows = []

@@ -94,7 +94,7 @@ class RbmModel:
             (J >= 0).all() and (f >= 0).all() and (g >= 0).all()
         ):
             raise ValueError("ferromagnetic kind requires non-negative J, f, g")
-        if kind == KIND_LOCALLY_CONSISTENT and not _columns_single_signed(J):
+        if kind == KIND_LOCALLY_CONSISTENT and not ((J >= 0).all(0) | (J <= 0).all(0)).all():
             raise ValueError("locally-consistent kind requires single-signed J columns")
         for a in (J, f, g):
             a.setflags(write=False)
@@ -118,14 +118,6 @@ class RbmModel:
     def m(self) -> int:
         return self.J.shape[1]
 
-    @property
-    def is_ferromagnetic(self) -> bool:
-        return bool((self.J >= 0).all() and (self.f >= 0).all() and (self.g >= 0).all())
-
-    @property
-    def is_locally_consistent(self) -> bool:
-        return _columns_single_signed(self.J)
-
     def __eq__(self, other):
         if not isinstance(other, RbmModel):
             return NotImplemented
@@ -141,18 +133,9 @@ class RbmModel:
         return f"RbmModel(n={self.n}, m={self.m}, kind={self.kind!r})"
 
 
-def _columns_single_signed(J: np.ndarray) -> bool:
-    return bool(np.all((J >= 0).all(axis=0) | (J <= 0).all(axis=0)))
-
-
-@dataclass(frozen=True)
-class NonDegeneracyReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_nondegenerate(model: RbmModel, params: NonDegeneracyParams) -> NonDegeneracyReport:
-    """Check the (alpha, beta) bounds; reports violations, never raises.
+def validate_nondegenerate(model: RbmModel, params: NonDegeneracyParams) -> tuple[str, ...]:
+    """Check the (alpha, beta) bounds; returns the violations, empty when
+    the model satisfies them, and never raises.
 
     Conditions: every nonzero |J_ij| >= alpha; for every visible i,
     sum_j |J_ij| + |f_i| <= beta; for every hidden j,
@@ -175,7 +158,7 @@ def validate_nondegenerate(model: RbmModel, params: NonDegeneracyParams) -> NonD
         violations.append(
             f"hidden node {j}: strength {col_strength[j]:g} exceeds beta = {params.beta:g}"
         )
-    return NonDegeneracyReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -435,9 +418,9 @@ def generate_model(
         g = rng.uniform(-field_hi, field_hi, size=m)
 
     model = RbmModel(J, f, g, kind=kind)
-    report = validate_nondegenerate(model, params)
-    if not report.ok:
-        raise RuntimeError(f"generator produced a degenerate model: {report.violations}")
+    violations = validate_nondegenerate(model, params)
+    if violations:
+        raise RuntimeError(f"generator produced a degenerate model: {violations}")
     return model
 
 
@@ -478,11 +461,17 @@ def save_model(model: RbmModel, path) -> None:
 
 
 def load_model(path) -> RbmModel:
+    """Read a model written by save_model. The header's n and m must be
+    integers with n >= 1 and m >= 0 that account for every coupling, so
+    no dimension is inferred from the array."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
-        n, m = int(payload["n"]), int(payload["m"])
-        J = np.array(payload["J"], dtype=np.float64).reshape(n, m)
+        n, m = payload["n"], payload["m"]
+        J = np.array(payload["J"], dtype=np.float64)
+        if not (type(n) is int and type(m) is int and n >= 1 and m >= 0 and J.shape == (n * m,)):
+            raise ValueError(f"header n = {n!r}, m = {m!r} does not match {J.size} couplings")
+        J = J.reshape(n, m)
         f = np.array(payload["f"], dtype=np.float64)
         g = np.array(payload["g"], dtype=np.float64)
         kind = payload["kind"]

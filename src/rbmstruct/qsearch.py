@@ -103,8 +103,6 @@ class SearchResult(NamedTuple):
 
 def stage_success_probability(n: int, t: int, j: int) -> float:
     """sin^2((2j+1) theta) with sin^2 theta = t/n."""
-    if t == 0:
-        return 0.0
     theta = math.asin(math.sqrt(t / n))
     return math.sin((2 * j + 1) * theta) ** 2
 
@@ -153,22 +151,20 @@ def qsearch_sim(marked, rng, budget: int) -> SearchResult:
     return SearchResult(None, used)
 
 
-def _dh_core(values, budget: int, rng) -> tuple[int, float]:
+def _dh_core(values, budget: int, rng) -> float:
     """One threshold-descent pass: start at a random candidate, repeatedly
     search for anything scoring above the current threshold, stop when the
-    core's ``budget`` of Grover iterations is gone. Once the threshold is
-    the maximum, the search finds nothing marked and spends the rest of the
-    budget at once."""
-    best_i = int(rng.integers(values.size))
-    best_v = float(values[best_i])
+    core's ``budget`` of Grover iterations is gone, and return the final
+    threshold. Once the threshold is the maximum, the search finds nothing
+    marked and spends the rest of the budget at once."""
+    best_v = float(values[rng.integers(values.size)])
     used = 0
     while used < budget:
         res = qsearch_sim(values > best_v, rng, budget - used)
         used += res.iterations
         if res.index is not None:
-            best_i = res.index
             best_v = float(values[res.index])
-    return best_i, best_v
+    return best_v
 
 
 def dh_max_find(scores: ScoreOracle, rho: float, rng) -> tuple[int, float]:
@@ -189,17 +185,15 @@ def dh_max_find(scores: ScoreOracle, rho: float, rng) -> tuple[int, float]:
     reps = repetitions(rho)
     budget = math.ceil(CORE_BUDGET_FACTOR * math.sqrt(scores.values.size))
     top = scores.values.max()
-    best_i: int | None = None
+    if math.isnan(top):
+        # NaN compares false with every threshold, so no score is the maximum
+        raise ValueError("scores must not be NaN")
     best_v = -math.inf
     for _ in range(reps):
-        i, v = _dh_core(scores.values, budget, rng)
-        if best_i is None or v > best_v:
-            best_i, best_v = i, v
+        best_v = max(best_v, _dh_core(scores.values, budget, rng))
         if best_v == top:
             break
-    ties = np.flatnonzero(scores.values == best_v)
-    if ties.size:
-        best_i = int(ties[0])
+    best_i = int(np.flatnonzero(scores.values == best_v)[0])
     scores.meter.charge_grover(reps * budget)
     scores.meter.charge_scores(reps * (budget + 1), scores.cost)
     return best_i, best_v

@@ -45,7 +45,7 @@ _CHAINS = 64
 SAMPLERS = ("exact", "gibbs")
 
 
-class SampleFileError(Exception):
+class SampleFileError(ValueError):
     """Raised on malformed sample files; the message names the defect."""
 
 

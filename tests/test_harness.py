@@ -12,12 +12,17 @@ import pytest
 
 from rbmstruct import cli, estimators, harness, qsearch
 from rbmstruct import model as model_mod
-from rbmstruct.greedy import ALGORITHMS, LearnerConfig, lc_constants, learn_full_graph
+from rbmstruct.greedy import (
+    ALGORITHMS,
+    LearnerConfig,
+    ferro_constants,
+    lc_constants,
+    learn_full_graph,
+)
 from rbmstruct.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
-    FitError,
     calc_constants,
     format_constants,
     run,
@@ -204,6 +209,16 @@ class TestRun:
         explicit = dataclasses.replace(cfg, tau=0.03).validate()
         assert (explicit.tau, explicit.t_max) == (0.03, lcc.t_star)
 
+    def test_theory_defaults_resolve_ferro_constants(self):
+        cfg = ExperimentConfig(algorithm="ferro", theory_defaults=True, n=64, m=32, d2=3,
+                               sampler="gibbs")
+        fc = ferro_constants(0.4, 2.0, 3, 0.1, 64)
+        assert (fc.eta, fc.k) == (pytest.approx(3.72e-6, rel=0.01), 42)
+        learner = cfg.validate()
+        assert (learner.eta, learner.k) == (fc.eta, fc.k)
+        explicit = dataclasses.replace(cfg, eta=0.05).validate()
+        assert (explicit.eta, explicit.k) == (0.05, fc.k)
+
     def test_csv_column_order_stable(self, tmp_path):
         cfg = ExperimentConfig(
             n=5, m=2, d2=1, seed=10, num_samples=1000,
@@ -216,7 +231,7 @@ class TestRun:
 
 class TestSweepScaling:
     def test_single_point_fit_error(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ConfigError, match="need at least 3 points"):
             sweep_scaling([64], trials=2)
 
     def test_non_ascending_rejected(self):
@@ -299,6 +314,16 @@ class TestCli:
             "--out", "/dev/null",
         ]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_model_file_exit_code(self, tmp_path, capsys):
+        # 6 couplings and 3 visible fields would let numpy infer n = 3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(n=-1, m=2, J=[0.5] * 6, f=[0.0] * 3, g=[0.0] * 2,
+                                        kind="ferromagnetic")))
+        assert cli.main(["learn", "--model-file", str(path), "--out",
+                         str(tmp_path / "r")]) == 1
+        assert "error: malformed model file" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_degenerate_generator_exit_code(self, monkeypatch, capsys):
         def degenerate(*args, **kwargs):

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import tracemalloc
@@ -34,21 +35,17 @@ from conftest import (
 class TestValidateNondegenerate:
     def test_all_bounds_hold(self):
         m = RbmModel([[0.5]], [0.1], [0.2])
-        report = validate_nondegenerate(m, NonDegeneracyParams(0.4, 1.0))
-        assert report.ok
-        assert report.violations == ()
+        assert validate_nondegenerate(m, NonDegeneracyParams(0.4, 1.0)) == ()
 
     def test_coupling_below_alpha(self):
         m = RbmModel([[0.3]], [0.0], [0.0])
-        report = validate_nondegenerate(m, NonDegeneracyParams(0.4, 1.0))
-        assert not report.ok
-        assert any("J[0,0]" in v for v in report.violations)
+        violations = validate_nondegenerate(m, NonDegeneracyParams(0.4, 1.0))
+        assert any("J[0,0]" in v for v in violations)
 
     def test_row_strength_above_beta(self):
         m = RbmModel([[0.5, 0.6]], [0.1], [0.0, 0.0])
-        report = validate_nondegenerate(m, NonDegeneracyParams(0.4, 1.0))
-        assert not report.ok
-        assert any("visible node 0" in v for v in report.violations)
+        violations = validate_nondegenerate(m, NonDegeneracyParams(0.4, 1.0))
+        assert any("visible node 0" in v for v in violations)
 
 
 class TestModelConstruction:
@@ -58,7 +55,8 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             RbmModel([[0.5, -0.5], [-0.5, 0.5]], [0, 0], [0, 0], kind="locally-consistent")
         ok = RbmModel([[0.5, -0.5], [0.5, -0.5]], [0.3, -0.3], [0, 0], kind="locally-consistent")
-        assert ok.is_locally_consistent and not ok.is_ferromagnetic
+        with pytest.raises(ValueError):
+            RbmModel(ok.J, ok.f, ok.g, kind="ferromagnetic")
 
     def test_immutable(self):
         m = RbmModel([[0.5]], [0.0], [0.0])
@@ -223,6 +221,12 @@ class TestExactInfluence:
         with pytest.raises(ValueError):
             ExactOracle(m).influence(0, [0, 1])
 
+    def test_zero_probability_conditioning_rejected(self):
+        # P(X_0 = +1) is about exp(-1600), which underflows to exactly 0
+        m = RbmModel(np.zeros((2, 0)), [-800.0, 0.0], [])
+        with pytest.raises(ValueError, match="probability zero"):
+            ExactOracle(m).influence(1, [0])
+
 
 class TestExactAvgCondCov:
     def test_conditional_independence_given_neighborhood(self):
@@ -287,7 +291,6 @@ class TestGenerateModel:
     def test_ferromagnetic_entries(self):
         m = generate_model("ferromagnetic", 8, 4, 2, NonDegeneracyParams(0.3, 1.5), seed=3)
         assert (m.J >= 0).all() and (m.f >= 0).all() and (m.g >= 0).all()
-        assert m.is_ferromagnetic
 
     def test_locally_consistent_columns(self):
         m = generate_model("locally-consistent", 8, 2, 2, NonDegeneracyParams(0.3, 1.5), seed=4)
@@ -304,7 +307,7 @@ class TestGenerateModel:
         params = NonDegeneracyParams(0.4, 2.0)
         for seed in range(5):
             m = generate_model("ferromagnetic", 10, 5, 3, params, seed=seed)
-            assert validate_nondegenerate(m, params).ok
+            assert validate_nondegenerate(m, params) == ()
             assert two_hop_graph(m).max_degree == 3
 
     def test_infeasible_requests(self):
@@ -333,6 +336,12 @@ class TestModelFile:
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"n": 2, "m": 1, "J": [0.1], "f": [0, 0], "g": [0], "kind": "general"}')
-        with pytest.raises(ValueError):
-            load_model(path)
+        for n, m, J, f, g in [
+            (2, 1, [0.1], [0, 0], [0]),
+            # a negative dimension is not inferred from the array's size
+            (-1, 2, [0.1] * 6, [0] * 3, [0] * 2),
+            (3, -1, [0.1] * 6, [0] * 3, [0] * 2),
+        ]:
+            path.write_text(json.dumps(dict(n=n, m=m, J=J, f=f, g=g, kind="general")))
+            with pytest.raises(ValueError, match="malformed model file"):
+                load_model(path)

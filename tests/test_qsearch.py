@@ -1,9 +1,13 @@
 import ast
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +171,14 @@ class TestDhMaxFind:
         scores = ScoreOracle([0.7], cost=1, meter=QueryMeter())
         i, v = dh_max_find(scores, 0.5, np.random.default_rng(16))
         assert (i, v) == (0, 0.7)
+
+    def test_malformed_scores_rejected(self):
+        for values in ([], [[1.0]]):
+            with pytest.raises(ValueError, match="score vector"):
+                ScoreOracle(values, cost=1, meter=QueryMeter())
+        scores = ScoreOracle([0.2, math.nan, 1.0], cost=1, meter=QueryMeter())
+        with pytest.raises(ValueError, match="NaN"):
+            dh_max_find(scores, 0.5, np.random.default_rng(16))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -432,3 +444,17 @@ def test_qsearch_imports_nothing_from_the_package():
             assert node.level == 0 and not (node.module or "").startswith("rbmstruct"), node.module
         elif isinstance(node, ast.Import):
             assert not any(a.name.split(".")[0] == "rbmstruct" for a in node.names)
+
+
+def test_leaf_modules_load_alone():
+    """The package root imports nothing, so importing a module that imports
+    nothing from the package loads only the root and that module."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for module in ("rbmstruct.qsearch", "rbmstruct.model"):
+        code = (
+            f"import json, sys; sys.path.insert(0, {src!r}); import {module}; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'rbmstruct')))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert json.loads(out) == ["rbmstruct", module]

@@ -265,7 +265,7 @@ class TestGibbsSampler:
         assert s.dense[:, 0].mean() == pytest.approx(expected, abs=0.02)
         assert s.dense[:, 1].mean() == pytest.approx(-expected, abs=0.02)
 
-    @pytest.mark.parametrize("M", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("M", [0, 1, 63, 64, 65, 130])
     def test_chain_split_row_count(self, M):
         m = RbmModel([[0.5], [0.5], [-0.3]], [0.2, 0.0, -0.1], [0.1])
         s = gibbs_sample(m, M, GibbsConfig(burn_in=5, thinning=2, seed=15))
@@ -321,6 +321,9 @@ class TestSampleFile:
         data = path.read_bytes()
         path.write_bytes(data[:-3])
         with pytest.raises(SampleFileError, match="truncated sample rows"):
+            load(path)
+        # a malformed file is a ValueError, which the CLI maps to exit 1
+        with pytest.raises(ValueError):
             load(path)
 
     def test_trailing_bytes(self, tmp_path):
