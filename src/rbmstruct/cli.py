@@ -61,9 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="argmax-query scaling sweep on synthetic oracles")
     w.add_argument("--n-list", default="64,128,256,512,1024",
                    help="comma-separated ascending candidate counts")
-    w.add_argument("--trials", type=int, default=25)
+    w.add_argument("--trials", type=int, default=25,
+                   help="simulated searches per n; the rows are closed-form and do not change")
     w.add_argument("--rho", type=float, default=0.5)
-    w.add_argument("--seed", type=int, default=0)
+    w.add_argument("--seed", type=int, default=0,
+                   help="seed of the simulated searches; the rows do not change")
     w.add_argument("--out", default=None, help="optional CSV path for the sweep table")
 
     c = sub.add_parser("constants", help="print theory constants and sample bounds")
@@ -91,13 +93,8 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    mdl = model.load_model(args.model)
-    if args.sampler == "exact":
-        samples = sampling.exact_sample(mdl, args.num_samples, seed=args.seed)
-    else:
-        cfg = sampling.GibbsConfig(burn_in=args.burn_in, thinning=args.thinning,
-                                   seed=args.seed)
-        samples = sampling.gibbs_sample(mdl, args.num_samples, cfg)
+    samples = sampling.draw(model.load_model(args.model), args.num_samples, args.sampler,
+                            args.seed, args.burn_in, args.thinning)
     sampling.save(samples, args.out)
     print(f"wrote {args.out}: n={samples.n} M={samples.M}")
     return 0
@@ -132,9 +129,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    report = harness.calc_constants(args.alpha, args.beta, args.d2, args.n,
-                                    args.delta, args.zeta)
-    print(harness.format_constants(report))
+    # non-degeneracy first, so an error names alpha or beta
+    model.NonDegeneracyParams(args.alpha, args.beta)
+    fc = greedy.ferro_constants(args.alpha, args.beta, args.d2, args.delta, args.n)
+    lcc = greedy.lc_constants(args.alpha, args.beta, args.zeta, args.n)
+    print(harness.format_constants(fc, lcc))
     return 0
 
 

@@ -12,7 +12,9 @@ aggregate CSV with a fixed column order (see CSV_COLUMNS). Wall time is
 reported on the metrics object and the printed summary only; keeping it
 out of the files makes outputs byte-identical across reruns. Each record
 carries ``gibbs_rhat``, the sampler's largest split-R-hat over visible
-nodes (``sampling.split_rhat``), or null for exact sampling.
+nodes (``sampling.split_rhat``): the string "inf" when the chains never
+mix, and null for exact sampling or when a chain holds fewer than 4
+draws or no node varies.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ class ExperimentConfig:
     theory_defaults: bool = False
     trials: int = 1
     out: str | None = None
-    # When set, every trial learns this model; run() then takes n, m and
-    # d2 from the file and rejects a kind that differs from it.
+    # When set, every trial learns this model; run() then takes the kind,
+    # n, m and d2 from the file.
     model_file: str | None = None
 
     def validate(self) -> LearnerConfig:
@@ -204,17 +206,9 @@ def _run_trial(
             NonDegeneracyParams(config.alpha, config.beta),
             seed=_derived_seed(config.seed, trial, 0),
         )
-    rhat = None
-    if config.sampler == "exact":
-        samples = exact_sample(model, config.num_samples, seed=_derived_seed(config.seed, trial, 1))
-    else:
-        cfg = GibbsConfig(
-            burn_in=config.burn_in,
-            thinning=config.thinning,
-            seed=_derived_seed(config.seed, trial, 1),
-        )
-        samples = gibbs_sample(model, config.num_samples, cfg)
-        rhat = split_rhat(samples)
+    samples = sampling.draw(model, config.num_samples, config.sampler,
+                            _derived_seed(config.seed, trial, 1), config.burn_in, config.thinning)
+    rhat = split_rhat(samples) if config.sampler == "gibbs" else None
     learner = dataclasses.replace(learner, seed=_derived_seed(config.seed, trial, 2))
     result = learn_full_graph(samples, learner)
     truth = set(two_hop_graph(model).edges)
@@ -232,7 +226,7 @@ def _run_trial(
         "score_evals": meter.score_evals,
         "insufficient_nodes": [r.u for r in result.per_node if r.insufficient_samples],
         "exhausted_nodes": [r.u for r in result.per_node if r.exhausted],
-        "gibbs_rhat": rhat,
+        "gibbs_rhat": rhat if rhat is None or math.isfinite(rhat) else "inf",
     }
 
 
@@ -250,21 +244,16 @@ def run(config: ExperimentConfig) -> tuple[RecoveryMetrics, list]:
     """Run the configured trials; returns aggregate metrics and per-trial
     records, writing <out>.jsonl and <out>.csv when an output path is set.
 
-    With ``model_file`` set, the file is loaded once and its n, m and
-    two-hop degree d2 replace the config's (in the CSV and in the
-    practical round budget d2 + 1); a kind other than the file's is a
-    ConfigError, as is an RBM_SL_THREADS that is set but not an integer
-    >= 1 (unset or empty means one process)."""
+    With ``model_file`` set, the file is loaded once and its kind, n, m
+    and two-hop degree d2 replace the config's (in the CSV and in the
+    practical round budget d2 + 1). An RBM_SL_THREADS that is set but not
+    an integer >= 1 is a ConfigError (unset or empty means one process)."""
     workers = _workers()
     model = None
     if config.model_file is not None:
         model = load_model(config.model_file)
-        if config.kind != model.kind:
-            raise ConfigError(
-                f"kind {config.kind!r} differs from the model file's kind {model.kind!r}"
-            )
         config = dataclasses.replace(
-            config, n=model.n, m=model.m, d2=two_hop_graph(model).max_degree
+            config, kind=model.kind, n=model.n, m=model.m, d2=two_hop_graph(model).max_degree
         )
     learner = config.validate()
     start = time.perf_counter()
@@ -313,7 +302,7 @@ def _workers() -> int:
 def write_records(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write(json.dumps(rec, sort_keys=True, allow_nan=False))
             fh.write("\n")
 
 
@@ -332,20 +321,18 @@ class SweepResult:
     quantum_slope: float
 
 
-def sweep_scaling(
-    n_list,
-    trials: int,
-    rho: float = 0.5,
-    seed: int = 0,
-) -> SweepResult:
+def sweep_scaling(n_list, trials: int, rho: float, seed: int) -> SweepResult:
     """Measure argmax-search cost against candidate count on synthetic
     unit-cost score oracles.
 
     The classical exhaustive argmax evaluates all n candidates; the
-    metered maximum finder is run at failure probability rho (default
-    0.5, the primitive's constant-success form) and its score_evals
-    counted. Slopes are least-squares fits of log(mean queries) against
-    log(n).
+    metered maximum finder is run ``trials`` times per n at failure
+    probability rho, scores and search drawn from the generator
+    [seed, n, trial], and its mean score_evals recorded. That finder
+    charges in closed form, R (ceil(22.5 sqrt(n)) + 1) with
+    R = repetitions(rho), so the quantum column does not depend on trials
+    or seed: they only repeat the simulated search. Slopes are
+    least-squares fits of log(mean queries) against log(n).
     """
     n_list = [int(n) for n in n_list]
     if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
@@ -373,31 +360,15 @@ def sweep_scaling(
 DESK_LIMIT = 1e12
 
 
-def calc_constants(
-    alpha: float, beta: float, d2: int, n: int, delta: float, zeta: float
-) -> dict:
-    """Evaluate both theory-constant sets and flag sample bounds beyond
-    desk scale (> 1e12)."""
-    NonDegeneracyParams(alpha, beta)
-    fc = ferro_constants(alpha, beta, d2, delta, n)
-    lcc = lc_constants(alpha, beta, zeta, n)
-    return {
-        "ferro": fc,
-        "lc": lcc,
-        "ferro_desk_reproducible": fc.log10_sample_bound <= math.log10(DESK_LIMIT),
-        "lc_desk_reproducible": lcc.log10_sample_bound <= math.log10(DESK_LIMIT),
-    }
-
-
-def format_constants(report: dict) -> str:
-    fc = report["ferro"]
-    lcc = report["lc"]
+def format_constants(fc: greedy.FerroTheoryConstants, lcc: greedy.LcTheoryConstants) -> str:
+    """Both theory-constant sets, one per line; a sample bound above
+    DESK_LIMIT is flagged as not desk-reproducible."""
     lines = [
         f"eta                = {fc.eta!r}",
         f"k                  = {fc.k}",
         f"ferro sample bound = {fc.sample_bound!r}  (log10 = {fc.log10_sample_bound:.6g})",
     ]
-    if not report["ferro_desk_reproducible"]:
+    if fc.log10_sample_bound > math.log10(DESK_LIMIT):
         lines.append("  -> exceeds 1e12: not desk-reproducible")
     lines += [
         f"tau                = {lcc.tau!r}",
@@ -405,7 +376,7 @@ def format_constants(report: dict) -> str:
         f"delta_cond         = {lcc.delta_cond!r}",
         f"lc sample bound    = {lcc.sample_bound!r}  (log10 = {lcc.log10_sample_bound:.6g})",
     ]
-    if not report["lc_desk_reproducible"]:
+    if lcc.log10_sample_bound > math.log10(DESK_LIMIT):
         lines.append("  -> exceeds 1e12: not desk-reproducible")
     return "\n".join(lines)
 

@@ -464,9 +464,9 @@ def load_model(path) -> RbmModel:
     """Read a model written by save_model. The header's n and m must be
     integers with n >= 1 and m >= 0 that account for every coupling, so
     no dimension is inferred from the array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
         n, m = payload["n"], payload["m"]
         J = np.array(payload["J"], dtype=np.float64)
         if not (type(n) is int and type(m) is int and n >= 1 and m >= 0 and J.shape == (n * m,)):

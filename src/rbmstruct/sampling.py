@@ -41,7 +41,8 @@ _HEADER = struct.Struct("<4sBIQ")
 # sweep loop but more burn-in draws: at n=64, m=32, M=20k, 32 to 64 chains
 # were fastest, and small models with large M gain up to 256.
 _CHAINS = 64
-# exact: exact_sample (n + m <= ENUM_GUARD); gibbs: gibbs_sample.
+# exact: exact_sample (n + m <= ENUM_GUARD); gibbs: gibbs_sample. draw()
+# dispatches on these names.
 SAMPLERS = ("exact", "gibbs")
 
 
@@ -252,6 +253,16 @@ def gibbs_sample(model: RbmModel, M: int, cfg: GibbsConfig) -> SampleSet:
         if k > 0 and r == 0:
             out[k - 1] = bx
     return SampleSet(n, np.packbits(out.reshape(-1, n)[:M], axis=1))
+
+
+def draw(model: RbmModel, M: int, sampler: str, seed, burn_in: int, thinning: int) -> SampleSet:
+    """M samples from ``sampler``: exact_sample at ``seed``, or gibbs_sample
+    under GibbsConfig(burn_in, thinning, seed)."""
+    if sampler == "exact":
+        return exact_sample(model, M, seed)
+    if sampler == "gibbs":
+        return gibbs_sample(model, M, GibbsConfig(burn_in, thinning, seed))
+    raise ValueError(f"unknown sampler {sampler!r}")
 
 
 def split_rhat(samples: SampleSet) -> float | None:

@@ -23,13 +23,13 @@ from rbmstruct.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
-    calc_constants,
     format_constants,
     run,
     sweep_scaling,
 )
 from rbmstruct.model import (
     NonDegeneracyParams,
+    RbmModel,
     generate_model,
     load_model,
     save_model,
@@ -128,14 +128,25 @@ class TestRun:
         )
         assert budgets == [d2 + 1]
 
-    def test_model_file_kind_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "ring.json"
-        save_model(demo_ring_model(), path)
-        cfg = ExperimentConfig(kind="locally-consistent", algorithm="lc", model_file=str(path))
-        with pytest.raises(ConfigError, match="kind"):
-            run(cfg)
-        assert cli.main(["learn", "--model-file", str(path), "--kind",
-                         "locally-consistent", "--algorithm", "lc"]) == 1
+    def test_model_file_supplies_kind(self, tmp_path):
+        # no --kind: the file's kind replaces the default ferromagnetic one
+        path = tmp_path / "lc.json"
+        mdl = generate_model("locally-consistent", 6, 3, 2, NonDegeneracyParams(0.4, 2.0), seed=1)
+        save_model(mdl, path)
+        assert cli.main(["learn", "--model-file", str(path), "--algorithm", "lc",
+                         "--num-samples", "2000", "--out", str(tmp_path / "r")]) == 0
+        row = dict(zip(*[line.split(",") for line in
+                         (tmp_path / "r.csv").read_text().splitlines()]))
+        assert row["kind"] == "locally-consistent"
+
+    def test_model_file_general_kind_rejected(self, tmp_path, capsys):
+        path = tmp_path / "general.json"
+        save_model(RbmModel([[0.5], [-0.5]], [0.0, 0.0], [0.0]), path)
+        assert cli.main(["learn", "--model-file", str(path), "--out",
+                         str(tmp_path / "r")]) == 1
+        assert "error: kind must be 'ferromagnetic' or 'locally-consistent'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "r.csv").exists()
 
     def test_metrics_arithmetic_recomputable(self):
         cfg = ExperimentConfig(
@@ -176,6 +187,21 @@ class TestRun:
         _, exact = run(ExperimentConfig(sampler="exact", **cfg))
         assert 0.9 < gibbs[0]["gibbs_rhat"] < 1.1
         assert exact[0]["gibbs_rhat"] is None
+
+    def test_unmixed_gibbs_rhat_is_valid_json(self, tmp_path):
+        # each chain freezes both nodes at one value, not the same in every
+        # chain, so the split-R-hat is infinite
+        path = tmp_path / "stuck.json"
+        save_model(RbmModel([[30.0], [30.0]], [0, 0], [0], kind="ferromagnetic"), path)
+        run(ExperimentConfig(model_file=str(path), sampler="gibbs", burn_in=10, thinning=1,
+                             num_samples=512, trials=2, out=str(tmp_path / "r")))
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        lines = (tmp_path / "r.jsonl").read_text().splitlines()
+        assert [json.loads(line, parse_constant=reject)["gibbs_rhat"] for line in lines] == [
+            "inf", "inf"]
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -232,11 +258,11 @@ class TestRun:
 class TestSweepScaling:
     def test_single_point_fit_error(self):
         with pytest.raises(ConfigError, match="need at least 3 points"):
-            sweep_scaling([64], trials=2)
+            sweep_scaling([64], trials=2, rho=0.5, seed=0)
 
     def test_non_ascending_rejected(self):
         with pytest.raises(ConfigError):
-            sweep_scaling([128, 64, 256, 512], trials=2)
+            sweep_scaling([128, 64, 256, 512], trials=2, rho=0.5, seed=0)
 
     def test_small_sweep_shape(self):
         # slope checks only; the pointwise quantum-below-classical claim
@@ -246,18 +272,31 @@ class TestSweepScaling:
         assert 0.9 <= res.classical_slope <= 1.1
         assert 0.4 <= res.quantum_slope <= 0.65
 
+    @pytest.mark.parametrize("rho, quantum", [(0.5, [181.0, 256.0, 361.0]),
+                                              (0.1, [724.0, 1024.0, 1444.0])])
+    def test_rows_are_closed_form(self, rho, quantum):
+        # maximum finding charges R (ceil(22.5 sqrt(n)) + 1) evaluations, so
+        # trials and seed leave every row unchanged
+        n_list = [64, 128, 256]
+        R = qsearch.repetitions(rho)
+        assert quantum == [R * (math.ceil(22.5 * math.sqrt(n)) + 1) for n in n_list]
+        for trials, seed in [(1, 0), (5, 9)]:
+            rows = sweep_scaling(n_list, trials, rho, seed).rows
+            assert rows == [(n, float(n), q) for n, q in zip(n_list, quantum)]
 
-class TestCalcConstants:
+
+class TestFormatConstants:
     def test_flags_not_desk_reproducible(self):
-        report = calc_constants(0.2, 1.0, 2, 100, 0.1, 0.1)
-        assert not report["lc_desk_reproducible"]
-        text = format_constants(report)
-        assert "not desk-reproducible" in text
-        assert "2.710" in f"{report['ferro'].eta:.3e}"
+        fc = ferro_constants(0.2, 1.0, 2, 0.1, 100)
+        lcc = lc_constants(0.2, 1.0, 0.1, 100)
+        lines = format_constants(fc, lcc).splitlines()
+        assert lines[3] == lines[-1] == "  -> exceeds 1e12: not desk-reproducible"
+        assert "2.710" in f"{fc.eta:.3e}"
 
     def test_small_beta_reproducible(self):
-        report = calc_constants(0.9, 1.0, 1, 16, 0.1, 0.1)
-        assert report["ferro_desk_reproducible"]
+        fc = ferro_constants(0.9, 1.0, 1, 0.1, 16)
+        lines = format_constants(fc, lc_constants(0.9, 1.0, 0.1, 16)).splitlines()
+        assert lines[2].startswith("ferro sample bound") and lines[3].startswith("tau")
 
 
 class TestCli:
@@ -291,8 +330,17 @@ class TestCli:
         assert cli.main([
             "constants", "--alpha", "0.2", "--beta", "1.0", "--d2", "2", "--n", "100",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "not desk-reproducible" in out
+        assert capsys.readouterr().out == (
+            "eta                = 0.00027100711118948994\n"
+            "k                  = 20\n"
+            "ferro sample bound = 1.0036558135542103e+23  (log10 = 23.0016)\n"
+            "  -> exceeds 1e12: not desk-reproducible\n"
+            "tau                = 2.4576849413312843e-07\n"
+            "T*                 = 132445610649218\n"
+            "delta_cond         = 0.06766764161830635\n"
+            "lc sample bound    = inf  (log10 = 3.89562e+14)\n"
+            "  -> exceeds 1e12: not desk-reproducible\n"
+        )
 
     def test_sweep_command(self, tmp_path, capsys):
         assert cli.main([

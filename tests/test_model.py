@@ -345,3 +345,6 @@ class TestModelFile:
             path.write_text(json.dumps(dict(n=n, m=m, J=J, f=f, g=g, kind="general")))
             with pytest.raises(ValueError, match="malformed model file"):
                 load_model(path)
+        path.write_text("not json")
+        with pytest.raises(ValueError, match="malformed model file"):
+            load_model(path)

@@ -21,6 +21,7 @@ from rbmstruct.sampling import (
     GibbsConfig,
     SampleFileError,
     SampleSet,
+    draw,
     exact_sample,
     gibbs_sample,
     load,
@@ -277,6 +278,14 @@ class TestGibbsSampler:
         a = gibbs_sample(m, 500, GibbsConfig(burn_in=20, thinning=2, seed=16))
         b = gibbs_sample(m, 500, GibbsConfig(burn_in=20, thinning=2, seed=17))
         assert a != b
+
+    def test_draw_dispatches_to_both_samplers(self):
+        m = RbmModel([[0.5], [0.5], [-0.3]], [0.2, 0.0, -0.1], [0.1])
+        assert draw(m, 300, "exact", 19, 5, 2) == exact_sample(m, 300, 19)
+        gibbs = gibbs_sample(m, 300, GibbsConfig(burn_in=5, thinning=2, seed=19))
+        assert draw(m, 300, "gibbs", 19, 5, 2) == gibbs
+        with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
+            draw(m, 300, "bogus", 19, 5, 2)
 
     def test_split_rhat(self):
         # rows follow the sampler's layout: row k * 64 + c is draw k of chain c
