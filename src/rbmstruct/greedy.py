@@ -13,17 +13,18 @@ Two learners, both reading nothing but a SampleSet:
   rest falls below tau.
 
 Both run on one candidate loop (``_greedy``) and one leave-one-out prune
-(``_prune``): each learner supplies its scorer, state update, stop rule,
-keep rule and index-cost law, and takes the per-round selector
-(exhaustive argmax by default) and an optional QueryMeter to charge. The
-quantum variants ("-q") are the same learners with metered maximum
-finding (``qsearch.max_find_pick``) as the selector.
+(``_prune``), neither of which meters: each learner supplies its scorer,
+state update, stop rule and keep rule, and takes the per-round selector
+(exhaustive argmax by default) and an optional QueryMeter. The quantum
+variants ("-q") are the same learners with metered maximum finding
+(``qsearch.max_find_pick``) as the selector, which charges each search.
 
-Query costs follow from one index-cost law per family, the raw queries
-to scan the conditioning structure of a set of size s: M(2s+1) for ferro
-(the all-ones sets of S and S union {u}), M*s for lc. Round s charges
-law(s) before it scores; pruning charges s leave-one-out evaluations at
-M queries each (ferro one more, for the full set) plus s*law(s-1).
+With a meter, a learner charges its node's scans once, after its prune
+(``_charge``), by one index-cost law per family, the raw queries to scan
+the conditioning structure of a set of size s: M(2s+1) for ferro (the
+all-ones sets of S and S union {u}), M*s for lc. Each scored round s costs
+law(s); pruning s chosen nodes costs s*law(s-1) plus s leave-one-out
+evaluations at M queries each (ferro one more, for the full set).
 
 The theory thresholds (eta, tau) and iteration budgets (k, T_star) are
 computed by ferro_constants / lc_constants with natural logarithms. They
@@ -65,13 +66,6 @@ _LOG10_E = math.log10(math.e)
 _EXP_OVERFLOW = 700.0
 
 
-def sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 @dataclass(frozen=True)
 class FerroTheoryConstants:
     """Threshold, iteration count and sample bound for the ferromagnetic
@@ -106,8 +100,9 @@ def ferro_constants(
         raise ValueError("require alpha > 0, beta > 0, d2 >= 1")
     if not 0 < delta < 1:
         raise ValueError("require 0 < delta < 1")
+    e = math.exp(-2.0 * beta)
     try:
-        eta = alpha**2 * sigmoid(-2.0 * beta) * (1.0 - math.tanh(beta)) ** 2
+        eta = alpha**2 * (e / (1.0 + e)) * (1.0 - math.tanh(beta)) ** 2
     except OverflowError:
         raise ValueError("alpha too large") from None
     if eta <= 0.0:
@@ -152,7 +147,7 @@ def lc_constants(alpha: float, beta: float, zeta: float, n: int) -> LcTheoryCons
         raise ValueError("tau too small for T* = ceil(8/tau^2)")
     t_star = math.ceil(8.0 / tau_sq)
     delta_cond = 0.5 * math.exp(-2.0 * beta)
-    prefactor = math.log(1.0 / zeta) + t_star * math.log(n) if n > 1 else math.log(1.0 / zeta)
+    prefactor = math.log(1.0 / zeta) + t_star * math.log(n)
     log_bound = (
         math.log(prefactor)
         + 2.0 * t_star * math.log(2.0)
@@ -217,7 +212,7 @@ def _argmax(values) -> tuple[int, float]:
     return best, float(values[best])
 
 
-def _greedy(u, samples, budget, state, score, add, stop, index_cost, pick, meter):
+def _greedy(u, samples, budget, state, score, add, stop, pick):
     """The candidate loop shared by both learners and their quantum variants.
 
     Each round scores the nodes not yet chosen with ``score(cands, state)``
@@ -225,16 +220,14 @@ def _greedy(u, samples, budget, state, score, add, stop, index_cost, pick, meter
     ``stop(values, value)`` holds the run ends without taking it, otherwise
     the node joins the chosen set, the pair (node, value) the trace, and
     ``add(state, node)`` refines the conditioning state. Runs at most
-    ``budget`` rounds. With a meter, each round first charges
-    ``index_cost(|S|)``. Returns (chosen, trace, stopped, exhausted)."""
+    ``budget`` rounds. Returns (chosen, trace, stopped, exhausted): a run
+    scored len(trace) + stopped rounds."""
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
     while len(chosen) < budget:
         cands = [j for j in range(samples.n) if j != u and j not in chosen]
         if not cands:
             return chosen, trace, False, True
-        if meter is not None:
-            meter.charge_index(index_cost(len(chosen)))
         values = score(cands, state)
         best, value = pick(values)
         if stop(values, value):
@@ -246,21 +239,26 @@ def _greedy(u, samples, budget, state, score, add, stop, index_cost, pick, meter
     return chosen, trace, False, False
 
 
-def _prune(samples, chosen, keep, index_cost, meter, full_evals=0):
+def _prune(chosen, keep):
     """Leave-one-out pruning shared by both learners: j stays in chosen
-    when ``keep(j, rest)`` holds for rest = chosen minus j. With a meter,
-    charges s + full_evals evaluations and s * index_cost(s - 1).
-    Returns (sorted kept, pruned) as tuples."""
-    if not chosen:
-        return (), ()
-    if meter is not None:
-        s = len(chosen)
-        meter.charge_scores(s + full_evals, samples.M)
-        meter.charge_index(s * index_cost(s - 1))
+    when ``keep(j, rest)`` holds for rest = chosen minus j. Returns (sorted
+    kept, pruned) as tuples."""
     kept, pruned = [], []
     for j in chosen:
         (kept if keep(j, [i for i in chosen if i != j]) else pruned).append(j)
     return tuple(sorted(kept)), tuple(pruned)
+
+
+def _charge(meter: QueryMeter, law, M: int, rounds: int, size: int, full_evals: int = 0) -> None:
+    """Charge one node's scans and prune, in closed form: the ``rounds``
+    rounds that scored scan their conditioning sets at law(0), ...,
+    law(rounds - 1) index queries, and a prune of ``size`` chosen nodes
+    scans size leave-one-out sets at law(size - 1) each and makes size +
+    full_evals evaluations at M raw queries each. Each round's maximum
+    finding is charged by ``qsearch.dh_max_find``."""
+    meter.charge_index(sum(law(s) for s in range(rounds)) + size * law(size - 1))
+    if size:
+        meter.charge_scores(size + full_evals, M)
 
 
 def learn_ferro(
@@ -283,15 +281,12 @@ def learn_ferro(
         raise ValueError("k must be >= 1")
     bits = samples.bits
     m_s = ones_mask(samples)
-    index_cost = lambda s: M * (2 * s + 1)  # scans of S and of S union {u}
     chosen, trace, insufficient, exhausted = _greedy(
         u, samples, k, (m_s, m_s & bits[u]),
         score=lambda cands, st: _score_candidates_ferro(samples, cands, *st),
         add=lambda st, j: (st[0] & bits[j], st[1] & bits[j]),
         stop=lambda values, _: not np.any(values > UNDEFINED_SCORE),
-        index_cost=index_cost,
         pick=pick,
-        meter=meter,
     )
     i_full = _influence_bits(samples, u, chosen)
 
@@ -299,7 +294,10 @@ def learn_ferro(
         i_rest = _influence_bits(samples, u, rest)
         return i_full.defined and i_rest.defined and i_full.value - i_rest.value >= eta
 
-    estimate, pruned = _prune(samples, chosen, keep, index_cost, meter, full_evals=1)
+    estimate, pruned = _prune(chosen, keep)
+    if meter is not None:  # the scans of S and of S union {u}
+        _charge(meter, lambda s: M * (2 * s + 1), M, len(trace) + insufficient, len(chosen),
+                full_evals=1)
     return NeighborhoodResult(u, estimate, trace, pruned, insufficient, exhausted)
 
 
@@ -328,21 +326,19 @@ def learn_lc(
         raise ValueError("t_max must be >= 1")
     if H == 0:
         return NeighborhoodResult(u, (), [], (), insufficient_samples=True)
-    index_cost = lambda s: H * s  # scan of S
-    chosen, trace, _, exhausted = _greedy(
+    chosen, trace, stopped, exhausted = _greedy(
         u, samples, t_max, conditioning_cells(samples),
         score=lambda cands, cells: _score_candidates_lc(samples, u, cands, cells),
         add=lambda cells, v: split_cells(cells, samples.bits[v]),
         stop=lambda _, value: value < tau,
-        index_cost=index_cost,
         pick=pick,
-        meter=meter,
     )
     estimate, pruned = _prune(
-        samples, chosen,
+        chosen,
         lambda v, rest: cov_scores(samples, u, [v], conditioning_cells(samples, rest))[0] >= tau,
-        index_cost, meter,
     )
+    if meter is not None:  # the scan of S
+        _charge(meter, lambda s: H * s, H, len(trace) + stopped, len(chosen))
     return NeighborhoodResult(u, estimate, trace, pruned, exhausted=exhausted)
 
 
@@ -392,7 +388,7 @@ class FullGraphResult:
     meter: QueryMeter | None = None
 
 
-def _or_edges(n: int, estimates) -> frozenset:
+def _or_edges(estimates) -> frozenset:
     """Edge {u, v} is present when either per-node estimate names the other."""
     edges = set()
     for u, est in enumerate(estimates):
@@ -419,5 +415,5 @@ def learn_full_graph(samples: SampleSet, config: LearnerConfig) -> FullGraphResu
             rng = np.random.default_rng([config.seed, u])
             pick = max_find_pick(samples.M, meter, fail / (2.0 * budget), rng)
         results.append(learn(u, samples, threshold, budget, pick=pick, meter=meter))
-    graph = TwoHopGraph(n=samples.n, edges=_or_edges(samples.n, [r.estimate for r in results]))
+    graph = TwoHopGraph(n=samples.n, edges=_or_edges([r.estimate for r in results]))
     return FullGraphResult(graph=graph, per_node=results, meter=meter)

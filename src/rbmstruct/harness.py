@@ -126,19 +126,21 @@ class ExperimentConfig:
     def validate(self) -> LearnerConfig:
         """Check every setting and return the learner the trials run.
 
-        Only the sampler, trials and num_samples are checked here; every
-        other setting is checked by the code that owns it (check_shape,
-        check_enumerable for the exact sampler, NonDegeneracyParams,
-        GibbsConfig, the theory constants, LearnerConfig), whose ValueError
-        or OverflowError becomes a ConfigError. Thresholds and budgets left
-        unset come from the theory constants with theory_defaults, else
-        from the practical defaults."""
+        Only the sampler, trials, num_samples and out's directory are
+        checked here; every other setting is checked by the code that owns
+        it (check_shape, check_enumerable for the exact sampler,
+        NonDegeneracyParams, GibbsConfig, the theory constants,
+        LearnerConfig), whose ValueError or OverflowError becomes a
+        ConfigError. Thresholds and budgets left unset come from the theory
+        constants with theory_defaults, else from the practical defaults."""
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.trials < 0:
             raise ConfigError("trials must be >= 0")
         if self.num_samples < 0:
             raise ConfigError("num_samples must be >= 0")
+        if self.out is not None and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ConfigError(f"cannot write {self.out}.jsonl: no such directory")
         eta, tau, k, t_max = self.eta, self.tau, self.k, self.t_max
         try:
             check_shape(self.kind, self.n, self.m, self.d2)

@@ -463,7 +463,8 @@ def save_model(model: RbmModel, path) -> None:
 def load_model(path) -> RbmModel:
     """Read a model written by save_model. The header's n and m must be
     integers with n >= 1 and m >= 0 that account for every coupling, so
-    no dimension is inferred from the array."""
+    no dimension is inferred from the array, and the model constructor
+    must accept the fields; any other file is a malformed model file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -474,7 +475,6 @@ def load_model(path) -> RbmModel:
         J = J.reshape(n, m)
         f = np.array(payload["f"], dtype=np.float64)
         g = np.array(payload["g"], dtype=np.float64)
-        kind = payload["kind"]
+        return RbmModel(J, f, g, kind=payload["kind"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
-    return RbmModel(J, f, g, kind=kind)

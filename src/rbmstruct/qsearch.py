@@ -26,8 +26,8 @@ Costs are charged to a QueryMeter in the underlying cost model, not in
 simulation work, in closed form once per maximum-finding call (see
 ``dh_max_find``): each score-oracle application costs one score_eval plus
 the oracle's per-evaluation price in raw sample queries (M for influence
-scores, H for covariance scores). The learners charge the scans of their
-conditioning sets by their own index-cost laws (see ``greedy``).
+scores, H for covariance scores). The learners charge their scans once per
+node, by their own index-cost laws (see ``greedy._charge``).
 
 ``max_find_pick`` makes metered maximum finding a per-round selector for
 the greedy learners; ``greedy.learn_full_graph`` runs the "-q" learners

@@ -274,7 +274,7 @@ class TestLearnFullGraph:
         assert len(res.per_node) == 4
 
     def test_or_rule_keeps_asymmetric_edges(self):
-        edges = _or_edges(3, [(1,), (), (1,)])
+        edges = _or_edges([(1,), (), (1,)])
         assert edges == frozenset({(0, 1), (1, 2)})
 
     def test_zero_model_empty_graph(self):

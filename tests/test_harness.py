@@ -407,6 +407,17 @@ class TestCli:
         assert "error: delta must lie in (0, 1)" in err
         assert "error: require n > k" in err
 
+    def test_missing_out_directory_rejected_before_any_model(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was generated")
+
+        monkeypatch.setattr(harness, "generate_model", no_model)
+        out = str(tmp_path / "missing" / "r")
+        assert cli.main(["learn", "--num-samples", "100", "--out", out]) == 1
+        assert f"error: cannot write {out}.jsonl: no such directory" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
     def test_extreme_weight_bounds_exit_code(self, monkeypatch, capsys):
         def no_model(*args, **kwargs):
             raise AssertionError("a model was generated")
@@ -499,17 +510,21 @@ class TestCli:
         assert load_samples(out_path).M == 500
 
 
-def _benchmark_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spans = types.ModuleType("perfbench_spans")  # executed from source: no bytecode cache
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
-    return spans
+def _benchmark_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")  # executed from source: no bytecode cache
+    sys.modules[module.__name__] = module  # dataclasses look their module up while it runs
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
 
 
 def test_benchmark_hooks_resolve():
     """Every name the benchmark's tracer requires still exists, so a
     deletion that would break traced benchmark runs fails here."""
-    spans = _benchmark_spans()
+    spans = _benchmark_module("spans")
     for mod_name, attr, _, _, required in spans.SPAN_HOOKS:
         if required:
             assert hasattr(importlib.import_module(f"rbmstruct.{mod_name}"), attr), attr
@@ -520,7 +535,7 @@ def test_benchmark_max_find_capture_reaches_learners():
     """The benchmark's maximum-finding wrapper sees the one meter each
     quantum graph charges and none on a classical graph, and every name
     it rebinds is restored."""
-    spans = _benchmark_spans()
+    spans = _benchmark_module("spans")
     before = {m: dict(vars(m)) for name, m in sys.modules.items()
               if name.split(".")[0] == "rbmstruct"}
     original = qsearch.dh_max_find
@@ -540,3 +555,14 @@ def test_benchmark_max_find_capture_reaches_learners():
                 assert seen == [] and result.meter is None
     for mod, names in before.items():
         assert all(vars(mod)[k] is v for k, v in names.items()), mod.__name__
+
+
+def test_benchmark_learn_configs_validate(tmp_path):
+    """Every learner workload of the benchmark passes validate() with the
+    output prefix it runs with, so a new check there cannot reject a
+    benchmark trial."""
+    workloads = _benchmark_module("workloads").WORKLOADS.values()
+    learn = [w for w in workloads if w.kind == "learn"]
+    assert len(learn) == 3
+    for w in learn:
+        ExperimentConfig(**w.config, out=str(tmp_path / w.name)).validate()

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -344,6 +345,17 @@ class TestModelFile:
         ]:
             path.write_text(json.dumps(dict(n=n, m=m, J=J, f=f, g=g, kind="general")))
             with pytest.raises(ValueError, match="malformed model file"):
+                load_model(path)
+        # files the model constructor rejects name the file too
+        prefix = re.escape(f"malformed model file {path}: ")
+        for fields, defect in [
+            (dict(f=[0]), "field shapes"),
+            (dict(kind="bogus"), "unknown kind"),
+            (dict(J=[0.1, float("inf")]), "finite"),
+        ]:
+            payload = dict(n=2, m=1, J=[0.1, 0.2], f=[0, 0], g=[0], kind="general") | fields
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=prefix + ".*" + defect):
                 load_model(path)
         path.write_text("not json")
         with pytest.raises(ValueError, match="malformed model file"):

@@ -299,9 +299,15 @@ class TestQuantumLearnFerro:
         rows = np.random.default_rng(29).choice([-1, 1], size=(M, n))
         s = SampleSet.from_pm1(rows)
 
+        # a mark before each round's search charge, and a last one before
+        # the node's closed-form index charge, which follows every search
         marks = []
 
         class SnapMeter(QueryMeter):
+            def charge_grover(self, iterations):
+                marks.append(self.raw_queries)
+                super().charge_grover(iterations)
+
             def charge_index(self, q):
                 marks.append(self.raw_queries)
                 super().charge_index(q)
@@ -311,11 +317,11 @@ class TestQuantumLearnFerro:
             0, s, meter, eta=0.5, k=k, delta=delta,
             rng=np.random.default_rng(30),
         )
-        assert len(res.trace) == k
-        marks.append(meter.raw_queries)  # only works on runs without pruning keeps
+        assert len(res.trace) == k and len(marks) == k + 1
         ln_term = math.log(k / delta)
         for t in range(k):
-            per_iter = marks[t + 1] - marks[t]
+            # round t's search plus its documented scan of S and S union {u}
+            per_iter = marks[t + 1] - marks[t] + M * (2 * t + 1)
             bound = FERRO_C1 * M * t + FERRO_C2 * M * math.sqrt(n) * ln_term
             assert per_iter <= bound
 
@@ -433,6 +439,30 @@ class TestMeterIdentity:
                 )
             assert meter.index_queries == expected
             assert meter.grover_iterations == grover
+
+    @pytest.mark.parametrize("family", ["ferro", "lc"])
+    def test_one_index_charge_per_node(self, family):
+        # a node's scans and prune are charged together, once, after its
+        # rounds; both runs take at least two rounds and prune a nonempty set
+        s = _ring_samples(M=2000, seed=24)
+        calls = []
+
+        class CountMeter(QueryMeter):
+            def charge_index(self, q):
+                calls.append(q)
+                super().charge_index(q)
+
+        meter = CountMeter()
+        if family == "ferro":
+            res = metered_ferro(
+                0, s, meter, eta=0.02, k=3, delta=0.1, rng=np.random.default_rng(25)
+            )
+        else:
+            res = metered_lc(
+                0, s, meter, tau=1e-6, t_max=3, zeta=0.1, rng=np.random.default_rng(36)
+            )
+        assert len(res.trace) >= 2
+        assert len(calls) == 1 and calls[0] == meter.index_queries > 0
 
 
 def test_qsearch_imports_nothing_from_the_package():
