@@ -15,6 +15,14 @@ from . import greedy, harness, model, sampling
 from .harness import ExperimentConfig
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     d = ExperimentConfig()
     shape = argparse.ArgumentParser(add_help=False)
@@ -24,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--d2", type=int, default=d.d2)
     shape.add_argument("--alpha", type=float, default=d.alpha)
     shape.add_argument("--beta", type=float, default=d.beta)
-    shape.add_argument("--seed", type=int, default=d.seed)
+    shape.add_argument("--seed", type=_seed, default=d.seed)
     draws = argparse.ArgumentParser(add_help=False)
     draws.add_argument("--sampler", default=d.sampler, choices=sampling.SAMPLERS)
     draws.add_argument("--num-samples", type=int, default=d.num_samples)
@@ -40,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", parents=[draws], help="draw samples from a model file")
     s.add_argument("--model", required=True, help="model JSON path")
-    s.add_argument("--seed", type=int, default=d.seed)
+    s.add_argument("--seed", type=_seed, default=d.seed)
     s.add_argument("--out", required=True)
 
     l = sub.add_parser("learn", parents=[shape, draws],
@@ -64,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--trials", type=int, default=25,
                    help="simulated searches per n; the rows are closed-form and do not change")
     w.add_argument("--rho", type=float, default=0.5)
-    w.add_argument("--seed", type=int, default=0,
+    w.add_argument("--seed", type=_seed, default=0,
                    help="seed of the simulated searches; the rows do not change")
     w.add_argument("--out", default=None, help="optional CSV path for the sweep table")
 

@@ -5,14 +5,18 @@ influence ratio and the average conditional covariance.
 
 The learners use the bitset forms at the end of this module: a
 conditioning set's cells are a stack of bitsets over samples, refined by
-one column per added node, and every count is a popcount. Each fast path
-has one slow reference above it, which the tests and ``verify`` compare
-it against: ``empirical_influence`` (row masking) for
-``influence_counts``, ``build_index`` groups for ``conditioning_cells``,
-and ``avg_cond_cov_direct`` for ``cov_scores``. ``cov_scores`` gives the
-same floats as ``avg_cond_cov_decomposed`` bit for bit, because the float
-work is done in the same order (cells by first occurrence, one division
-per cell).
+one column per added node, and every count is a popcount;
+``influence_bits`` (one node) and ``influence_counts`` (a batch of
+candidates) count the all-ones samples. Each fast path has one slow
+reference above it, which the tests and ``verify`` compare it against:
+``empirical_influence`` (row masking) for the influence counts,
+``build_index`` groups for ``conditioning_cells``, and
+``avg_cond_cov_direct`` for ``cov_scores``. The references take the
+queried nodes and the conditioning set, (u, S) or (u, v, S), as
+``ExactOracle``'s queries do, and check them through ``model.node_set``.
+``cov_scores`` gives the same floats as ``avg_cond_cov_decomposed`` bit
+for bit, because the float work is done in the same order (cells by
+first occurrence, one division per cell).
 
 All counting is exact integer arithmetic (float64 sums of +-1 entries
 stay integral far below 2**53); each estimator divides once at the end.
@@ -54,19 +58,17 @@ class InfluenceValue:
 
 
 class ConfigIndex:
-    """The samples grouped by their configuration on S.
+    """The samples grouped by their configuration on a conditioning set.
 
-    Cell l holds the sample indices whose restriction to S equals the
-    l-th distinct configuration; cells are ordered by first occurrence
-    and partition range(M).
+    groups[l] holds the sample indices whose restriction to the set equals
+    the l-th distinct configuration; groups are ordered by first
+    occurrence and partition range(M).
     """
 
-    __slots__ = ("S", "groups", "n_samples")
+    __slots__ = ("groups",)
 
-    def __init__(self, S, groups, n_samples):
-        self.S = S
+    def __init__(self, groups):
         self.groups = groups
-        self.n_samples = n_samples
 
     @property
     def num_cells(self) -> int:
@@ -74,24 +76,22 @@ class ConfigIndex:
 
 
 def build_index(samples: SampleSet, S) -> ConfigIndex:
-    """Group sample indices by their configuration on S, cells in
-    first-occurrence order."""
+    """Group sample indices by their configuration on S, groups in
+    first-occurrence order: the covariance references' cells, and the
+    slow reference for conditioning_cells."""
     S = node_set(S, samples.n)
     _, first, inverse = np.unique(
         samples.dense[:, list(S)], axis=0, return_index=True, return_inverse=True
     )
     inverse = inverse.reshape(-1)
-    groups = [np.flatnonzero(inverse == l) for l in np.argsort(first)]
-    return ConfigIndex(S, groups, samples.M)
+    return ConfigIndex([np.flatnonzero(inverse == l) for l in np.argsort(first)])
 
 
 def empirical_influence(samples: SampleSet, u: int, S) -> InfluenceValue:
     """Influence of pinning S to +1 on X_u, as the ratio of all-ones counts
     on S union {u} and on S, counted by row masking. Undefined when no
     sample has x_S = 1^s."""
-    S = node_set(S, samples.n)
-    if u in S or not 0 <= u < samples.n:
-        raise ValueError("u must be a visible node outside S")
+    S = node_set(S, samples.n, u)
     mask = np.ones(samples.M, dtype=bool)
     for i in S:
         mask &= samples.column(i) == 1
@@ -101,16 +101,16 @@ def empirical_influence(samples: SampleSet, u: int, S) -> InfluenceValue:
     )
 
 
-def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, idx: ConfigIndex) -> float:
+def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, S) -> float:
     """Average conditional covariance, cell by cell: each observed
     configuration of S contributes its within-cell covariance weighted by
     the cell's empirical probability."""
-    _check_cov_args(samples, u, v, idx)
+    groups = _groups(samples, u, v, S)
     M = samples.M
     xu = samples.column(u).astype(np.float64)
     xv = samples.column(v).astype(np.float64)
     total = 0.0
-    for g in idx.groups:
+    for g in groups:
         c = len(g)
         mean_z = float((xu[g] * xv[g]).sum()) / c
         mean_u = float(xu[g].sum()) / c
@@ -119,7 +119,7 @@ def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, idx: ConfigIndex) ->
     return total
 
 
-def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, idx: ConfigIndex) -> float:
+def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, S) -> float:
     """Average conditional covariance via the sum decomposition
 
         (1/M) * ( sum_i x_u^i x_v^i  -  sum_l a_u,l a_v,l / |F_l| ),
@@ -127,28 +127,24 @@ def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, idx: ConfigIndex
     where a_j,l is the signed sum of x_j over cell l. Agrees with the
     direct route as an exact rational identity (float routes match to
     about 1e-15)."""
-    _check_cov_args(samples, u, v, idx)
+    groups = _groups(samples, u, v, S)
     M = samples.M
     xu = samples.column(u).astype(np.int64)
     xv = samples.column(v).astype(np.int64)
     z_total = int(xu @ xv)
     corr = 0.0
-    for g in idx.groups:
+    for g in groups:
         corr += int(xu[g].sum()) * int(xv[g].sum()) / len(g)
     return (z_total - corr) / M
 
 
-def _check_cov_args(samples: SampleSet, u: int, v: int, idx: ConfigIndex) -> None:
-    if not (0 <= u < samples.n and 0 <= v < samples.n):
-        raise ValueError("u and v must be visible nodes")
-    if u == v:
-        raise ValueError("u and v must differ")
-    if u in idx.S or v in idx.S:
-        raise ValueError("u and v must lie outside the conditioning set")
-    if idx.n_samples == 0:
+def _groups(samples: SampleSet, u: int, v: int, S) -> list:
+    """The cells of S for a covariance query on (u, v); ValueError for bad
+    nodes or an empty sample set."""
+    S = node_set(S, samples.n, u, v)
+    if samples.M == 0:
         raise ValueError("need at least one sample")
-    if idx.n_samples != samples.M:
-        raise ValueError(f"index built from {idx.n_samples} samples, not {samples.M}")
+    return build_index(samples, S).groups
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
@@ -165,6 +161,15 @@ def ones_mask(samples: SampleSet, S=()) -> np.ndarray:
     for j in S:
         mask &= samples.bits[j]
     return mask
+
+
+def influence_bits(samples: SampleSet, u: int, S) -> InfluenceValue:
+    """InfluenceValue of u given S, by popcounts over the column bitsets."""
+    m_s = ones_mask(samples, S)
+    return InfluenceValue(
+        numer_count=int(popcount(m_s & samples.bits[u])),
+        denom_count=int(popcount(m_s)),
+    )
 
 
 def influence_counts(samples: SampleSet, cands, m_s, m_su) -> tuple[np.ndarray, np.ndarray]:

@@ -41,12 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    InfluenceValue,
     conditioning_cells,
     cov_scores,
+    influence_bits,
     influence_counts,
     ones_mask,
-    popcount,
     split_cells,
 )
 from .model import TwoHopGraph
@@ -185,15 +184,6 @@ class NeighborhoodResult:
     exhausted: bool = False
 
 
-def _influence_bits(samples: SampleSet, u: int, S) -> InfluenceValue:
-    """InfluenceValue of u given S, by popcounts over the column bitsets."""
-    m_s = ones_mask(samples, S)
-    return InfluenceValue(
-        numer_count=int(popcount(m_s & samples.bits[u])),
-        denom_count=int(popcount(m_s)),
-    )
-
-
 def _score_candidates_ferro(samples, cands, m_s, m_su) -> np.ndarray:
     """Empirical influence scores for each candidate j: pinning S, does
     adding j keep u magnetized? ``m_s``/``m_su`` are the bitsets of the
@@ -288,10 +278,10 @@ def learn_ferro(
         stop=lambda values, _: not np.any(values > UNDEFINED_SCORE),
         pick=pick,
     )
-    i_full = _influence_bits(samples, u, chosen)
+    i_full = influence_bits(samples, u, chosen)
 
     def keep(j, rest):
-        i_rest = _influence_bits(samples, u, rest)
+        i_rest = influence_bits(samples, u, rest)
         return i_full.defined and i_rest.defined and i_full.value - i_rest.value >= eta
 
     estimate, pruned = _prune(chosen, keep)

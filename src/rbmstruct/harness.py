@@ -403,7 +403,7 @@ def covariance_identity_gap(rng, trials: int) -> float:
         u, v = (int(x) for x in rng.choice(mdl.n, size=2, replace=False))
         others = [i for i in range(mdl.n) if i not in (u, v)]
         S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
-        direct = estimators.avg_cond_cov_direct(samples, u, v, estimators.build_index(samples, S))
+        direct = estimators.avg_cond_cov_direct(samples, u, v, S)
         cells = estimators.conditioning_cells(samples, S)
         worst = max(worst, abs(direct - float(estimators.cov_scores(samples, u, [v], cells)[0])))
     return worst
@@ -424,7 +424,7 @@ def influence_identity_gap(rng, cases: int) -> float:
         u = int(rng.integers(n))
         others = [i for i in range(n) if i != u]
         S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
-        iv = greedy._influence_bits(samples, u, S)
+        iv = estimators.influence_bits(samples, u, S)
         if not iv.defined:
             continue
         rows = (samples.dense[:, S] == 1).all(axis=1)
@@ -501,9 +501,8 @@ def verify() -> bool:
         u, cands = nodes[0], nodes[1:]
         S = cands[: int(brng.integers(0, n - 1))]
         cands = cands[len(S) :]
-        idx = estimators.build_index(samples, S)
         fast = estimators.cov_scores(samples, u, cands, estimators.conditioning_cells(samples, S))
-        ref = [estimators.avg_cond_cov_decomposed(samples, u, v, idx) for v in cands]
+        ref = [estimators.avg_cond_cov_decomposed(samples, u, v, S) for v in cands]
         same = same and fast.tolist() == ref
         m_s = estimators.ones_mask(samples, S)
         numer, denom = estimators.influence_counts(samples, cands, m_s, m_s & samples.bits[u])

@@ -254,9 +254,7 @@ class ExactOracle:
 
     def influence(self, u: int, S) -> float:
         """E[X_u | X_S = 1^s]: expected magnetization of u with S pinned to +1."""
-        S = node_set(S, self.n)
-        if u in S or not 0 <= u < self.n:
-            raise ValueError("u must be a visible node outside S")
+        S = node_set(S, self.n, u)
         # fix S and u to +1, then u to -1, and sum out the free axes
         index = [1 if i in S else slice(None) for i in range(self.n)]
         index[u] = 1
@@ -270,13 +268,7 @@ class ExactOracle:
 
     def avg_cond_cov(self, u: int, v: int, S) -> float:
         """E_{x_S}[ Cov(X_u, X_v | X_S = x_S) ], averaged over the law of X_S."""
-        S = node_set(S, self.n)
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError("u and v must be visible nodes")
-        if u == v:
-            raise ValueError("u and v must differ")
-        if u in S or v in S:
-            raise ValueError("u and v must lie outside S")
+        S = node_set(S, self.n, u, v)
         kept = sorted((*S, u, v))
         free = tuple(i for i in range(self.n) if i not in kept)
         # the marginal over S, u, v as one (cell, x_u, x_v) array
@@ -304,12 +296,14 @@ def _outer_sum(start: float, weights) -> np.ndarray:
     return t
 
 
-def node_set(S, n: int) -> tuple:
-    """S as a sorted tuple of distinct nodes in range(n); ValueError otherwise."""
+def node_set(S, n: int, *queried) -> tuple:
+    """S as a sorted tuple. ValueError unless the nodes of S and the
+    queried nodes are pairwise distinct and all lie in range(n)."""
     S = tuple(sorted(int(i) for i in S))
-    if len(set(S)) != len(S):
-        raise ValueError("duplicate nodes in S")
-    if S and not (0 <= S[0] and S[-1] < n):
+    nodes = S + tuple(int(i) for i in queried)
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("queried nodes and S must be pairwise distinct")
+    if not all(0 <= i < n for i in nodes):
         raise ValueError("node index out of range")
     return S
 

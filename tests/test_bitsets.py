@@ -12,10 +12,11 @@ from rbmstruct.estimators import (
     conditioning_cells,
     cov_scores,
     empirical_influence,
+    influence_bits,
     influence_counts,
     ones_mask,
 )
-from rbmstruct.greedy import UNDEFINED_SCORE, _influence_bits, _score_candidates_ferro
+from rbmstruct.greedy import UNDEFINED_SCORE, _score_candidates_ferro
 from rbmstruct.sampling import SampleSet
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -90,10 +91,9 @@ def test_cov_scores_equal_decomposed_and_near_direct(case):
     u, S, cands = _split_nodes(rng, samples.n, max_s=6)
     if not cands:
         cands, S = S[-1:], S[:-1]
-    idx = build_index(samples, S)
     fast = cov_scores(samples, u, cands, conditioning_cells(samples, S))
-    decomposed = [avg_cond_cov_decomposed(samples, u, v, idx) for v in cands]
-    direct = [avg_cond_cov_direct(samples, u, v, idx) for v in cands]
+    decomposed = [avg_cond_cov_decomposed(samples, u, v, S) for v in cands]
+    direct = [avg_cond_cov_direct(samples, u, v, S) for v in cands]
     assert fast.tolist() == decomposed  # bit-identical floats
     assert np.allclose(fast, direct, rtol=0.0, atol=1e-12)
 
@@ -113,4 +113,4 @@ def test_influence_counts_equal_masked_and_index_counts(case):
     assert denom.tolist() == [iv.denom_count for iv in masked]
     scores = _score_candidates_ferro(samples, cands, m_s, m_su)
     assert scores.tolist() == [iv.value if iv.defined else UNDEFINED_SCORE for iv in masked]
-    assert _influence_bits(samples, u, S) == empirical_influence(samples, u, S)
+    assert influence_bits(samples, u, S) == empirical_influence(samples, u, S)

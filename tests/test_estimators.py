@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -65,22 +67,38 @@ class TestBuildIndex:
 
 
 class TestNodeChecks:
+    # (u, v, S, pair_only) on n = 3 nodes, each rejected by every query that
+    # reads it; pair_only rows are faults of v, which (u, S) queries lack
+    BAD_NODES = [
+        (0, 0, [2], True),  # u == v
+        (0, 1, [0], False),  # u in S
+        (0, 1, [1], True),  # v in S
+        (0, 1, [2, 2], False),  # a node repeated in S
+        (-1, 1, [2], False),  # u below 0
+        (3, 1, [2], False),  # u at n
+        (0, -1, [2], True),  # v below 0
+        (0, 4, [2], True),  # v above n
+        (0, 1, [-1], False),  # S below 0
+        (0, 1, [3], False),  # S at n
+    ]
+
     def test_out_of_range_nodes_rejected(self):
         s = SampleSet.from_pm1(np.array([[1, 1, -1], [-1, 1, 1]]))
-        idx = build_index(s, [1])
-        calls = [
-            lambda: build_index(s, [-1]),
-            lambda: empirical_influence(s, 0, [-1]),
-            lambda: empirical_influence(s, 0, [3]),
-            lambda: empirical_influence(s, 0, [1, 1]),
-            lambda: empirical_influence(s, -1, [0]),
-            lambda: empirical_influence(s, 3, [0]),
-            lambda: avg_cond_cov_direct(s, 0, -1, idx),
-            lambda: avg_cond_cov_decomposed(s, 3, 0, idx),
-        ]
-        for call in calls:
+        oracle = ExactOracle(random_model(np.random.default_rng(0), n_range=(3, 4)))
+        pair_queries = (oracle.avg_cond_cov, partial(avg_cond_cov_direct, s),
+                        partial(avg_cond_cov_decomposed, s))
+        node_queries = (oracle.influence, partial(empirical_influence, s))
+        calls = [(build_index, (s, [-1]))]
+        for u, v, S, pair_only in self.BAD_NODES:
+            calls += [(q, (u, v, S)) for q in pair_queries]
+            if not pair_only:
+                calls += [(q, (u, S)) for q in node_queries]
+        # covariance references need at least one sample
+        empty = SampleSet.from_pm1(np.empty((0, 3), dtype=np.int8))
+        calls += [(q, (empty, 0, 1, [2])) for q in (avg_cond_cov_direct, avg_cond_cov_decomposed)]
+        for query, args in calls:
             with pytest.raises(ValueError):
-                call()
+                query(*args)
 
 
 class TestEmpiricalInfluence:
@@ -127,27 +145,23 @@ class TestAvgCondCov:
     def test_identical_columns(self):
         rows = np.array([[1, 1], [1, 1], [-1, -1], [1, 1]], dtype=np.int8)
         s = SampleSet.from_pm1(rows)
-        idx = build_index(s, [])
         mean = rows[:, 0].mean()
-        assert avg_cond_cov_direct(s, 0, 1, idx) == pytest.approx(1 - mean**2)
+        assert avg_cond_cov_direct(s, 0, 1, []) == pytest.approx(1 - mean**2)
 
     def test_complementary_columns(self):
         rows = np.array([[1, -1], [-1, 1], [1, -1]], dtype=np.int8)
         s = SampleSet.from_pm1(rows)
-        idx = build_index(s, [])
         mean = rows[:, 0].mean()
-        assert avg_cond_cov_direct(s, 0, 1, idx) == pytest.approx(-(1 - mean**2))
+        assert avg_cond_cov_direct(s, 0, 1, []) == pytest.approx(-(1 - mean**2))
 
     def test_single_sample_zero(self):
         s = SampleSet.from_pm1(np.array([[1, -1, 1]]))
-        idx = build_index(s, [2])
-        assert avg_cond_cov_direct(s, 0, 1, idx) == 0.0
-        assert avg_cond_cov_decomposed(s, 0, 1, idx) == 0.0
+        assert avg_cond_cov_direct(s, 0, 1, [2]) == 0.0
+        assert avg_cond_cov_decomposed(s, 0, 1, [2]) == 0.0
 
     def test_perfectly_correlated_zero_mean(self):
         s = SampleSet.from_pm1(np.array([[1, 1], [-1, -1]]))
-        idx = build_index(s, [])
-        assert avg_cond_cov_decomposed(s, 0, 1, idx) == pytest.approx(1.0)
+        assert avg_cond_cov_decomposed(s, 0, 1, []) == pytest.approx(1.0)
 
     def test_decomposed_equals_direct(self):
         rng = np.random.default_rng(5)
@@ -156,31 +170,18 @@ class TestAvgCondCov:
             u, v = (int(x) for x in rng.choice(s.n, size=2, replace=False))
             others = [i for i in range(s.n) if i not in (u, v)]
             S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
-            idx = build_index(s, S)
-            assert avg_cond_cov_direct(s, u, v, idx) == pytest.approx(
-                avg_cond_cov_decomposed(s, u, v, idx), abs=1e-12
+            assert avg_cond_cov_direct(s, u, v, S) == pytest.approx(
+                avg_cond_cov_decomposed(s, u, v, S), abs=1e-12
             )
-
-    def test_index_of_other_sample_set_rejected(self):
-        # an index of 10 rows applied to 20 rows would average over the
-        # first 10 rows only
-        rng = np.random.default_rng(7)
-        short = SampleSet.from_pm1(rng.choice([-1, 1], size=(10, 4)))
-        full = SampleSet.from_pm1(rng.choice([-1, 1], size=(20, 4)))
-        idx = build_index(short, [2])
-        for route in (avg_cond_cov_direct, avg_cond_cov_decomposed):
-            with pytest.raises(ValueError, match="built from 10 samples"):
-                route(full, 0, 1, idx)
 
     def test_empty_conditioning_reduces_to_covariance(self):
         rng = np.random.default_rng(6)
         rows = rng.choice([-1, 1], size=(40, 3))
         s = SampleSet.from_pm1(rows)
-        idx = build_index(s, [])
         xu = rows[:, 0].astype(float)
         xv = rows[:, 1].astype(float)
         expected = (xu * xv).mean() - xu.mean() * xv.mean()
-        assert avg_cond_cov_decomposed(s, 0, 1, idx) == pytest.approx(expected, abs=1e-12)
+        assert avg_cond_cov_decomposed(s, 0, 1, []) == pytest.approx(expected, abs=1e-12)
 
 
 class TestLargeSampleConsistency:
@@ -192,6 +193,5 @@ class TestLargeSampleConsistency:
         u, v, w = 0, 1, 2
         iv = empirical_influence(s, u, [v])
         assert abs(iv.value - oracle.influence(u, [v])) <= 0.02
-        idx = build_index(s, [w])
-        emp = avg_cond_cov_decomposed(s, u, v, idx)
+        emp = avg_cond_cov_decomposed(s, u, v, [w])
         assert abs(emp - oracle.avg_cond_cov(u, v, [w])) <= 0.02

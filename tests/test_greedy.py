@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rbmstruct.estimators import avg_cond_cov_decomposed, build_index, empirical_influence
+from rbmstruct.estimators import avg_cond_cov_decomposed, empirical_influence
 from rbmstruct.greedy import (
     LearnerConfig,
     _or_edges,
@@ -196,8 +196,7 @@ class TestLearnLc:
         assert res.trace  # ring neighbors give strong covariance signal
         S = []
         for node, score in res.trace:
-            idx = build_index(s, S)
-            assert avg_cond_cov_decomposed(s, 1, node, idx) == score
+            assert avg_cond_cov_decomposed(s, 1, node, S) == score
             S.append(node)
 
     def test_empty_samples_flagged(self):

@@ -3,6 +3,8 @@ import importlib
 import json
 import math
 import os
+import re
+import shlex
 import sys
 import types
 from pathlib import Path
@@ -208,6 +210,12 @@ class TestRun:
             run(ExperimentConfig(kind="bogus"))
         with pytest.raises(ConfigError):
             run(ExperimentConfig(trials=-1))
+        with pytest.raises(ConfigError, match="unknown sampler 'bogus'"):
+            run(ExperimentConfig(sampler="bogus"))
+        with pytest.raises(ConfigError, match="num_samples must be >= 0"):
+            run(ExperimentConfig(num_samples=-1))
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            LearnerConfig("bogus")
         with pytest.raises(ConfigError):
             run(ExperimentConfig(alpha=0.0))
         with pytest.raises(ConfigError):
@@ -317,6 +325,11 @@ class TestCli:
         samples = load_samples(sample_path)
         assert samples.M == 2000
         assert cli.main([
+            "sample", "--model", str(model_path), "--num-samples", "-1",
+            "--out", str(tmp_path / "neg.rbms"),
+        ]) == 1
+        assert "error: M must be >= 0" in capsys.readouterr().err
+        assert cli.main([
             "learn", "--model-file", str(model_path), "--n", "6", "--m", "3",
             "--d2", "2", "--algorithm", "ferro", "--eta", "0.02", "--k", "3",
             "--num-samples", "20000", "--trials", "1", "--seed", "3",
@@ -350,6 +363,11 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "n,classical_mean_queries,quantum_mean_queries"
         assert len(lines) == 4
+        assert cli.main(["sweep", "--trials", "0"]) == 1
+        assert cli.main(["sweep", "--rho", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: trials must be >= 1" in err
+        assert "error: rho must lie in (0, 1)" in err
 
     def test_infinite_lc_sample_bound_exit_code(self, capsys):
         assert cli.main(["constants", "--alpha", "1.7e-77", "--beta", "1.7e-77",
@@ -467,6 +485,26 @@ class TestCli:
         assert err.count("error: exact enumeration limited to n + m <= 24 spins (got 45)") == 1
         assert err.count("error: exact enumeration limited to n + m <= 24 spins (got 25)") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-model", "--out", "/dev/null"],
+        ["sample", "--model", "m.json", "--out", "/dev/null"],
+        ["learn"],
+        ["sweep"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_names_the_flag(self, argv, capsys):
+        assert cli.main([*argv, "--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("rbmstruct ")]
+        assert len(commands) == 7
+        parser = cli._build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+
     def test_learn_flags_mirror_experiment_config(self):
         parser = cli._build_parser()
         args = parser.parse_args(["learn"])
@@ -495,7 +533,7 @@ class TestCli:
     def test_bad_flag_exit_code(self):
         assert cli.main(["learn", "--algorithm", "bogus"]) == 1
 
-    def test_gibbs_sampler_path(self, tmp_path):
+    def test_gibbs_sampler_path(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"
         cli.main([
             "gen-model", "--n", "4", "--m", "2", "--d2", "1", "--alpha", "0.4",
@@ -508,6 +546,11 @@ class TestCli:
             "--seed", "5", "--out", str(out_path),
         ]) == 0
         assert load_samples(out_path).M == 500
+        assert cli.main([
+            "sample", "--model", str(model_path), "--sampler", "gibbs",
+            "--num-samples", "-1", "--out", str(out_path),
+        ]) == 1
+        assert "error: M must be >= 0" in capsys.readouterr().err
 
 
 def _benchmark_module(name):

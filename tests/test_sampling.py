@@ -343,6 +343,16 @@ class TestSampleFile:
         with pytest.raises(SampleFileError, match="trailing"):
             load(path)
 
+    def test_pad_bits_set(self, tmp_path):
+        s = SampleSet.from_pm1(np.ones((2, 3), dtype=np.int8))
+        path = tmp_path / "pad.rbms"
+        save(s, path)
+        data = bytearray(path.read_bytes())
+        data[-1] |= 1  # n = 3 leaves the low 5 bits of each row byte as pad
+        path.write_bytes(bytes(data))
+        with pytest.raises(SampleFileError, match="pad bits"):
+            load(path)
+
     def test_unsupported_version(self, tmp_path):
         s = SampleSet.from_pm1(np.ones((1, 2), dtype=np.int8))
         path = tmp_path / "v2.rbms"
