@@ -23,6 +23,11 @@ def _seed(text: str) -> int:
     return value
 
 
+def _n_list(text: str) -> list[int]:
+    """argparse type of sweep --n-list: comma-separated integers."""
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     d = ExperimentConfig()
     shape = argparse.ArgumentParser(add_help=False)
@@ -67,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use this model for every trial instead of generating one")
 
     w = sub.add_parser("sweep", help="argmax-query scaling sweep on synthetic oracles")
-    w.add_argument("--n-list", default="64,128,256,512,1024",
+    w.add_argument("--n-list", type=_n_list, default="64,128,256,512,1024",
                    help="comma-separated ascending candidate counts")
     w.add_argument("--trials", type=int, default=25,
                    help="simulated searches per n; the rows are closed-form and do not change")
@@ -121,8 +126,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
-    result = harness.sweep_scaling(n_list, args.trials, rho=args.rho, seed=args.seed)
+    result = harness.sweep_scaling(args.n_list, args.trials, rho=args.rho, seed=args.seed)
     lines = ["n,classical_mean_queries,quantum_mean_queries"]
     for n, cl, qu in result.rows:
         lines.append(f"{n},{cl!r},{qu!r}")

@@ -3,11 +3,12 @@
 Everything the greedy learners consume lives here: the empirical
 influence ratio and the average conditional covariance.
 
-The learners use the bitset forms at the end of this module: a
-conditioning set's cells are a stack of bitsets over samples, refined by
-one column per added node, and every count is a popcount;
-``influence_bits`` (one node) and ``influence_counts`` (a batch of
-candidates) count the all-ones samples. Each fast path has one slow
+The learners use the bitset forms at the end of this module. Each holds
+its conditioning set S as one bitset structure over samples, refined by
+one column per added node: the all-ones mask of S (``ones_mask``) for
+ferro, the cells of S (``conditioning_cells``) for lc. Both batch scorers,
+``influence_counts`` and ``cov_scores``, take (samples, u, cands,
+structure), and every count is a popcount. Each fast path has one slow
 reference above it, which the tests and ``verify`` compare it against:
 ``empirical_influence`` (row masking) for the influence counts,
 ``build_index`` groups for ``conditioning_cells``, and
@@ -94,9 +95,9 @@ def empirical_influence(samples: SampleSet, u: int, S) -> InfluenceValue:
     S = node_set(S, samples.n, u)
     mask = np.ones(samples.M, dtype=bool)
     for i in S:
-        mask &= samples.column(i) == 1
+        mask &= samples.dense[:, i] == 1
     return InfluenceValue(
-        numer_count=int((mask & (samples.column(u) == 1)).sum()),
+        numer_count=int((mask & (samples.dense[:, u] == 1)).sum()),
         denom_count=int(mask.sum()),
     )
 
@@ -107,8 +108,8 @@ def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, S) -> float:
     the cell's empirical probability."""
     groups = _groups(samples, u, v, S)
     M = samples.M
-    xu = samples.column(u).astype(np.float64)
-    xv = samples.column(v).astype(np.float64)
+    xu = samples.dense[:, u].astype(np.float64)
+    xv = samples.dense[:, v].astype(np.float64)
     total = 0.0
     for g in groups:
         c = len(g)
@@ -129,8 +130,8 @@ def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, S) -> float:
     about 1e-15)."""
     groups = _groups(samples, u, v, S)
     M = samples.M
-    xu = samples.column(u).astype(np.int64)
-    xv = samples.column(v).astype(np.int64)
+    xu = samples.dense[:, u].astype(np.int64)
+    xv = samples.dense[:, v].astype(np.int64)
     z_total = int(xu @ xv)
     corr = 0.0
     for g in groups:
@@ -172,12 +173,12 @@ def influence_bits(samples: SampleSet, u: int, S) -> InfluenceValue:
     )
 
 
-def influence_counts(samples: SampleSet, cands, m_s, m_su) -> tuple[np.ndarray, np.ndarray]:
+def influence_counts(samples: SampleSet, u: int, cands, m_s) -> tuple[np.ndarray, np.ndarray]:
     """(numer, denom) all-ones counts for each candidate j, given the
-    bitsets m_s of x_S = 1^s and m_su of x_{S+u} = 1^(s+1): numer counts
-    samples in m_su with x_j = +1, denom those in m_s."""
-    cols = samples.bits[list(cands)]
-    return popcount(cols & m_su), popcount(cols & m_s)
+    bitset m_s of the samples with x_S = 1^s (ones_mask): denom counts
+    those with x_j = +1, numer those with x_j = x_u = +1."""
+    cols = samples.bits[list(cands)] & m_s
+    return popcount(cols & samples.bits[u]), popcount(cols)
 
 
 def _lowest_bits(cells: np.ndarray) -> np.ndarray:

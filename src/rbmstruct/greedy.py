@@ -184,12 +184,11 @@ class NeighborhoodResult:
     exhausted: bool = False
 
 
-def _score_candidates_ferro(samples, cands, m_s, m_su) -> np.ndarray:
+def _score_candidates_ferro(samples, u, cands, m_s) -> np.ndarray:
     """Empirical influence scores for each candidate j: pinning S, does
-    adding j keep u magnetized? ``m_s``/``m_su`` are the bitsets of the
-    samples with x_S = 1^s and x_{S+u} = 1^(s+1). Undefined candidates
-    get UNDEFINED_SCORE."""
-    numer, denom = influence_counts(samples, cands, m_s, m_su)
+    adding j keep u magnetized? ``m_s`` is the bitset of the samples with
+    x_S = 1^s. Undefined candidates get UNDEFINED_SCORE."""
+    numer, denom = influence_counts(samples, u, cands, m_s)
     out = np.full(len(cands), UNDEFINED_SCORE)
     ok = denom > 0
     out[ok] = 2.0 * numer[ok] / denom[ok] - 1.0
@@ -269,12 +268,10 @@ def learn_ferro(
         raise ValueError("eta must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    bits = samples.bits
-    m_s = ones_mask(samples)
     chosen, trace, insufficient, exhausted = _greedy(
-        u, samples, k, (m_s, m_s & bits[u]),
-        score=lambda cands, st: _score_candidates_ferro(samples, cands, *st),
-        add=lambda st, j: (st[0] & bits[j], st[1] & bits[j]),
+        u, samples, k, ones_mask(samples),
+        score=lambda cands, m_s: _score_candidates_ferro(samples, u, cands, m_s),
+        add=lambda m_s, j: m_s & samples.bits[j],
         stop=lambda values, _: not np.any(values > UNDEFINED_SCORE),
         pick=pick,
     )

@@ -4,8 +4,8 @@ the invariant checks that ``verify`` shares with the acceptance suite.
 Per-trial randomness is derived from the master seed by a counter-based
 split: the RNG for role r of trial t is seeded with the entropy sequence
 [master_seed, t, r], roles 0 (model), 1 (sampler), 2 (learner). Worker
-scheduling therefore cannot change results, and trial records are sorted
-by trial index before writing.
+scheduling therefore cannot change results, and trial records are
+written in trial order.
 
 Outputs: one JSON object per trial (line-delimited, sorted keys) plus an
 aggregate CSV with a fixed column order (see CSV_COLUMNS). Wall time is
@@ -20,6 +20,7 @@ draws or no node varies.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -259,14 +260,13 @@ def run(config: ExperimentConfig) -> tuple[RecoveryMetrics, list]:
         )
     learner = config.validate()
     start = time.perf_counter()
-    trials = list(range(config.trials))
+    trial = functools.partial(_run_trial, config, learner, model=model)
+    trials = range(config.trials)
     if workers > 1 and len(trials) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            n = len(trials)
-            records = list(pool.map(_run_trial, [config] * n, [learner] * n, trials, [model] * n))
+            records = list(pool.map(trial, trials))
     else:
-        records = [_run_trial(config, learner, t, model) for t in trials]
-    records.sort(key=lambda r: r["trial"])
+        records = list(map(trial, trials))
 
     exact = [r["exact"] for r in records]
     raw_mean, raw_se = _mean_stderr([r["raw_queries"] for r in records])
@@ -341,6 +341,8 @@ def sweep_scaling(n_list, trials: int, rho: float, seed: int) -> SweepResult:
         raise ConfigError("n list must be strictly ascending")
     if len(n_list) < 3:
         raise ConfigError(f"degenerate fit: need at least 3 points, got {len(n_list)}")
+    if n_list[0] < 1:
+        raise ConfigError(f"n list entries must be >= 1, got {n_list[0]}")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     rows = []
@@ -428,7 +430,7 @@ def influence_identity_gap(rng, cases: int) -> float:
         if not iv.defined:
             continue
         rows = (samples.dense[:, S] == 1).all(axis=1)
-        direct = float(samples.column(u)[rows].astype(np.float64).mean())
+        direct = float(samples.dense[rows, u].astype(np.float64).mean())
         worst = max(worst, abs(iv.value - direct))
         checked += 1
     return worst
@@ -505,7 +507,7 @@ def verify() -> bool:
         ref = [estimators.avg_cond_cov_decomposed(samples, u, v, S) for v in cands]
         same = same and fast.tolist() == ref
         m_s = estimators.ones_mask(samples, S)
-        numer, denom = estimators.influence_counts(samples, cands, m_s, m_s & samples.bits[u])
+        numer, denom = estimators.influence_counts(samples, u, cands, m_s)
         masked = [estimators.empirical_influence(samples, u, S + [j]) for j in cands]
         same = same and numer.tolist() == [iv.numer_count for iv in masked]
         same = same and denom.tolist() == [iv.denom_count for iv in masked]

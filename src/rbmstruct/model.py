@@ -214,8 +214,9 @@ class ExactOracle:
     its support S_j, broadcast into the table over those axes. A build
     costs sum_j 2^|S_j| log-cosh evaluations plus n + m table-sized adds,
     so sparse supports are cheap and no +-1 configuration matrix is made.
-    Marginal, influence and covariance queries fix axes and sum out the
-    rest; build one oracle per model and query it as often as needed.
+    ``probabilities`` holds P(X = x) for every configuration; influence
+    and covariance queries fix axes and sum out the rest. Build one oracle
+    per model and query it as often as needed.
     """
 
     def __init__(self, model: RbmModel):
@@ -242,15 +243,6 @@ class ExactOracle:
     def probabilities(self) -> np.ndarray:
         """The table flattened to configuration-index order."""
         return self._p.reshape(-1)
-
-    def marginal(self, x) -> float:
-        """P(X = x) for a full +-1 configuration."""
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ValueError("configuration length must equal n")
-        if not np.isin(x, (-1, 1)).all():
-            raise ValueError("configuration entries must be +-1")
-        return float(self._p[tuple((x > 0).astype(np.intp))])
 
     def influence(self, u: int, S) -> float:
         """E[X_u | X_S = 1^s]: expected magnetization of u with S pinned to +1."""

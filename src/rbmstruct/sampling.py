@@ -124,9 +124,6 @@ class SampleSet:
             object.__setattr__(self, "_bits", b)
         return self._bits
 
-    def column(self, j: int) -> np.ndarray:
-        return self.dense[:, j]
-
     def __eq__(self, other):
         if not isinstance(other, SampleSet):
             return NotImplemented

@@ -106,11 +106,10 @@ def test_influence_counts_equal_masked_and_index_counts(case):
     if not cands:
         cands, S = S[-1:], S[:-1]
     m_s = ones_mask(samples, S)
-    m_su = m_s & samples.bits[u]
-    numer, denom = influence_counts(samples, cands, m_s, m_su)
+    numer, denom = influence_counts(samples, u, cands, m_s)
     masked = [empirical_influence(samples, u, S + [j]) for j in cands]
     assert numer.tolist() == [iv.numer_count for iv in masked]
     assert denom.tolist() == [iv.denom_count for iv in masked]
-    scores = _score_candidates_ferro(samples, cands, m_s, m_su)
+    scores = _score_candidates_ferro(samples, u, cands, m_s)
     assert scores.tolist() == [iv.value if iv.defined else UNDEFINED_SCORE for iv in masked]
     assert influence_bits(samples, u, S) == empirical_influence(samples, u, S)

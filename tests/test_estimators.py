@@ -111,7 +111,7 @@ class TestEmpiricalInfluence:
     def test_empty_set_gives_mean(self):
         s = SampleSet.from_pm1(np.array([[1, 1], [1, -1], [-1, 1], [1, 1]]))
         iv = empirical_influence(s, 0, [])
-        assert iv.value == pytest.approx(float(s.column(0).mean()))
+        assert iv.value == pytest.approx(float(s.dense[:, 0].mean()))
 
     def test_undefined_when_no_match(self):
         s = SampleSet.from_pm1(np.full((5, 2), -1, dtype=np.int8))

@@ -272,6 +272,10 @@ class TestSweepScaling:
         with pytest.raises(ConfigError):
             sweep_scaling([128, 64, 256, 512], trials=2, rho=0.5, seed=0)
 
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="n list entries must be >= 1, got 0"):
+            sweep_scaling([0, 1, 2], trials=2, rho=0.5, seed=0)
+
     def test_small_sweep_shape(self):
         # slope checks only; the pointwise quantum-below-classical claim
         # needs n = 1024 (the crossover sits near n = 512) and is part of
@@ -365,9 +369,13 @@ class TestCli:
         assert len(lines) == 4
         assert cli.main(["sweep", "--trials", "0"]) == 1
         assert cli.main(["sweep", "--rho", "1"]) == 1
+        assert cli.main(["sweep", "--n-list", "0,1,2"]) == 1
         err = capsys.readouterr().err
         assert "error: trials must be >= 1" in err
         assert "error: rho must lie in (0, 1)" in err
+        assert "error: n list entries must be >= 1, got 0" in err
+        assert cli.main(["sweep", "--n-list", "64,abc,256"]) == 1
+        assert "argument --n-list" in capsys.readouterr().err
 
     def test_infinite_lc_sample_bound_exit_code(self, capsys):
         assert cli.main(["constants", "--alpha", "1.7e-77", "--beta", "1.7e-77",
