@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     l.add_argument("--t-max", type=int, default=d.t_max)
     l.add_argument("--delta", type=float, default=d.delta)
     l.add_argument("--zeta", type=float, default=d.zeta)
-    l.add_argument("--theory-defaults", action="store_true")
     l.add_argument("--trials", type=int, default=d.trials)
     l.add_argument("--out", default=d.out, help="path prefix for .jsonl and .csv outputs")
     l.add_argument("--model-file", default=d.model_file,

@@ -28,8 +28,8 @@ evaluations at M queries each (ferro one more, for the full set).
 
 The theory thresholds (eta, tau) and iteration budgets (k, T_star) are
 computed by ferro_constants / lc_constants with natural logarithms. They
-are astronomically conservative at desk scale; experiments pass practical
-overrides instead, and the sample-bound calculators exist to report how
+are astronomically conservative at desk scale; experiments use practical
+thresholds instead, and the sample-bound calculators exist to report how
 far out of reach the guaranteed regime is.
 """
 

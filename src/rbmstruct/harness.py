@@ -32,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators, greedy, sampling
-from .greedy import (
-    LearnerConfig,
-    ferro_constants,
-    lc_constants,
-    learn_full_graph,
-)
+from .greedy import LearnerConfig, learn_full_graph
 from .model import (
     KIND_FERROMAGNETIC,
     ExactOracle,
@@ -81,15 +76,6 @@ CSV_COLUMNS = [
     "score_evals_stderr",
 ]
 
-# Practical learner defaults, calibrated by threshold-plateau sweeps on
-# random (0.4, 2)-bounded models at desk scale. The theory values are
-# available via theory_defaults=True and are typically astronomically
-# conservative.
-PRACTICAL_ETA = 0.02
-PRACTICAL_TAU = 0.025
-PRACTICAL_EXTRA_ROUNDS = 1
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
 
@@ -107,17 +93,19 @@ class ExperimentConfig:
     beta: float = 2.0
     seed: int = 0
     sampler: str = "exact"
-    num_samples: int = 20000
+    num_samples: int = 128000
     burn_in: int = GibbsConfig.burn_in
     thinning: int = GibbsConfig.thinning
     algorithm: str = "ferro"
-    eta: float | None = None
-    tau: float | None = None
+    # Thresholds calibrated by threshold-plateau sweeps on random
+    # (0.4, 2)-bounded models at desk scale; the budgets k and t_max, when
+    # unset, are d2 + 1 rounds.
+    eta: float = 0.02
+    tau: float = 0.025
     k: int | None = None
     t_max: int | None = None
     delta: float = LearnerConfig.delta
     zeta: float = LearnerConfig.zeta
-    theory_defaults: bool = False
     trials: int = 1
     out: str | None = None
     # When set, every trial learns this model; run() then takes the kind,
@@ -130,10 +118,9 @@ class ExperimentConfig:
         Only the sampler, trials, num_samples and out's directory are
         checked here; every other setting is checked by the code that owns
         it (check_shape, check_enumerable for the exact sampler,
-        NonDegeneracyParams, GibbsConfig, the theory constants,
-        LearnerConfig), whose ValueError or OverflowError becomes a
-        ConfigError. Thresholds and budgets left unset come from the theory
-        constants with theory_defaults, else from the practical defaults."""
+        NonDegeneracyParams, GibbsConfig, LearnerConfig), whose ValueError
+        or OverflowError becomes a ConfigError. An unset k or t_max becomes
+        d2 + 1 rounds."""
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.trials < 0:
@@ -142,29 +129,19 @@ class ExperimentConfig:
             raise ConfigError("num_samples must be >= 0")
         if self.out is not None and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ConfigError(f"cannot write {self.out}.jsonl: no such directory")
-        eta, tau, k, t_max = self.eta, self.tau, self.k, self.t_max
         try:
             check_shape(self.kind, self.n, self.m, self.d2)
             if self.sampler == "exact":
                 check_enumerable(self.n, self.m)
             NonDegeneracyParams(self.alpha, self.beta)
             GibbsConfig(self.burn_in, self.thinning)
-            if self.theory_defaults:
-                if self.algorithm.startswith("ferro"):
-                    fc = ferro_constants(self.alpha, self.beta, max(1, self.d2), self.delta, self.n)
-                    eta = fc.eta if eta is None else eta
-                    k = fc.k if k is None else k
-                else:
-                    lcc = lc_constants(self.alpha, self.beta, self.zeta, self.n)
-                    tau = lcc.tau if tau is None else tau
-                    t_max = lcc.t_star if t_max is None else t_max
-            budget = self.d2 + PRACTICAL_EXTRA_ROUNDS
+            budget = self.d2 + 1
             return LearnerConfig(
                 algorithm=self.algorithm,
-                eta=PRACTICAL_ETA if eta is None else eta,
-                k=budget if k is None else k,
-                tau=PRACTICAL_TAU if tau is None else tau,
-                t_max=budget if t_max is None else t_max,
+                eta=self.eta,
+                k=budget if self.k is None else self.k,
+                tau=self.tau,
+                t_max=budget if self.t_max is None else self.t_max,
                 delta=self.delta,
                 zeta=self.zeta,
             )
@@ -249,7 +226,7 @@ def run(config: ExperimentConfig) -> tuple[RecoveryMetrics, list]:
 
     With ``model_file`` set, the file is loaded once and its kind, n, m
     and two-hop degree d2 replace the config's (in the CSV and in the
-    practical round budget d2 + 1). An RBM_SL_THREADS that is set but not
+    default round budget d2 + 1). An RBM_SL_THREADS that is set but not
     an integer >= 1 is a ConfigError (unset or empty means one process)."""
     workers = _workers()
     model = None

@@ -97,6 +97,19 @@ def brute_conditional_mean(rows, u: int, S) -> float | None:
     return sum(r[u] for r in matched) / len(matched)
 
 
+def grover_marked_probabilities(n: int, marked, j: int) -> np.ndarray:
+    """Probability of measuring each item of ``marked`` after j Grover
+    iterations on n items, from a statevector that starts uniform and per
+    iteration flips the sign of the marked amplitudes, then applies the
+    diffusion 2|s><s| - I."""
+    s = np.full(n, 1.0 / math.sqrt(n))
+    psi = s.copy()
+    for _ in range(j):
+        psi[marked] *= -1.0
+        psi = 2.0 * (s @ psi) * s - psi
+    return psi[marked] ** 2
+
+
 # Demo model: 4 visible, 4 hidden, each hidden node linking a consecutive
 # pair around a ring, so the two-hop graph is the 4-cycle with edge (0, 1).
 def demo_ring_model() -> RbmModel:

@@ -230,28 +230,9 @@ class TestRun:
             dict(algorithm="lc", t_max=0),
             dict(delta=0.0),
             dict(algorithm="lc-q", zeta=1.0),
-            dict(alpha=1e200, beta=1e200, theory_defaults=True),
         ):
             with pytest.raises(ConfigError):
                 run(ExperimentConfig(**bad))
-
-    def test_theory_defaults_resolve_lc_constants(self):
-        cfg = ExperimentConfig(theory_defaults=True, algorithm="lc", n=5, m=2, d2=1)
-        lcc = lc_constants(cfg.alpha, cfg.beta, cfg.zeta, cfg.n)
-        learner = cfg.validate()
-        assert (learner.tau, learner.t_max) == (lcc.tau, lcc.t_star)
-        explicit = dataclasses.replace(cfg, tau=0.03).validate()
-        assert (explicit.tau, explicit.t_max) == (0.03, lcc.t_star)
-
-    def test_theory_defaults_resolve_ferro_constants(self):
-        cfg = ExperimentConfig(algorithm="ferro", theory_defaults=True, n=64, m=32, d2=3,
-                               sampler="gibbs")
-        fc = ferro_constants(0.4, 2.0, 3, 0.1, 64)
-        assert (fc.eta, fc.k) == (pytest.approx(3.72e-6, rel=0.01), 42)
-        learner = cfg.validate()
-        assert (learner.eta, learner.k) == (fc.eta, fc.k)
-        explicit = dataclasses.replace(cfg, eta=0.05).validate()
-        assert (explicit.eta, explicit.k) == (0.05, fc.k)
 
     def test_csv_column_order_stable(self, tmp_path):
         cfg = ExperimentConfig(
@@ -427,11 +408,11 @@ class TestCli:
         monkeypatch.setattr(harness, "generate_model", no_model)
         assert cli.main(["learn", "--num-samples", "100", "--k", "0"]) == 1
         assert cli.main(["learn", "--num-samples", "100", "--delta", "0"]) == 1
-        assert cli.main(["learn", "--theory-defaults"]) == 1
+        assert cli.main(["constants", "--alpha", "1e-90", "--beta", "1"]) == 1
         err = capsys.readouterr().err
         assert "error: k must be >= 1" in err
         assert "error: delta must lie in (0, 1)" in err
-        assert "error: require n > k" in err
+        assert "error: require n > k (k = 842)" in err
 
     def test_missing_out_directory_rejected_before_any_model(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -462,20 +443,12 @@ class TestCli:
         assert "error: eta underflowed to zero" in err
         assert "error: require 0 < alpha <= beta" in err
 
-    def test_theory_constants_errors_name_the_setting(self, monkeypatch, capsys):
-        def no_model(*args, **kwargs):
-            raise AssertionError("a model was generated")
-
-        monkeypatch.setattr(harness, "generate_model", no_model)
-        for argv in (["--beta", "31"], ["--alpha", "1e-90", "--beta", "1"]):
-            assert cli.main(["learn", "--theory-defaults", "--algorithm", "lc",
-                             "--num-samples", "10", *argv]) == 1
-        assert cli.main(["learn", "--theory-defaults", "--algorithm", "lc",
-                         "--alpha", "1e200", "--beta", "1e200"]) == 1
+    def test_theory_constants_errors_name_the_setting(self, capsys):
+        assert cli.main(["constants", "--alpha", "1e-90", "--beta", "1", "--n", "10000"]) == 1
         assert cli.main(["constants", "--alpha", "1e200", "--beta", "1e200"]) == 1
         err = capsys.readouterr().err
-        assert err.count("error: tau too small for T* = ceil(8/tau^2)") == 2
-        assert err.count("error: alpha too large") == 2
+        assert err.count("error: tau too small for T* = ceil(8/tau^2)") == 1
+        assert err.count("error: alpha too large") == 1
 
     def test_exact_enumeration_limit_rejected_before_any_model(self, monkeypatch, capsys, tmp_path):
         def no_model(*args, **kwargs):
@@ -540,6 +513,10 @@ class TestCli:
 
     def test_bad_flag_exit_code(self):
         assert cli.main(["learn", "--algorithm", "bogus"]) == 1
+
+    def test_default_learn_recovers(self, capsys):
+        assert cli.main(["learn", "--trials", "5"]) == 0
+        assert "exact_recovery=1.000" in capsys.readouterr().out
 
     def test_gibbs_sampler_path(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"

@@ -25,7 +25,13 @@ from rbmstruct.qsearch import (
 )
 from rbmstruct.sampling import SampleSet, exact_sample
 
-from conftest import all_cores_max_find, demo_ring_model, metered_ferro, metered_lc
+from conftest import (
+    all_cores_max_find,
+    demo_ring_model,
+    grover_marked_probabilities,
+    metered_ferro,
+    metered_lc,
+)
 
 # Cost-shape constants, fitted once on Monte Carlo calibration runs and
 # frozen (see the per-test notes for the measured values).
@@ -67,6 +73,18 @@ class TestGroverStage:
             p = stage_success_probability(n, t, j)
             se = math.sqrt(p * (1 - p) / reps)
             assert abs(hits / reps - p) <= 4 * se
+
+    def test_law_matches_statevector(self):
+        # 849 (N, t, j) cells; a sin^2(2j theta) law misses by 1.0 here
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 7, 64, 100, 1024):
+            for t in sorted({t for t in (1, 2, n // 7, n // 2, n) if t >= 1}):
+                marked = rng.choice(n, size=t, replace=False)
+                for j in range(math.isqrt(9 * n) + 2):
+                    probs = grover_marked_probabilities(n, marked, j)
+                    cell = (n, t, j)
+                    assert abs(probs.sum() - stage_success_probability(n, t, j)) <= 1e-12, cell
+                    assert probs.max() - probs.min() <= 1e-12, cell
 
     def test_success_items_marked(self):
         rng = np.random.default_rng(3)
