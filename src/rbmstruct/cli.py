@@ -56,15 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=_seed, default=d.seed)
     s.add_argument("--out", required=True)
 
-    l = sub.add_parser("learn", parents=[shape, draws],
+    # no abbreviations, so a removed flag such as --k cannot resolve to --kind
+    l = sub.add_parser("learn", parents=[shape, draws], allow_abbrev=False,
                        help="run learning trials and report recovery metrics")
     l.add_argument("--algorithm", default=d.algorithm, choices=greedy.ALGORITHMS)
-    l.add_argument("--eta", type=float, default=d.eta)
-    l.add_argument("--tau", type=float, default=d.tau)
-    l.add_argument("--k", type=int, default=d.k)
-    l.add_argument("--t-max", type=int, default=d.t_max)
-    l.add_argument("--delta", type=float, default=d.delta)
-    l.add_argument("--zeta", type=float, default=d.zeta)
+    l.add_argument("--threshold", type=float, default=d.threshold,
+                   help="eta (ferro) or tau (lc); default 0.02 for ferro, 0.025 for lc")
+    l.add_argument("--rounds", type=int, default=d.rounds,
+                   help="round budget k (ferro) or T_max (lc); default d2 + 1")
+    l.add_argument("--fail-prob", type=float, default=d.fail_prob,
+                   help="failure probability delta (ferro-q) or zeta (lc-q)")
     l.add_argument("--trials", type=int, default=d.trials)
     l.add_argument("--out", default=d.out, help="path prefix for .jsonl and .csv outputs")
     l.add_argument("--model-file", default=d.model_file,
@@ -85,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--beta", type=float, required=True)
     c.add_argument("--d2", type=int, default=2)
     c.add_argument("--n", type=int, default=100)
-    c.add_argument("--delta", type=float, default=d.delta)
-    c.add_argument("--zeta", type=float, default=d.zeta)
+    c.add_argument("--fail-prob", type=float, default=d.fail_prob,
+                   help="delta of the ferro bound and zeta of the lc bound")
 
     sub.add_parser("verify", help="run the invariant battery")
     return p
@@ -142,8 +143,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_constants(args) -> int:
     # non-degeneracy first, so an error names alpha or beta
     model.NonDegeneracyParams(args.alpha, args.beta)
-    fc = greedy.ferro_constants(args.alpha, args.beta, args.d2, args.delta, args.n)
-    lcc = greedy.lc_constants(args.alpha, args.beta, args.zeta, args.n)
+    fc = greedy.ferro_constants(args.alpha, args.beta, args.d2, args.fail_prob, args.n)
+    lcc = greedy.lc_constants(args.alpha, args.beta, args.fail_prob, args.n)
     print(harness.format_constants(fc, lcc))
     return 0
 

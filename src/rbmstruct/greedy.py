@@ -201,7 +201,7 @@ def _argmax(values) -> tuple[int, float]:
     return best, float(values[best])
 
 
-def _greedy(u, samples, budget, state, score, add, stop, pick):
+def _greedy(u, n, budget, state, score, add, stop, pick):
     """The candidate loop shared by both learners and their quantum variants.
 
     Each round scores the nodes not yet chosen with ``score(cands, state)``
@@ -214,7 +214,7 @@ def _greedy(u, samples, budget, state, score, add, stop, pick):
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
     while len(chosen) < budget:
-        cands = [j for j in range(samples.n) if j != u and j not in chosen]
+        cands = [j for j in range(n) if j != u and j not in chosen]
         if not cands:
             return chosen, trace, False, True
         values = score(cands, state)
@@ -269,7 +269,7 @@ def learn_ferro(
     if k < 1:
         raise ValueError("k must be >= 1")
     chosen, trace, insufficient, exhausted = _greedy(
-        u, samples, k, ones_mask(samples),
+        u, n, k, ones_mask(samples),
         score=lambda cands, m_s: _score_candidates_ferro(samples, u, cands, m_s),
         add=lambda m_s, j: m_s & samples.bits[j],
         stop=lambda values, _: not np.any(values > UNDEFINED_SCORE),
@@ -314,7 +314,7 @@ def learn_lc(
     if H == 0:
         return NeighborhoodResult(u, (), [], (), insufficient_samples=True)
     chosen, trace, stopped, exhausted = _greedy(
-        u, samples, t_max, conditioning_cells(samples),
+        u, n, t_max, conditioning_cells(samples),
         score=lambda cands, cells: _score_candidates_lc(samples, u, cands, cells),
         add=lambda cells, v: split_cells(cells, samples.bits[v]),
         stop=lambda _, value: value < tau,
@@ -333,39 +333,30 @@ def learn_lc(
 class LearnerConfig:
     """Which learner to run over a whole sample set and with what knobs.
 
-    algorithm is one of ALGORITHMS. The ferro learners need eta and k,
-    the lc learners tau and t_max. Thresholds must be > 0, budgets >= 1
-    and the failure probabilities delta, zeta in (0, 1); ValueError
-    otherwise. The quantum variants draw per-node RNG streams from ``seed``.
+    algorithm is one of ALGORITHMS. Each family reads the same three knobs
+    under the paper's names: ``threshold`` is eta (ferro) or tau (lc),
+    ``rounds`` the round budget k or T_max, and ``fail_prob`` the failure
+    probability delta or zeta that the "-q" variants split over their
+    rounds. threshold must be > 0, rounds >= 1 and fail_prob in (0, 1);
+    ValueError otherwise. The quantum variants draw per-node RNG streams
+    from ``seed``.
     """
 
     algorithm: str
-    eta: float | None = None
-    k: int | None = None
-    tau: float | None = None
-    t_max: int | None = None
-    delta: float = 0.1
-    zeta: float = 0.1
+    threshold: float
+    rounds: int
+    fail_prob: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        needed = ("eta", "k") if self.algorithm.startswith("ferro") else ("tau", "t_max")
-        missing = [name for name in needed if getattr(self, name) is None]
-        if missing:
-            raise ValueError(f"{self.algorithm} needs {' and '.join(missing)}")
-        for name in ("eta", "tau"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:  # also rejects NaN
-                raise ValueError(f"{name} must be > 0")
-        for name in ("k", "t_max"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("delta", "zeta"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in (0, 1)")
+        if not self.threshold > 0:  # also rejects NaN
+            raise ValueError("threshold must be > 0")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if not 0 < self.fail_prob < 1:
+            raise ValueError("fail_prob must lie in (0, 1)")
 
 
 @dataclass
@@ -387,20 +378,17 @@ def _or_edges(estimates) -> frozenset:
 def learn_full_graph(samples: SampleSet, config: LearnerConfig) -> FullGraphResult:
     """Run the configured per-node learner for every visible node and
     combine the estimates with the OR rule. A "-q" variant selects each
-    round by maximum finding at failure probability rho = (delta or zeta)
-    / (2 budget), drawing node u's search randomness from the stream
+    round by maximum finding at failure probability rho = fail_prob /
+    (2 rounds), drawing node u's search randomness from the stream
     [seed, u], and charges one QueryMeter for the whole graph."""
-    if config.algorithm.startswith("ferro"):
-        learn, threshold, budget, fail = learn_ferro, config.eta, config.k, config.delta
-    else:
-        learn, threshold, budget, fail = learn_lc, config.tau, config.t_max, config.zeta
+    learn = learn_ferro if config.algorithm.startswith("ferro") else learn_lc
     meter = QueryMeter() if config.algorithm.endswith("-q") else None
     results = []
     for u in range(samples.n):
         pick = _argmax
         if meter is not None:
             rng = np.random.default_rng([config.seed, u])
-            pick = max_find_pick(samples.M, meter, fail / (2.0 * budget), rng)
-        results.append(learn(u, samples, threshold, budget, pick=pick, meter=meter))
+            pick = max_find_pick(samples.M, meter, config.fail_prob / (2.0 * config.rounds), rng)
+        results.append(learn(u, samples, config.threshold, config.rounds, pick=pick, meter=meter))
     graph = TwoHopGraph(n=samples.n, edges=_or_edges([r.estimate for r in results]))
     return FullGraphResult(graph=graph, per_node=results, meter=meter)

@@ -97,15 +97,11 @@ class ExperimentConfig:
     burn_in: int = GibbsConfig.burn_in
     thinning: int = GibbsConfig.thinning
     algorithm: str = "ferro"
-    # Thresholds calibrated by threshold-plateau sweeps on random
-    # (0.4, 2)-bounded models at desk scale; the budgets k and t_max, when
-    # unset, are d2 + 1 rounds.
-    eta: float = 0.02
-    tau: float = 0.025
-    k: int | None = None
-    t_max: int | None = None
-    delta: float = LearnerConfig.delta
-    zeta: float = LearnerConfig.zeta
+    # The learner's knobs (see LearnerConfig); validate() fills in an
+    # unset threshold or rounds.
+    threshold: float | None = None
+    rounds: int | None = None
+    fail_prob: float = LearnerConfig.fail_prob
     trials: int = 1
     out: str | None = None
     # When set, every trial learns this model; run() then takes the kind,
@@ -119,8 +115,9 @@ class ExperimentConfig:
         checked here; every other setting is checked by the code that owns
         it (check_shape, check_enumerable for the exact sampler,
         NonDegeneracyParams, GibbsConfig, LearnerConfig), whose ValueError
-        or OverflowError becomes a ConfigError. An unset k or t_max becomes
-        d2 + 1 rounds."""
+        or OverflowError becomes a ConfigError. An unset threshold becomes
+        the calibrated one of the algorithm's family, 0.02 for ferro and
+        0.025 for lc; an unset rounds becomes d2 + 1."""
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.trials < 0:
@@ -135,15 +132,16 @@ class ExperimentConfig:
                 check_enumerable(self.n, self.m)
             NonDegeneracyParams(self.alpha, self.beta)
             GibbsConfig(self.burn_in, self.thinning)
-            budget = self.d2 + 1
+            threshold = self.threshold
+            if threshold is None:
+                # calibrated by threshold-plateau sweeps on random
+                # (0.4, 2)-bounded models at desk scale
+                threshold = 0.02 if self.algorithm.startswith("ferro") else 0.025
             return LearnerConfig(
                 algorithm=self.algorithm,
-                eta=self.eta,
-                k=budget if self.k is None else self.k,
-                tau=self.tau,
-                t_max=budget if self.t_max is None else self.t_max,
-                delta=self.delta,
-                zeta=self.zeta,
+                threshold=threshold,
+                rounds=self.d2 + 1 if self.rounds is None else self.rounds,
+                fail_prob=self.fail_prob,
             )
         except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc

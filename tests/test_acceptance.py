@@ -130,11 +130,7 @@ _RECOVERY_PARAMS = NonDegeneracyParams(0.4, 2.0)
 def _recovery_trial(kind: str, algorithm: str, seed: int, M: int, threshold: float) -> bool:
     model = generate_model(kind, 10, 5, 3, _RECOVERY_PARAMS, seed=seed)
     samples = exact_sample(model, M, seed=[seed, 1])
-    if algorithm == "ferro":
-        cfg = LearnerConfig("ferro", eta=threshold, k=4)
-    else:
-        cfg = LearnerConfig("lc", tau=threshold, t_max=4)
-    result = learn_full_graph(samples, cfg)
+    result = learn_full_graph(samples, LearnerConfig(algorithm, threshold=threshold, rounds=4))
     return set(result.graph.edges) == set(two_hop_graph(model).edges)
 
 

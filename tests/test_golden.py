@@ -48,22 +48,26 @@ def _sample_sets():
 
 
 def _settings(n: int):
-    """(label, LearnerConfig kwargs): practical budgets, a budget that runs
-    out of candidates, and loose/tight failure probabilities."""
-    yield "practical", dict(eta=0.02, k=3, tau=0.025, t_max=3)
-    yield "exhaust", dict(eta=1e-9, k=n, tau=1e-9, t_max=n)
-    yield "loose", dict(eta=0.02, k=2, tau=0.025, t_max=2, delta=0.9, zeta=0.9, seed=7)
-    yield "tight", dict(eta=0.02, k=3, tau=0.025, t_max=3, delta=1e-6, zeta=1e-6, seed=8)
+    """(label, {family: LearnerConfig kwargs}): practical budgets, a budget
+    that runs out of candidates, and loose/tight failure probabilities."""
+    def both(ferro, lc, **kw):
+        return {"ferro": dict(threshold=ferro, **kw), "lc": dict(threshold=lc, **kw)}
+
+    yield "practical", both(0.02, 0.025, rounds=3)
+    yield "exhaust", both(1e-9, 1e-9, rounds=n)
+    yield "loose", both(0.02, 0.025, rounds=2, fail_prob=0.9, seed=7)
+    yield "tight", both(0.02, 0.025, rounds=3, fail_prob=1e-6, seed=8)
 
 
 def golden_cases():
     """Yield (case id, JSON-ready dump) for every pinned case."""
     for name, samples in _sample_sets():
-        for label, kw in _settings(samples.n):
+        for label, by_family in _settings(samples.n):
             algorithms = ("ferro", "lc", "ferro-q", "lc-q")
             if label in ("loose", "tight"):
                 algorithms = ("ferro-q", "lc-q")
             for alg in algorithms:
+                kw = by_family[alg.split("-")[0]]
                 res = learn_full_graph(samples, LearnerConfig(alg, **kw))
                 meter = res.meter
                 yield f"{name}/{label}/{alg}", {

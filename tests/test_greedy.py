@@ -6,7 +6,10 @@ import pytest
 from rbmstruct.estimators import avg_cond_cov_decomposed, empirical_influence
 from rbmstruct.greedy import (
     LearnerConfig,
+    _argmax,
+    _greedy,
     _or_edges,
+    _prune,
     ferro_constants,
     lc_constants,
     learn_ferro,
@@ -216,20 +219,19 @@ class TestLearnLc:
 
 
 class TestPruningSoundnessExactScores:
-    """Running the greedy recursion on exact oracle scores keeps exactly
-    the graph-theoretic neighborhood when the threshold sits inside the
-    true gap."""
+    """The learners' own candidate loop and prune (``greedy._greedy``,
+    ``greedy._prune``), run on exact oracle scores, keep exactly the
+    graph-theoretic neighborhood when the threshold sits inside the true
+    gap."""
 
-    def _exact_greedy_ferro(self, oracle, u, n, eta, k):
-        S = []
-        for _ in range(k):
-            cands = [j for j in range(n) if j != u and j not in S]
-            if not cands:
-                break
-            scores = [oracle.influence(u, S + [j]) for j in cands]
-            S.append(cands[int(np.argmax(scores))])
-        i_full = oracle.influence(u, S)
-        return {j for j in S if i_full - oracle.influence(u, [i for i in S if i != j]) >= eta}
+    def _chosen(self, m, u, score, stop):
+        """The nodes three rounds choose for u, with score(cands, S) the
+        exact scores of the candidates given the chosen set S."""
+        chosen, _, _, _ = _greedy(
+            u, m.n, 3, [], score=lambda cands, S: np.array(score(cands, S)),
+            add=lambda S, j: S + [j], stop=stop, pick=_argmax,
+        )
+        return chosen
 
     def test_ferro(self):
         params = NonDegeneracyParams(0.4, 2.0)
@@ -238,8 +240,14 @@ class TestPruningSoundnessExactScores:
             oracle = ExactOracle(m)
             truth = two_hop_graph(m)
             for u in range(m.n):
-                kept = self._exact_greedy_ferro(oracle, u, m.n, eta=1e-6, k=3)
-                assert kept == truth.neighbors(u)
+                chosen = self._chosen(
+                    m, u,
+                    score=lambda cands, S: [oracle.influence(u, S + [j]) for j in cands],
+                    stop=lambda values, value: False,
+                )
+                i_full = oracle.influence(u, chosen)
+                kept, _ = _prune(chosen, lambda j, rest: i_full - oracle.influence(u, rest) >= 1e-6)
+                assert set(kept) == truth.neighbors(u)
 
     def test_lc(self):
         params = NonDegeneracyParams(0.4, 2.0)
@@ -248,27 +256,20 @@ class TestPruningSoundnessExactScores:
             oracle = ExactOracle(m)
             truth = two_hop_graph(m)
             for u in range(m.n):
-                S = []
-                for _ in range(3):
-                    cands = [v for v in range(m.n) if v != u and v not in S]
-                    scores = [oracle.avg_cond_cov(u, v, S) for v in cands]
-                    best = int(np.argmax(scores))
-                    if scores[best] < 1e-6:
-                        break
-                    S.append(cands[best])
-                kept = {
-                    v
-                    for v in S
-                    if oracle.avg_cond_cov(u, v, [i for i in S if i != v]) >= 1e-6
-                }
-                assert kept == truth.neighbors(u)
+                chosen = self._chosen(
+                    m, u,
+                    score=lambda cands, S: [oracle.avg_cond_cov(u, v, S) for v in cands],
+                    stop=lambda values, value: value < 1e-6,
+                )
+                kept, _ = _prune(chosen, lambda v, rest: oracle.avg_cond_cov(u, v, rest) >= 1e-6)
+                assert set(kept) == truth.neighbors(u)
 
 
 class TestLearnFullGraph:
     def test_recovers_ring(self):
         m = demo_ring_model()
         s = exact_sample(m, 60_000, seed=12)
-        res = learn_full_graph(s, LearnerConfig("ferro", eta=0.02, k=3))
+        res = learn_full_graph(s, LearnerConfig("ferro", threshold=0.02, rounds=3))
         assert set(res.graph.edges) == set(two_hop_graph(m).edges)
         assert len(res.per_node) == 4
 
@@ -279,18 +280,10 @@ class TestLearnFullGraph:
     def test_zero_model_empty_graph(self):
         m = RbmModel(np.zeros((4, 2)), np.zeros(4), np.zeros(2), kind="ferromagnetic")
         s = exact_sample(m, 5_000, seed=13)
-        res = learn_full_graph(s, LearnerConfig("ferro", eta=0.05, k=2))
+        res = learn_full_graph(s, LearnerConfig("ferro", threshold=0.05, rounds=2))
         assert res.graph.edges == frozenset()
 
     def test_flags_propagate(self):
         s = SampleSet.from_pm1(np.full((4, 3), -1, dtype=np.int8))
-        res = learn_full_graph(s, LearnerConfig("ferro", eta=0.05, k=2))
+        res = learn_full_graph(s, LearnerConfig("ferro", threshold=0.05, rounds=2))
         assert all(r.insufficient_samples for r in res.per_node)
-
-    @pytest.mark.parametrize("alg,knobs", [
-        ("ferro", dict(k=2)), ("ferro-q", dict(eta=0.02)),
-        ("lc", dict(eta=0.02, k=2)), ("lc-q", dict(tau=0.025)),
-    ])
-    def test_missing_learner_knobs_rejected(self, alg, knobs):
-        with pytest.raises(ValueError, match=f"{alg} needs"):
-            LearnerConfig(alg, **knobs)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbmstruct import cli, estimators, harness, qsearch
+from rbmstruct import cli, estimators, greedy, harness, qsearch
 from rbmstruct import model as model_mod
 from rbmstruct.greedy import (
     ALGORITHMS,
@@ -55,8 +55,8 @@ class TestRun:
         def one(tag):
             cfg = ExperimentConfig(
                 kind="ferromagnetic", n=6, m=3, d2=2, alpha=0.4, beta=2.0,
-                seed=5, num_samples=4000, algorithm="ferro", eta=0.02, k=3,
-                trials=3, out=str(tmp_path / tag),
+                seed=5, num_samples=4000, algorithm="ferro", threshold=0.02,
+                rounds=3, trials=3, out=str(tmp_path / tag),
             )
             run(cfg)
             return (
@@ -69,7 +69,7 @@ class TestRun:
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = dict(
             kind="ferromagnetic", n=6, m=3, d2=2, alpha=0.4, beta=2.0,
-            seed=6, num_samples=3000, algorithm="ferro", eta=0.02, k=3, trials=4,
+            seed=6, num_samples=3000, algorithm="ferro", threshold=0.02, rounds=3, trials=4,
         )
         _, serial = run(ExperimentConfig(**cfg))
         os.environ["RBM_SL_THREADS"] = "3"
@@ -87,8 +87,8 @@ class TestRun:
         def one(tag, threads):
             monkeypatch.setenv("RBM_SL_THREADS", threads)
             run(ExperimentConfig(
-                model_file=str(path), num_samples=3000, algorithm="ferro", eta=0.02,
-                k=3, trials=3, seed=6, out=str(tmp_path / tag),
+                model_file=str(path), num_samples=3000, algorithm="ferro", threshold=0.02,
+                rounds=3, trials=3, seed=6, out=str(tmp_path / tag),
             ))
             return [(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("jsonl", "csv")]
 
@@ -98,7 +98,7 @@ class TestRun:
         path = tmp_path / "ring.json"
         save_model(demo_ring_model(), path)
         cfg = ExperimentConfig(
-            algorithm="ferro", eta=0.02, k=3, num_samples=50_000, trials=2,
+            algorithm="ferro", threshold=0.02, rounds=3, num_samples=50_000, trials=2,
             seed=7, model_file=str(path), n=4, m=4, d2=2,
         )
         metrics, records = run(cfg)
@@ -114,7 +114,7 @@ class TestRun:
         budgets = []
 
         def spy(samples, lcfg):
-            budgets.append(lcfg.k)
+            budgets.append(lcfg.rounds)
             return learn_full_graph(samples, lcfg)
 
         monkeypatch.setattr(harness, "learn_full_graph", spy)
@@ -153,7 +153,7 @@ class TestRun:
     def test_metrics_arithmetic_recomputable(self):
         cfg = ExperimentConfig(
             kind="ferromagnetic", n=6, m=3, d2=2, seed=8,
-            num_samples=3000, algorithm="ferro", eta=0.02, k=3, trials=5,
+            num_samples=3000, algorithm="ferro", threshold=0.02, rounds=3, trials=5,
         )
         metrics, records = run(cfg)
         truth_sets = [set(map(tuple, r["truth_edges"])) for r in records]
@@ -174,7 +174,7 @@ class TestRun:
     def test_quantum_algorithm_records_queries(self):
         cfg = ExperimentConfig(
             kind="ferromagnetic", n=5, m=2, d2=1, seed=9,
-            num_samples=1500, algorithm="ferro-q", eta=0.02, k=2, trials=2,
+            num_samples=1500, algorithm="ferro-q", threshold=0.02, rounds=2, trials=2,
         )
         metrics, records = run(cfg)
         assert all(r["raw_queries"] > 0 for r in records)
@@ -183,7 +183,7 @@ class TestRun:
     def test_gibbs_rhat_recorded(self):
         cfg = dict(
             kind="ferromagnetic", n=5, m=2, d2=1, seed=11, num_samples=2000,
-            burn_in=50, thinning=2, algorithm="ferro", eta=0.02, k=2,
+            burn_in=50, thinning=2, algorithm="ferro", threshold=0.02, rounds=2,
         )
         _, gibbs = run(ExperimentConfig(sampler="gibbs", **cfg))
         _, exact = run(ExperimentConfig(sampler="exact", **cfg))
@@ -215,7 +215,7 @@ class TestRun:
         with pytest.raises(ConfigError, match="num_samples must be >= 0"):
             run(ExperimentConfig(num_samples=-1))
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
-            LearnerConfig("bogus")
+            LearnerConfig("bogus", threshold=0.02, rounds=1)
         with pytest.raises(ConfigError):
             run(ExperimentConfig(alpha=0.0))
         with pytest.raises(ConfigError):
@@ -223,21 +223,34 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(ExperimentConfig(sampler="gibbs", thinning=0))
         for bad in (
-            dict(eta=0.0),
-            dict(eta=math.nan),
-            dict(tau=-0.1),
-            dict(k=0),
-            dict(algorithm="lc", t_max=0),
-            dict(delta=0.0),
-            dict(algorithm="lc-q", zeta=1.0),
+            dict(threshold=0.0),
+            dict(threshold=math.nan),
+            dict(algorithm="lc", threshold=-0.1),
+            dict(rounds=0),
+            dict(algorithm="lc", rounds=0),
+            dict(fail_prob=0.0),
+            dict(algorithm="lc-q", fail_prob=1.0),
         ):
             with pytest.raises(ConfigError):
                 run(ExperimentConfig(**bad))
 
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_every_learner_knob_is_read(self, alg):
+        # unset knobs resolve to the family's calibrated threshold and d2 + 1
+        # rounds; setting any knob changes the learner the trials run
+        for d2 in (1, 3):
+            base = ExperimentConfig(algorithm=alg, d2=d2)
+            learner = base.validate()
+            threshold = 0.02 if alg.startswith("ferro") else 0.025
+            assert learner == LearnerConfig(alg, threshold=threshold, rounds=d2 + 1)
+            for knob, value in (("threshold", 0.5), ("rounds", 7), ("fail_prob", 0.3)):
+                changed = dataclasses.replace(base, **{knob: value}).validate()
+                assert changed != learner and getattr(changed, knob) == value, knob
+
     def test_csv_column_order_stable(self, tmp_path):
         cfg = ExperimentConfig(
             n=5, m=2, d2=1, seed=10, num_samples=1000,
-            algorithm="ferro", eta=0.05, k=2, trials=1, out=str(tmp_path / "x"),
+            algorithm="ferro", threshold=0.05, rounds=2, trials=1, out=str(tmp_path / "x"),
         )
         run(cfg)
         header = (tmp_path / "x.csv").read_text().splitlines()[0]
@@ -316,7 +329,7 @@ class TestCli:
         assert "error: M must be >= 0" in capsys.readouterr().err
         assert cli.main([
             "learn", "--model-file", str(model_path), "--n", "6", "--m", "3",
-            "--d2", "2", "--algorithm", "ferro", "--eta", "0.02", "--k", "3",
+            "--d2", "2", "--algorithm", "ferro", "--threshold", "0.02", "--rounds", "3",
             "--num-samples", "20000", "--trials", "1", "--seed", "3",
             "--out", str(tmp_path / "res"),
         ]) == 0
@@ -339,6 +352,35 @@ class TestCli:
             "lc sample bound    = inf  (log10 = 3.89562e+14)\n"
             "  -> exceeds 1e12: not desk-reproducible\n"
         )
+
+    def test_constants_fail_prob_sets_both_bounds(self, monkeypatch, capsys):
+        # the same stdout as separate delta and zeta flags of 0.5 gave
+        seen = []
+        for name in ("ferro_constants", "lc_constants"):
+            def spy(*args, _calc=getattr(greedy, name)):
+                seen.append(args[-2])
+                return _calc(*args)
+            monkeypatch.setattr(greedy, name, spy)
+        assert cli.main([
+            "constants", "--alpha", "0.9", "--beta", "1", "--d2", "1", "--n", "16",
+            "--fail-prob", "0.5",
+        ]) == 0
+        assert seen == [0.5, 0.5]
+        assert capsys.readouterr().out == (
+            "eta                = 0.005487894001587171\n"
+            "k                  = 7\n"
+            "ferro sample bound = 140810924201.81522  (log10 = 11.1486)\n"
+            "tau                = 4.97681200619585e-06\n"
+            "T*                 = 322988838651\n"
+            "delta_cond         = 0.06766764161830635\n"
+            "lc sample bound    = inf  (log10 = 9.50006e+11)\n"
+            "  -> exceeds 1e12: not desk-reproducible\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--eta", "--tau", "--k", "--t-max", "--delta", "--zeta"])
+    def test_per_family_learner_flags_rejected(self, flag, capsys):
+        assert cli.main(["learn", "--num-samples", "100", flag, "1"]) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path, capsys):
         assert cli.main([
@@ -406,12 +448,12 @@ class TestCli:
             raise AssertionError("a model was generated")
 
         monkeypatch.setattr(harness, "generate_model", no_model)
-        assert cli.main(["learn", "--num-samples", "100", "--k", "0"]) == 1
-        assert cli.main(["learn", "--num-samples", "100", "--delta", "0"]) == 1
+        assert cli.main(["learn", "--num-samples", "100", "--rounds", "0"]) == 1
+        assert cli.main(["learn", "--num-samples", "100", "--fail-prob", "0"]) == 1
         assert cli.main(["constants", "--alpha", "1e-90", "--beta", "1"]) == 1
         err = capsys.readouterr().err
-        assert "error: k must be >= 1" in err
-        assert "error: delta must lie in (0, 1)" in err
+        assert "error: rounds must be >= 1" in err
+        assert "error: fail_prob must lie in (0, 1)" in err
         assert "error: require n > k (k = 842)" in err
 
     def test_missing_out_directory_rejected_before_any_model(self, tmp_path, monkeypatch,
@@ -573,7 +615,8 @@ def test_benchmark_max_find_capture_reaches_learners():
         assert qsearch.dh_max_find is not original
         for trial, alg in enumerate(ALGORITHMS):
             log.trial_id = trial
-            config = LearnerConfig(alg, eta=0.02, k=2, tau=0.03, t_max=2, seed=trial)
+            config = LearnerConfig(alg, threshold=0.02 if alg.startswith("ferro") else 0.03,
+                                   rounds=2, seed=trial)
             result = learn_full_graph(samples, config)
             seen = log.pop_trial(trial)
             if alg.endswith("-q"):

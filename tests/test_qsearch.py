@@ -428,14 +428,17 @@ class TestMeterIdentity:
         p_plus = rng.uniform(0.05, 0.95, size=n)
         s = SampleSet.from_pm1(np.where(rng.random((M, n)) < p_plus, 1, -1))
         budget = min(budget, n)
-        knobs = dict(eta=0.02, k=budget, tau=tau, t_max=budget, seed=seed)
+        def config(alg):
+            threshold = 0.02 if alg.startswith("ferro") else tau
+            return LearnerConfig(alg, threshold=threshold, rounds=budget, seed=seed)
+
         for alg in ("ferro", "lc"):
-            assert learn_full_graph(s, LearnerConfig(alg, **knobs)).meter is None
+            assert learn_full_graph(s, config(alg)).meter is None
         # each family's index-cost law, charged once per scored round and
         # s times at law(s - 1) by the leave-one-out prune
         laws = {"ferro-q": lambda size: M * (2 * size + 1), "lc-q": lambda size: M * size}
         for alg, law in laws.items():
-            result = learn_full_graph(s, LearnerConfig(alg, **knobs))
+            result = learn_full_graph(s, config(alg))
             meter = result.meter
             assert isinstance(meter, QueryMeter)
             assert meter.raw_queries == meter.score_evals * M + meter.index_queries
