@@ -141,11 +141,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    # non-degeneracy first, so an error names alpha or beta
-    model.NonDegeneracyParams(args.alpha, args.beta)
-    fc = greedy.ferro_constants(args.alpha, args.beta, args.d2, args.fail_prob, args.n)
-    lcc = greedy.lc_constants(args.alpha, args.beta, args.fail_prob, args.n)
-    print(harness.format_constants(fc, lcc))
+    print(harness.format_constants(args.alpha, args.beta, args.d2, args.fail_prob, args.n))
     return 0
 
 

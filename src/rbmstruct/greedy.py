@@ -1,4 +1,4 @@
-"""Greedy two-hop learners and the theory-constant calculators.
+"""Greedy two-hop learners.
 
 Two learners, both reading nothing but a SampleSet:
 
@@ -25,17 +25,10 @@ the conditioning structure of a set of size s: M(2s+1) for ferro (the
 all-ones sets of S and S union {u}), M*s for lc. Each scored round s costs
 law(s); pruning s chosen nodes costs s*law(s-1) plus s leave-one-out
 evaluations at M queries each (ferro one more, for the full set).
-
-The theory thresholds (eta, tau) and iteration budgets (k, T_star) are
-computed by ferro_constants / lc_constants with natural logarithms. They
-are astronomically conservative at desk scale; experiments use practical
-thresholds instead, and the sample-bound calculators exist to report how
-far out of reach the guaranteed regime is.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,109 +53,6 @@ UNDEFINED_SCORE = -2.0
 # The per-node learners learn_full_graph runs: a family ("ferro" or "lc"),
 # and with "-q" its metered quantum-search variant.
 ALGORITHMS = ("ferro", "lc", "ferro-q", "lc-q")
-
-_LOG10_E = math.log10(math.e)
-_EXP_OVERFLOW = 700.0
-
-
-@dataclass(frozen=True)
-class FerroTheoryConstants:
-    """Threshold, iteration count and sample bound for the ferromagnetic
-    learner. sample_bound may overflow to inf; log10_sample_bound is always
-    finite."""
-
-    eta: float
-    k: int
-    sample_bound: float
-    log10_sample_bound: float
-
-
-@dataclass(frozen=True)
-class LcTheoryConstants:
-    """Threshold, iteration cap and sample bound for the locally consistent
-    learner. delta_cond is the structural constant 0.5 * exp(-2 beta).
-    sample_bound may overflow to inf; log10_sample_bound is always finite."""
-
-    tau: float
-    t_star: int
-    delta_cond: float
-    sample_bound: float
-    log10_sample_bound: float
-
-
-def ferro_constants(
-    alpha: float, beta: float, d2: int, delta: float, n: int
-) -> FerroTheoryConstants:
-    """eta = alpha^2 sigmoid(-2 beta) (1 - tanh beta)^2, k = ceil(d2 ln(4/eta)),
-    and the sample bound 2^(2k+3) (d2/eta)^2 (ln n + k ln(e n / k)) ln(4/delta)."""
-    if alpha <= 0 or beta <= 0 or d2 < 1:
-        raise ValueError("require alpha > 0, beta > 0, d2 >= 1")
-    if not 0 < delta < 1:
-        raise ValueError("require 0 < delta < 1")
-    e = math.exp(-2.0 * beta)
-    try:
-        eta = alpha**2 * (e / (1.0 + e)) * (1.0 - math.tanh(beta)) ** 2
-    except OverflowError:
-        raise ValueError("alpha too large") from None
-    if eta <= 0.0:
-        raise ValueError("eta underflowed to zero; alpha too small or beta too large")
-    k = max(1, math.ceil(d2 * math.log(4.0 / eta)))
-    if n <= k:
-        raise ValueError(f"require n > k (k = {k})")
-    bracket = math.log(n) + k * math.log(math.e * n / k)
-    log_bound = (
-        (2 * k + 3) * math.log(2.0)
-        + 2.0 * (math.log(d2) - math.log(eta))
-        + math.log(bracket)
-        + math.log(math.log(4.0 / delta))
-    )
-    bound = math.exp(log_bound) if log_bound < _EXP_OVERFLOW else math.inf
-    return FerroTheoryConstants(
-        eta=eta,
-        k=k,
-        sample_bound=bound,
-        log10_sample_bound=log_bound * _LOG10_E,
-    )
-
-
-def lc_constants(alpha: float, beta: float, zeta: float, n: int) -> LcTheoryConstants:
-    """tau = alpha^2 exp(-12 beta), T* = ceil(8 / tau^2), delta_cond =
-    0.5 exp(-2 beta), and the sample bound
-    (ln(1/zeta) + T* ln n) 2^(2 T*) / (tau^2 delta_cond^(2 T*))."""
-    if alpha <= 0 or beta < 0:
-        raise ValueError("require alpha > 0, beta >= 0")
-    if not 0 < zeta < 1:
-        raise ValueError("require 0 < zeta < 1")
-    if n < 1:
-        raise ValueError("require n >= 1")
-    try:
-        tau = alpha**2 * math.exp(-12.0 * beta)
-        tau_sq = tau**2
-    except OverflowError:
-        raise ValueError("alpha too large") from None
-    if tau <= 0.0:
-        raise ValueError("tau underflowed to zero; alpha too small or beta too large")
-    if tau_sq == 0.0 or 8.0 / tau_sq == math.inf:
-        raise ValueError("tau too small for T* = ceil(8/tau^2)")
-    t_star = math.ceil(8.0 / tau_sq)
-    delta_cond = 0.5 * math.exp(-2.0 * beta)
-    prefactor = math.log(1.0 / zeta) + t_star * math.log(n)
-    log_bound = (
-        math.log(prefactor)
-        + 2.0 * t_star * math.log(2.0)
-        - 2.0 * math.log(tau)
-        - 2.0 * t_star * math.log(delta_cond)
-    )
-    if not math.isfinite(log_bound):
-        raise ValueError("tau too small for a finite sample bound")
-    bound = math.exp(log_bound) if log_bound < _EXP_OVERFLOW else math.inf
-    return LcTheoryConstants(
-        tau=tau,
-        t_star=int(t_star),
-        delta_cond=delta_cond,
-        sample_bound=bound,
-        log10_sample_bound=log_bound * _LOG10_E,
-    )
 
 
 @dataclass

@@ -1,5 +1,6 @@
-"""Experiment runner: generate models, sample, learn, score recovery; and
-the invariant checks that ``verify`` shares with the acceptance suite.
+"""Experiment runner: generate models, sample, learn, score recovery; the
+invariant checks that ``verify`` shares with the acceptance suite; and the
+learners' theory bounds, which ``constants`` reports (``format_constants``).
 
 Per-trial randomness is derived from the master seed by a counter-based
 split: the RNG for role r of trial t is seeded with the entropy sequence
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators, greedy, sampling
+from . import estimators, sampling
 from .greedy import LearnerConfig, learn_full_graph
 from .model import (
     KIND_FERROMAGNETIC,
@@ -336,28 +337,130 @@ def sweep_scaling(n_list, trials: int, rho: float, seed: int) -> SweepResult:
     return SweepResult(rows=rows, classical_slope=classical_slope, quantum_slope=quantum_slope)
 
 
+# The learners' theory bounds (Bresler, Koehler & Moitra for ferro, Goel for
+# lc), computed with natural logarithms: thresholds, round budgets and sample
+# bounds so conservative at desk scale that experiments use practical
+# thresholds, and ``constants`` only reports how far out of reach the
+# guaranteed regime is, flagging a sample bound above DESK_LIMIT.
 DESK_LIMIT = 1e12
 
 
-def format_constants(fc: greedy.FerroTheoryConstants, lcc: greedy.LcTheoryConstants) -> str:
-    """Both theory-constant sets, one per line; a sample bound above
-    DESK_LIMIT is flagged as not desk-reproducible."""
-    lines = [
+@dataclass(frozen=True)
+class FerroTheoryConstants:
+    """Threshold, iteration count and sample bound for the ferromagnetic
+    learner. sample_bound may overflow to inf; log10_sample_bound is always
+    finite."""
+
+    eta: float
+    k: int
+    sample_bound: float
+    log10_sample_bound: float
+
+
+@dataclass(frozen=True)
+class LcTheoryConstants:
+    """Threshold, iteration cap and sample bound for the locally consistent
+    learner. delta_cond is the structural constant 0.5 * exp(-2 beta).
+    sample_bound may overflow to inf; log10_sample_bound is always finite."""
+
+    tau: float
+    t_star: int
+    delta_cond: float
+    sample_bound: float
+    log10_sample_bound: float
+
+
+def _sample_bound(log_bound: float) -> tuple[float, float]:
+    """(sample_bound, log10_sample_bound) of a bound given by its natural
+    log; the bound is inf past 700, where exp overflows."""
+    return math.exp(log_bound) if log_bound < 700.0 else math.inf, log_bound * math.log10(math.e)
+
+
+def ferro_constants(
+    alpha: float, beta: float, d2: int, delta: float, n: int
+) -> FerroTheoryConstants:
+    """eta = alpha^2 sigmoid(-2 beta) (1 - tanh beta)^2, k = ceil(d2 ln(4/eta)),
+    and the sample bound 2^(2k+3) (d2/eta)^2 (ln n + k ln(e n / k)) ln(4/delta)."""
+    if alpha <= 0 or beta <= 0 or d2 < 1:
+        raise ValueError("require alpha > 0, beta > 0, d2 >= 1")
+    if not 0 < delta < 1:
+        raise ValueError("require 0 < delta < 1")
+    e = math.exp(-2.0 * beta)
+    try:
+        eta = alpha**2 * (e / (1.0 + e)) * (1.0 - math.tanh(beta)) ** 2
+    except OverflowError:
+        raise ValueError("alpha too large") from None
+    if eta <= 0.0:
+        raise ValueError("eta underflowed to zero; alpha too small or beta too large")
+    k = max(1, math.ceil(d2 * math.log(4.0 / eta)))
+    if n <= k:
+        raise ValueError(f"require n > k (k = {k})")
+    bracket = math.log(n) + k * math.log(math.e * n / k)
+    log_bound = (
+        (2 * k + 3) * math.log(2.0)
+        + 2.0 * (math.log(d2) - math.log(eta))
+        + math.log(bracket)
+        + math.log(math.log(4.0 / delta))
+    )
+    return FerroTheoryConstants(eta, k, *_sample_bound(log_bound))
+
+
+def lc_constants(alpha: float, beta: float, zeta: float, n: int) -> LcTheoryConstants:
+    """tau = alpha^2 exp(-12 beta), T* = ceil(8 / tau^2), delta_cond =
+    0.5 exp(-2 beta), and the sample bound
+    (ln(1/zeta) + T* ln n) 2^(2 T*) / (tau^2 delta_cond^(2 T*))."""
+    if alpha <= 0 or beta < 0:
+        raise ValueError("require alpha > 0, beta >= 0")
+    if not 0 < zeta < 1:
+        raise ValueError("require 0 < zeta < 1")
+    if n < 1:
+        raise ValueError("require n >= 1")
+    try:
+        tau = alpha**2 * math.exp(-12.0 * beta)
+        tau_sq = tau**2
+    except OverflowError:
+        raise ValueError("alpha too large") from None
+    if tau <= 0.0:
+        raise ValueError("tau underflowed to zero; alpha too small or beta too large")
+    if tau_sq == 0.0 or 8.0 / tau_sq == math.inf:
+        raise ValueError("tau too small for T* = ceil(8/tau^2)")
+    t_star = math.ceil(8.0 / tau_sq)
+    delta_cond = 0.5 * math.exp(-2.0 * beta)
+    prefactor = math.log(1.0 / zeta) + t_star * math.log(n)
+    log_bound = (
+        math.log(prefactor)
+        + 2.0 * t_star * math.log(2.0)
+        - 2.0 * math.log(tau)
+        - 2.0 * t_star * math.log(delta_cond)
+    )
+    if not math.isfinite(log_bound):
+        raise ValueError("tau too small for a finite sample bound")
+    return LcTheoryConstants(tau, t_star, delta_cond, *_sample_bound(log_bound))
+
+
+def format_constants(alpha: float, beta: float, d2: int, fail_prob: float, n: int) -> str:
+    """The ``constants`` report: both theory-constant sets, one per line,
+    with fail_prob as the ferro delta and the lc zeta. The weight bounds
+    are checked first, so an error names alpha or beta."""
+    NonDegeneracyParams(alpha, beta)
+    fc = ferro_constants(alpha, beta, d2, fail_prob, n)
+    lcc = lc_constants(alpha, beta, fail_prob, n)
+
+    def bound(label, c):
+        lines = [f"{label} = {c.sample_bound!r}  (log10 = {c.log10_sample_bound:.6g})"]
+        if c.log10_sample_bound > math.log10(DESK_LIMIT):
+            lines.append("  -> exceeds 1e12: not desk-reproducible")
+        return lines
+
+    return "\n".join([
         f"eta                = {fc.eta!r}",
         f"k                  = {fc.k}",
-        f"ferro sample bound = {fc.sample_bound!r}  (log10 = {fc.log10_sample_bound:.6g})",
-    ]
-    if fc.log10_sample_bound > math.log10(DESK_LIMIT):
-        lines.append("  -> exceeds 1e12: not desk-reproducible")
-    lines += [
+        *bound("ferro sample bound", fc),
         f"tau                = {lcc.tau!r}",
         f"T*                 = {lcc.t_star}",
         f"delta_cond         = {lcc.delta_cond!r}",
-        f"lc sample bound    = {lcc.sample_bound!r}  (log10 = {lcc.log10_sample_bound:.6g})",
-    ]
-    if lcc.log10_sample_bound > math.log10(DESK_LIMIT):
-        lines.append("  -> exceeds 1e12: not desk-reproducible")
-    return "\n".join(lines)
+        *bound("lc sample bound   ", lcc),
+    ])
 
 
 # Shared invariant checks. Each returns its measured statistic and leaves

@@ -46,7 +46,8 @@ _KINDS = (*LEARNABLE_KINDS, KIND_GENERAL)
 @dataclass(frozen=True)
 class NonDegeneracyParams:
     """Weight bounds: nonzero couplings at least alpha in magnitude, and
-    every node's total incident coupling strength plus field at most beta."""
+    every node's total incident coupling strength plus field at most beta.
+    Both must be finite, 0 < alpha <= beta, and beta / alpha finite."""
 
     alpha: float
     beta: float
@@ -56,6 +57,8 @@ class NonDegeneracyParams:
             raise ValueError("alpha and beta must be finite")
         if not (0.0 < self.alpha <= self.beta):
             raise ValueError("require 0 < alpha <= beta")
+        if not math.isfinite(self.beta / self.alpha):
+            raise ValueError("beta / alpha must be finite; alpha is too small for this beta")
 
 
 class RbmModel:

@@ -110,6 +110,32 @@ def grover_marked_probabilities(n: int, marked, j: int) -> np.ndarray:
     return psi[marked] ** 2
 
 
+def exponential_search_outcomes(n: int, marked, budget: int, runs: int, rng) -> list:
+    """(found, iterations) of ``runs`` exponential searches for the items
+    ``marked`` among n, each under a budget of ``budget`` Grover
+    iterations, on the documented schedule written out here on its own:
+    each stage draws j uniformly from {0, ..., ceil(m)-1}, with m = 1 at
+    the first stage and then m = min(1.2 m, sqrt(n)); a stage of j iterations
+    uses j + 1 of the budget, and one that would pass it is cut to what is
+    left. Each stage's outcome is read from the statevector
+    (``grover_marked_probabilities``, one vector per j, computed once): it
+    finds marked item k with that vector's k-th probability, otherwise
+    nothing. A run that finds nothing reports found = None."""
+    marked = [int(k) for k in marked]
+    cum = [np.cumsum(grover_marked_probabilities(n, marked, j)) for j in range(budget)]
+    out = []
+    for _ in range(runs):
+        m_stage, used, found = 1.0, 0, None
+        while used < budget and found is None:
+            j = min(math.floor(rng.random() * math.ceil(m_stage)), budget - used - 1)
+            used += j + 1
+            k = int(np.searchsorted(cum[j], rng.random(), side="right"))
+            found = marked[k] if k < len(marked) else None
+            m_stage = min(1.2 * m_stage, math.sqrt(n))
+        out.append((found, used))
+    return out
+
+
 # Demo model: 4 visible, 4 hidden, each hidden node linking a consecutive
 # pair around a ring, so the two-hop graph is the 4-cycle with edge (0, 1).
 def demo_ring_model() -> RbmModel:

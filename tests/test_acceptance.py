@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from rbmstruct.greedy import LearnerConfig, ferro_constants, lc_constants, learn_full_graph
+from rbmstruct.greedy import LearnerConfig, learn_full_graph
 from rbmstruct.model import (
     ExactOracle,
     NonDegeneracyParams,
@@ -26,8 +26,10 @@ from rbmstruct.qsearch import QueryMeter
 from rbmstruct.greedy import learn_ferro, learn_lc
 from rbmstruct.harness import (
     covariance_identity_gap,
+    ferro_constants,
     gibbs_tv,
     influence_identity_gap,
+    lc_constants,
     max_find_success,
     stage_deviations,
     sweep_scaling,

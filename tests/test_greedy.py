@@ -10,12 +10,11 @@ from rbmstruct.greedy import (
     _greedy,
     _or_edges,
     _prune,
-    ferro_constants,
-    lc_constants,
     learn_ferro,
     learn_full_graph,
     learn_lc,
 )
+from rbmstruct.harness import ferro_constants, lc_constants
 from rbmstruct.model import (
     ExactOracle,
     NonDegeneracyParams,
@@ -226,11 +225,15 @@ class TestPruningSoundnessExactScores:
 
     def _chosen(self, m, u, score, stop):
         """The nodes three rounds choose for u, with score(cands, S) the
-        exact scores of the candidates given the chosen set S."""
-        chosen, _, _, _ = _greedy(
+        exact scores of the candidates given the chosen set S. Each trace
+        entry (j, value) must be the exact score of j given the nodes chosen
+        before it, so a loop that does not condition on its choices fails."""
+        chosen, trace, _, _ = _greedy(
             u, m.n, 3, [], score=lambda cands, S: np.array(score(cands, S)),
             add=lambda S, j: S + [j], stop=stop, pick=_argmax,
         )
+        for i, (j, value) in enumerate(trace):
+            assert value == score([j], chosen[:i])[0], (u, i)
         return chosen
 
     def test_ferro(self):

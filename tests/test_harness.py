@@ -12,19 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbmstruct import cli, estimators, greedy, harness, qsearch
+from rbmstruct import cli, estimators, harness, qsearch
 from rbmstruct import model as model_mod
 from rbmstruct.greedy import (
     ALGORITHMS,
     LearnerConfig,
-    ferro_constants,
-    lc_constants,
     learn_full_graph,
 )
 from rbmstruct.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    ferro_constants,
     format_constants,
     run,
     sweep_scaling,
@@ -294,14 +293,12 @@ class TestSweepScaling:
 class TestFormatConstants:
     def test_flags_not_desk_reproducible(self):
         fc = ferro_constants(0.2, 1.0, 2, 0.1, 100)
-        lcc = lc_constants(0.2, 1.0, 0.1, 100)
-        lines = format_constants(fc, lcc).splitlines()
+        lines = format_constants(0.2, 1.0, 2, 0.1, 100).splitlines()
         assert lines[3] == lines[-1] == "  -> exceeds 1e12: not desk-reproducible"
         assert "2.710" in f"{fc.eta:.3e}"
 
     def test_small_beta_reproducible(self):
-        fc = ferro_constants(0.9, 1.0, 1, 0.1, 16)
-        lines = format_constants(fc, lc_constants(0.9, 1.0, 0.1, 16)).splitlines()
+        lines = format_constants(0.9, 1.0, 1, 0.1, 16).splitlines()
         assert lines[2].startswith("ferro sample bound") and lines[3].startswith("tau")
 
 
@@ -357,10 +354,10 @@ class TestCli:
         # the same stdout as separate delta and zeta flags of 0.5 gave
         seen = []
         for name in ("ferro_constants", "lc_constants"):
-            def spy(*args, _calc=getattr(greedy, name)):
+            def spy(*args, _calc=getattr(harness, name)):
                 seen.append(args[-2])
                 return _calc(*args)
-            monkeypatch.setattr(greedy, name, spy)
+            monkeypatch.setattr(harness, name, spy)
         assert cli.main([
             "constants", "--alpha", "0.9", "--beta", "1", "--d2", "1", "--n", "16",
             "--fail-prob", "0.5",
@@ -484,6 +481,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: eta underflowed to zero" in err
         assert "error: require 0 < alpha <= beta" in err
+        # beta / alpha overflows: the generator's coupling count would be inf
+        monkeypatch.setattr(model_mod, "generate_model", no_model)
+        tiny = ["--alpha", "1e-320", "--beta", "1"]
+        assert cli.main(["gen-model", *tiny, "--out", "/dev/null"]) == 1
+        assert cli.main(["learn", *tiny, "--num-samples", "100"]) == 1
+        assert cli.main(["learn", *tiny, "--trials", "0"]) == 1
+        assert cli.main(["constants", *tiny]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: beta / alpha must be finite") == 4
 
     def test_theory_constants_errors_name_the_setting(self, capsys):
         assert cli.main(["constants", "--alpha", "1e-90", "--beta", "1", "--n", "10000"]) == 1

@@ -28,6 +28,7 @@ from rbmstruct.sampling import SampleSet, exact_sample
 from conftest import (
     all_cores_max_find,
     demo_ring_model,
+    exponential_search_outcomes,
     grover_marked_probabilities,
     metered_ferro,
     metered_lc,
@@ -40,7 +41,7 @@ FERRO_C1 = 3.0            # index-construction share per iteration
 FERRO_C2 = 46.0           # search share, fitted 41.1 at n,64 with 12 percent headroom
 
 
-class TestGroverParams:
+class TestRepetitions:
     def test_repetitions(self):
         assert repetitions(0.5) == 1
         assert repetitions(0.1) == 4
@@ -94,6 +95,35 @@ class TestGroverStage:
             assert item is None or item in (3, 7)
 
 
+def _chi_square_homogeneity(a: list, b: list) -> tuple[float, int]:
+    """Pearson's chi-square statistic and degrees of freedom for the null
+    that the outcome lists a and b come from one distribution. Outcomes
+    seen fewer than 10 times in a and b together are pooled into one cell
+    (dropped when the pool itself stays under 10)."""
+    counts: dict = {}
+    for side, outcomes in enumerate((a, b)):
+        for o in outcomes:
+            counts.setdefault(o, [0, 0])[side] += 1
+    cells = [c for c in counts.values() if sum(c) >= 10]
+    sparse = [c for c in counts.values() if sum(c) < 10]
+    pool = [sum(c[0] for c in sparse), sum(c[1] for c in sparse)]
+    if sum(pool) >= 10:
+        cells.append(pool)
+    n_a, n_b = len(a), len(b)
+    stat = 0.0
+    for ca, cb in cells:
+        share = (ca + cb) / (n_a + n_b)
+        stat += (ca - n_a * share) ** 2 / (n_a * share) + (cb - n_b * share) ** 2 / (n_b * share)
+    return stat, len(cells) - 1
+
+
+def _chi_square_critical(df: int, z: float) -> float:
+    """Upper critical value of chi-square with df degrees of freedom at the
+    standard normal quantile z (Wilson-Hilferty)."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
 class TestQsearchSim:
     def test_all_marked_first_stage(self):
         rng = np.random.default_rng(4)
@@ -125,6 +155,21 @@ class TestQsearchSim:
             found += res.index == 517
         assert np.mean(iters) <= 1.1 * 4.5 * math.sqrt(n)
         assert found / 10_000 >= 0.5
+
+    @pytest.mark.parametrize("n, t, seed", [(16, 1, 81), (64, 1, 82), (64, 8, 83)])
+    def test_schedule_matches_statevector_reference(self, n, t, seed):
+        # Bound set a priori: reject at the chi-square upper tail
+        # 1e-4 (z = 3.719). Each side runs 6000 searches under a budget of
+        # 3 sqrt(n) iterations, so the cut last stage is exercised.
+        runs, budget = 6000, 3 * math.isqrt(n)
+        rng = np.random.default_rng([seed, 0])
+        marked = rng.choice(n, size=t, replace=False)
+        mask = np.zeros(n, dtype=bool)
+        mask[marked] = True
+        sim = [tuple(qsearch_sim(mask, rng, budget)) for _ in range(runs)]
+        ref = exponential_search_outcomes(n, marked, budget, runs, np.random.default_rng([seed, 1]))
+        stat, df = _chi_square_homogeneity(sim, ref)
+        assert stat <= _chi_square_critical(df, 3.719), (stat, df)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
