@@ -1,16 +1,19 @@
 """Greedy two-hop learners.
 
-Two learners, both reading nothing but a SampleSet:
+``learn_full_graph`` is the one entry: it runs one per-node learner over
+every visible node, configured by a ``LearnerConfig``, which checks every
+knob once and holds each family's default threshold. The two per-node
+learners read nothing but a SampleSet:
 
-- learn_ferro: influence maximization for ferromagnetic models. k rounds,
-  each adding the candidate j maximizing the empirical influence of
-  pinning S union {j}; a final pruning pass keeps j only when removing it
-  drops the influence by at least eta.
-- learn_lc: conditional-covariance maximization for locally consistent
-  models. Adds the candidate of largest empirical average conditional
-  covariance with u while that maximum stays at least tau (hard cap T_max
-  additions), then prunes each kept v whose covariance conditioned on the
-  rest falls below tau.
+- ferro: influence maximization for ferromagnetic models. ``rounds``
+  rounds, each adding the candidate j maximizing the empirical influence
+  of pinning S union {j}; a final pruning pass keeps j only when removing
+  it drops the influence by at least the threshold (eta).
+- lc: conditional-covariance maximization for locally consistent models.
+  Adds the candidate of largest empirical average conditional covariance
+  with u while that maximum stays at least the threshold (tau), at most
+  ``rounds`` (T_max) additions, then prunes each kept v whose covariance
+  conditioned on the rest falls below it.
 
 Both run on one candidate loop (``_greedy``) and one leave-one-out prune
 (``_prune``), neither of which meters: each learner supplies its scorer,
@@ -140,26 +143,20 @@ def _charge(meter: QueryMeter, law, M: int, rounds: int, size: int, full_evals: 
         meter.charge_scores(size + full_evals, M)
 
 
-def learn_ferro(
-    u: int, samples: SampleSet, eta: float, k: int,
+def _learn_ferro(
+    u: int, samples: SampleSet, threshold: float, rounds: int,
     pick=_argmax, meter: QueryMeter | None = None,
 ) -> NeighborhoodResult:
     """Influence-maximization greedy for ferromagnetic models.
 
-    Runs k rounds choosing a candidate with ``pick`` (by default the
-    exhaustive argmax, ties to the lowest node index), then prunes. Flags
-    insufficient_samples when a round finds every candidate undefined,
-    exhausted when candidates run out early.
+    Runs ``rounds`` rounds choosing a candidate with ``pick`` (by default
+    the exhaustive argmax, ties to the lowest node index), then prunes at
+    ``threshold``. Flags insufficient_samples when a round finds every
+    candidate undefined, exhausted when candidates run out early.
     """
     n, M = samples.n, samples.M
-    if not 0 <= u < n:
-        raise ValueError("u out of range")
-    if not eta > 0:  # also rejects NaN
-        raise ValueError("eta must be positive")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     chosen, trace, insufficient, exhausted = _greedy(
-        u, n, k, ones_mask(samples),
+        u, n, rounds, ones_mask(samples),
         score=lambda cands, m_s: _score_candidates_ferro(samples, u, cands, m_s),
         add=lambda m_s, j: m_s & samples.bits[j],
         stop=lambda values, _: not np.any(values > UNDEFINED_SCORE),
@@ -169,7 +166,7 @@ def learn_ferro(
 
     def keep(j, rest):
         i_rest = influence_bits(samples, u, rest)
-        return i_full.defined and i_rest.defined and i_full.value - i_rest.value >= eta
+        return i_full.defined and i_rest.defined and i_full.value - i_rest.value >= threshold
 
     estimate, pruned = _prune(chosen, keep)
     if meter is not None:  # the scans of S and of S union {u}
@@ -184,65 +181,64 @@ def _score_candidates_lc(samples, u, cands, cells) -> np.ndarray:
     return cov_scores(samples, u, cands, cells)
 
 
-def learn_lc(
-    u: int, samples: SampleSet, tau: float, t_max: int,
+def _learn_lc(
+    u: int, samples: SampleSet, threshold: float, rounds: int,
     pick=_argmax, meter: QueryMeter | None = None,
 ) -> NeighborhoodResult:
     """Conditional-covariance greedy for locally consistent models.
 
     Adds the candidate chosen by ``pick`` (by default the exhaustive
-    argmax) while its score stays at least tau, at most t_max times, then
-    prunes.
+    argmax) while its score stays at least ``threshold``, at most
+    ``rounds`` times, then prunes.
     """
     n, H = samples.n, samples.M
-    if not 0 <= u < n:
-        raise ValueError("u out of range")
-    if not tau > 0:  # also rejects NaN
-        raise ValueError("tau must be positive")
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
     if H == 0:
         return NeighborhoodResult(u, (), [], (), insufficient_samples=True)
     chosen, trace, stopped, exhausted = _greedy(
-        u, n, t_max, conditioning_cells(samples),
+        u, n, rounds, conditioning_cells(samples),
         score=lambda cands, cells: _score_candidates_lc(samples, u, cands, cells),
         add=lambda cells, v: split_cells(cells, samples.bits[v]),
-        stop=lambda _, value: value < tau,
+        stop=lambda _, value: value < threshold,
         pick=pick,
     )
-    estimate, pruned = _prune(
-        chosen,
-        lambda v, rest: cov_scores(samples, u, [v], conditioning_cells(samples, rest))[0] >= tau,
-    )
+    estimate, pruned = _prune(chosen, lambda v, rest: cov_scores(
+        samples, u, [v], conditioning_cells(samples, rest))[0] >= threshold)
     if meter is not None:  # the scan of S
         _charge(meter, lambda s: H * s, H, len(trace) + stopped, len(chosen))
     return NeighborhoodResult(u, estimate, trace, pruned, exhausted=exhausted)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnerConfig:
-    """Which learner to run over a whole sample set and with what knobs.
+    """Which learner to run over a whole sample set and with what knobs;
+    the one place they are checked.
 
     algorithm is one of ALGORITHMS. Each family reads the same three knobs
     under the paper's names: ``threshold`` is eta (ferro) or tau (lc),
     ``rounds`` the round budget k or T_max, and ``fail_prob`` the failure
     probability delta or zeta that the "-q" variants split over their
-    rounds. threshold must be > 0, rounds >= 1 and fail_prob in (0, 1);
-    ValueError otherwise. The quantum variants draw per-node RNG streams
-    from ``seed``.
+    rounds. An unset threshold becomes the family's calibrated default,
+    0.02 for ferro and 0.025 for lc. threshold must be finite and > 0,
+    rounds >= 1 and fail_prob in (0, 1); ValueError otherwise. The quantum
+    variants draw per-node RNG streams from ``seed``.
     """
 
     algorithm: str
-    threshold: float
     rounds: int
+    threshold: float | None = None
     fail_prob: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not self.threshold > 0:  # also rejects NaN
-            raise ValueError("threshold must be > 0")
+        if self.threshold is None:
+            # calibrated by threshold-plateau sweeps on random
+            # (0.4, 2)-bounded models at desk scale
+            default = 0.02 if self.algorithm.startswith("ferro") else 0.025
+            object.__setattr__(self, "threshold", default)
+        if not 0 < self.threshold < np.inf:  # also rejects NaN
+            raise ValueError("threshold must be finite and > 0")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0 < self.fail_prob < 1:
@@ -271,7 +267,7 @@ def learn_full_graph(samples: SampleSet, config: LearnerConfig) -> FullGraphResu
     round by maximum finding at failure probability rho = fail_prob /
     (2 rounds), drawing node u's search randomness from the stream
     [seed, u], and charges one QueryMeter for the whole graph."""
-    learn = learn_ferro if config.algorithm.startswith("ferro") else learn_lc
+    learn = _learn_ferro if config.algorithm.startswith("ferro") else _learn_lc
     meter = QueryMeter() if config.algorithm.endswith("-q") else None
     results = []
     for u in range(samples.n):

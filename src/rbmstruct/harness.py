@@ -98,8 +98,8 @@ class ExperimentConfig:
     burn_in: int = GibbsConfig.burn_in
     thinning: int = GibbsConfig.thinning
     algorithm: str = "ferro"
-    # The learner's knobs (see LearnerConfig); validate() fills in an
-    # unset threshold or rounds.
+    # The learner's knobs (see LearnerConfig); an unset threshold takes the
+    # family default, an unset rounds d2 + 1.
     threshold: float | None = None
     rounds: int | None = None
     fail_prob: float = LearnerConfig.fail_prob
@@ -116,9 +116,9 @@ class ExperimentConfig:
         checked here; every other setting is checked by the code that owns
         it (check_shape, check_enumerable for the exact sampler,
         NonDegeneracyParams, GibbsConfig, LearnerConfig), whose ValueError
-        or OverflowError becomes a ConfigError. An unset threshold becomes
-        the calibrated one of the algorithm's family, 0.02 for ferro and
-        0.025 for lc; an unset rounds becomes d2 + 1."""
+        or OverflowError becomes a ConfigError. The learner knobs pass
+        through as set: an unset threshold becomes the family default in
+        LearnerConfig, and an unset rounds becomes d2 + 1 here."""
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.trials < 0:
@@ -133,15 +133,10 @@ class ExperimentConfig:
                 check_enumerable(self.n, self.m)
             NonDegeneracyParams(self.alpha, self.beta)
             GibbsConfig(self.burn_in, self.thinning)
-            threshold = self.threshold
-            if threshold is None:
-                # calibrated by threshold-plateau sweeps on random
-                # (0.4, 2)-bounded models at desk scale
-                threshold = 0.02 if self.algorithm.startswith("ferro") else 0.025
             return LearnerConfig(
                 algorithm=self.algorithm,
-                threshold=threshold,
                 rounds=self.d2 + 1 if self.rounds is None else self.rounds,
+                threshold=self.threshold,
                 fail_prob=self.fail_prob,
             )
         except (ValueError, OverflowError) as exc:
@@ -377,14 +372,17 @@ def _sample_bound(log_bound: float) -> tuple[float, float]:
 
 
 def ferro_constants(
-    alpha: float, beta: float, d2: int, delta: float, n: int
+    alpha: float, beta: float, d2: int, fail_prob: float, n: int
 ) -> FerroTheoryConstants:
     """eta = alpha^2 sigmoid(-2 beta) (1 - tanh beta)^2, k = ceil(d2 ln(4/eta)),
-    and the sample bound 2^(2k+3) (d2/eta)^2 (ln n + k ln(e n / k)) ln(4/delta)."""
-    if alpha <= 0 or beta <= 0 or d2 < 1:
-        raise ValueError("require alpha > 0, beta > 0, d2 >= 1")
-    if not 0 < delta < 1:
-        raise ValueError("require 0 < delta < 1")
+    and the sample bound 2^(2k+3) (d2/eta)^2 (ln n + k ln(e n / k)) ln(4/delta)
+    with delta = fail_prob."""
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("require alpha > 0, beta > 0")
+    if d2 < 1:
+        raise ValueError("d2 must be >= 1")
+    if not 0 < fail_prob < 1:
+        raise ValueError("fail_prob must lie in (0, 1)")
     e = math.exp(-2.0 * beta)
     try:
         eta = alpha**2 * (e / (1.0 + e)) * (1.0 - math.tanh(beta)) ** 2
@@ -400,19 +398,20 @@ def ferro_constants(
         (2 * k + 3) * math.log(2.0)
         + 2.0 * (math.log(d2) - math.log(eta))
         + math.log(bracket)
-        + math.log(math.log(4.0 / delta))
+        + math.log(math.log(4.0 / fail_prob))
     )
     return FerroTheoryConstants(eta, k, *_sample_bound(log_bound))
 
 
-def lc_constants(alpha: float, beta: float, zeta: float, n: int) -> LcTheoryConstants:
+def lc_constants(alpha: float, beta: float, fail_prob: float, n: int) -> LcTheoryConstants:
     """tau = alpha^2 exp(-12 beta), T* = ceil(8 / tau^2), delta_cond =
     0.5 exp(-2 beta), and the sample bound
-    (ln(1/zeta) + T* ln n) 2^(2 T*) / (tau^2 delta_cond^(2 T*))."""
+    (ln(1/zeta) + T* ln n) 2^(2 T*) / (tau^2 delta_cond^(2 T*)) with
+    zeta = fail_prob."""
     if alpha <= 0 or beta < 0:
         raise ValueError("require alpha > 0, beta >= 0")
-    if not 0 < zeta < 1:
-        raise ValueError("require 0 < zeta < 1")
+    if not 0 < fail_prob < 1:
+        raise ValueError("fail_prob must lie in (0, 1)")
     if n < 1:
         raise ValueError("require n >= 1")
     try:
@@ -426,7 +425,7 @@ def lc_constants(alpha: float, beta: float, zeta: float, n: int) -> LcTheoryCons
         raise ValueError("tau too small for T* = ceil(8/tau^2)")
     t_star = math.ceil(8.0 / tau_sq)
     delta_cond = 0.5 * math.exp(-2.0 * beta)
-    prefactor = math.log(1.0 / zeta) + t_star * math.log(n)
+    prefactor = math.log(1.0 / fail_prob) + t_star * math.log(n)
     log_bound = (
         math.log(prefactor)
         + 2.0 * t_star * math.log(2.0)

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from rbmstruct import qsearch
-from rbmstruct.greedy import learn_ferro, learn_lc
 from rbmstruct.model import ExactOracle, RbmModel
 from rbmstruct.qsearch import max_find_pick
 from rbmstruct.sampling import SampleSet
@@ -148,19 +147,13 @@ def demo_ring_model() -> RbmModel:
     return RbmModel(J, f, g, kind="ferromagnetic")
 
 
-# The "-q" learners for one node, as learn_full_graph runs them: the
-# classical learner with metered maximum finding at failure probability
-# delta / (2k) or zeta / (2 t_max) as its per-round selector.
-
-
-def metered_ferro(u, samples, meter, eta, k, delta, rng):
-    pick = max_find_pick(samples.M, meter, delta / (2.0 * k), rng)
-    return learn_ferro(u, samples, eta, k, pick=pick, meter=meter)
-
-
-def metered_lc(u, samples, meter, tau, t_max, zeta, rng):
-    pick = max_find_pick(samples.M, meter, zeta / (2.0 * t_max), rng)
-    return learn_lc(u, samples, tau, t_max, pick=pick, meter=meter)
+def metered(learn, u, samples, meter, threshold, rounds, fail_prob, rng):
+    """A "-q" learner for one node, as learn_full_graph runs it: the
+    classical per-node learner ``learn`` (greedy._learn_ferro or
+    greedy._learn_lc) with metered maximum finding at failure probability
+    fail_prob / (2 rounds) as its per-round selector."""
+    pick = max_find_pick(samples.M, meter, fail_prob / (2.0 * rounds), rng)
+    return learn(u, samples, threshold, rounds, pick=pick, meter=meter)
 
 
 def all_cores_max_find(values, rho: float, rng) -> tuple[int, float]:

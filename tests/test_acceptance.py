@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from rbmstruct.greedy import LearnerConfig, learn_full_graph
+from rbmstruct.greedy import LearnerConfig, _learn_ferro, _learn_lc, learn_full_graph
 from rbmstruct.model import (
     ExactOracle,
     NonDegeneracyParams,
@@ -23,7 +23,6 @@ from rbmstruct.model import (
     two_hop_graph,
 )
 from rbmstruct.qsearch import QueryMeter
-from rbmstruct.greedy import learn_ferro, learn_lc
 from rbmstruct.harness import (
     covariance_identity_gap,
     ferro_constants,
@@ -36,7 +35,7 @@ from rbmstruct.harness import (
 )
 from rbmstruct.sampling import GibbsConfig, exact_sample
 
-from conftest import metered_ferro, metered_lc
+from conftest import metered
 
 
 def _report(num: int, name: str) -> None:
@@ -178,16 +177,16 @@ def test_criterion_06_quantum_classical_agreement():
         model_l = generate_model("locally-consistent", 10, 5, 3, _RECOVERY_PARAMS, seed=600 + mi)
         samples_l = exact_sample(model_l, 4000, seed=[600, mi])
         u = mi % 10
-        ref_f = learn_ferro(u, samples_f, eta=0.02, k=4).estimate
-        ref_l = learn_lc(u, samples_l, tau=0.025, t_max=4).estimate
+        ref_f = _learn_ferro(u, samples_f, threshold=0.02, rounds=4).estimate
+        ref_l = _learn_lc(u, samples_l, threshold=0.025, rounds=4).estimate
         for r in range(runs_per_model):
-            res = metered_ferro(
-                u, samples_f, QueryMeter(), eta=0.02, k=4, delta=0.1,
+            res = metered(
+                _learn_ferro, u, samples_f, QueryMeter(), threshold=0.02, rounds=4, fail_prob=0.1,
                 rng=np.random.default_rng([61, mi, r]),
             )
             agree_f += res.estimate == ref_f
-            res = metered_lc(
-                u, samples_l, QueryMeter(), tau=0.025, t_max=4, zeta=0.1,
+            res = metered(
+                _learn_lc, u, samples_l, QueryMeter(), threshold=0.025, rounds=4, fail_prob=0.1,
                 rng=np.random.default_rng([62, mi, r]),
             )
             agree_l += res.estimate == ref_l

@@ -8,11 +8,11 @@ from rbmstruct.greedy import (
     LearnerConfig,
     _argmax,
     _greedy,
+    _learn_ferro,
+    _learn_lc,
     _or_edges,
     _prune,
-    learn_ferro,
     learn_full_graph,
-    learn_lc,
 )
 from rbmstruct.harness import ferro_constants, lc_constants
 from rbmstruct.model import (
@@ -105,7 +105,7 @@ class TestLearnFerro:
     def test_ring_model_finds_documented_edge(self):
         m = demo_ring_model()
         s = exact_sample(m, 50_000, seed=100)
-        res = learn_ferro(0, s, eta=0.02, k=3)
+        res = _learn_ferro(0, s, threshold=0.02, rounds=3)
         assert 1 in res.estimate
 
     def test_detached_node_empty(self):
@@ -116,27 +116,27 @@ class TestLearnFerro:
         hits = 0
         for seed in range(20):
             s = exact_sample(m, 20_000, seed=seed)
-            res = learn_ferro(0, s, eta=0.03, k=3)
+            res = _learn_ferro(0, s, threshold=0.03, rounds=3)
             hits += res.estimate == ()
         assert hits >= 19  # at least 95 percent of trials empty
 
     def test_k_exceeding_candidates_flags_exhausted(self):
         m = demo_ring_model()
         s = exact_sample(m, 2_000, seed=3)
-        res = learn_ferro(0, s, eta=0.02, k=10)
+        res = _learn_ferro(0, s, threshold=0.02, rounds=10)
         assert res.exhausted
         assert len(res.trace) == 3  # only n - 1 candidates exist
 
     def test_all_candidates_undefined_flags_insufficient(self):
         s = SampleSet.from_pm1(np.full((6, 3), -1, dtype=np.int8))
-        res = learn_ferro(0, s, eta=0.02, k=2)
+        res = _learn_ferro(0, s, threshold=0.02, rounds=2)
         assert res.insufficient_samples
         assert res.estimate == ()
 
     def test_trace_scores_reproducible(self):
         m = demo_ring_model()
         s = exact_sample(m, 10_000, seed=4)
-        res = learn_ferro(2, s, eta=0.02, k=3)
+        res = _learn_ferro(2, s, threshold=0.02, rounds=3)
         S = []
         for node, score in res.trace:
             iv = empirical_influence(s, 2, S + [node])
@@ -146,20 +146,9 @@ class TestLearnFerro:
     def test_deterministic_reruns(self):
         m = demo_ring_model()
         s = exact_sample(m, 5_000, seed=5)
-        r1 = learn_ferro(1, s, eta=0.02, k=3)
-        r2 = learn_ferro(1, s, eta=0.02, k=3)
+        r1 = _learn_ferro(1, s, threshold=0.02, rounds=3)
+        r2 = _learn_ferro(1, s, threshold=0.02, rounds=3)
         assert r1.trace == r2.trace and r1.estimate == r2.estimate
-
-    def test_validation(self):
-        s = SampleSet.from_pm1(np.ones((2, 2), dtype=np.int8))
-        with pytest.raises(ValueError):
-            learn_ferro(0, s, eta=0.0, k=1)
-        with pytest.raises(ValueError, match="eta must be positive"):
-            learn_ferro(0, s, eta=float("nan"), k=1)
-        with pytest.raises(ValueError):
-            learn_ferro(0, s, eta=0.1, k=0)
-        with pytest.raises(ValueError):
-            learn_ferro(5, s, eta=0.1, k=1)
 
 
 class TestLearnLc:
@@ -172,7 +161,7 @@ class TestLearnLc:
         hits = 0
         for seed in range(20):
             s = exact_sample(m, 50_000, seed=seed)
-            res = learn_lc(0, s, tau=0.05, t_max=3)
+            res = _learn_lc(0, s, threshold=0.05, rounds=3)
             hits += res.estimate == (1,)
         assert hits >= 19
 
@@ -181,20 +170,20 @@ class TestLearnLc:
         J[1, 0] = J[2, 0] = 0.8
         m = RbmModel(J, np.zeros(4), np.zeros(1), kind="locally-consistent")
         s = exact_sample(m, 30_000, seed=9)
-        res = learn_lc(0, s, tau=0.05, t_max=3)
+        res = _learn_lc(0, s, threshold=0.05, rounds=3)
         assert res.estimate == ()
         assert res.trace == []
 
     def test_threshold_above_covariance_range(self):
         m = demo_ring_model()
         s = exact_sample(m, 5_000, seed=10)
-        res = learn_lc(0, s, tau=2.5, t_max=4)
+        res = _learn_lc(0, s, threshold=2.5, rounds=4)
         assert res.estimate == () and res.trace == []
 
     def test_trace_scores_reproducible(self):
         m = demo_ring_model()
         s = exact_sample(m, 10_000, seed=11)
-        res = learn_lc(1, s, tau=0.02, t_max=3)
+        res = _learn_lc(1, s, threshold=0.02, rounds=3)
         assert res.trace  # ring neighbors give strong covariance signal
         S = []
         for node, score in res.trace:
@@ -203,18 +192,8 @@ class TestLearnLc:
 
     def test_empty_samples_flagged(self):
         s = SampleSet.from_pm1(np.zeros((0, 3), dtype=np.int8))
-        res = learn_lc(0, s, tau=0.05, t_max=2)
+        res = _learn_lc(0, s, threshold=0.05, rounds=2)
         assert res.insufficient_samples
-
-    def test_validation(self):
-        s = SampleSet.from_pm1(np.ones((2, 2), dtype=np.int8))
-        for tau in (0.0, float("nan")):
-            with pytest.raises(ValueError, match="tau must be positive"):
-                learn_lc(0, s, tau=tau, t_max=1)
-        with pytest.raises(ValueError):
-            learn_lc(0, s, tau=0.1, t_max=0)
-        with pytest.raises(ValueError):
-            learn_lc(5, s, tau=0.1, t_max=1)
 
 
 class TestPruningSoundnessExactScores:

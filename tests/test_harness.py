@@ -215,6 +215,8 @@ class TestRun:
             run(ExperimentConfig(num_samples=-1))
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
             LearnerConfig("bogus", threshold=0.02, rounds=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            LearnerConfig("ferro", rounds=1).threshold = math.inf  # checked once, then fixed
         with pytest.raises(ConfigError):
             run(ExperimentConfig(alpha=0.0))
         with pytest.raises(ConfigError):
@@ -224,6 +226,7 @@ class TestRun:
         for bad in (
             dict(threshold=0.0),
             dict(threshold=math.nan),
+            dict(threshold=math.inf),
             dict(algorithm="lc", threshold=-0.1),
             dict(rounds=0),
             dict(algorithm="lc", rounds=0),
@@ -268,6 +271,10 @@ class TestSweepScaling:
     def test_n_below_one_rejected(self):
         with pytest.raises(ConfigError, match="n list entries must be >= 1, got 0"):
             sweep_scaling([0, 1, 2], trials=2, rho=0.5, seed=0)
+
+    def test_trials_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            sweep_scaling([64, 128, 256], trials=0, rho=0.5, seed=0)
 
     def test_small_sweep_shape(self):
         # slope checks only; the pointwise quantum-below-classical claim
@@ -381,17 +388,18 @@ class TestCli:
 
     def test_sweep_command(self, tmp_path, capsys):
         assert cli.main([
-            "sweep", "--n-list", "64,128,256", "--trials", "4", "--seed", "1",
-            "--out", str(tmp_path / "sweep.csv"),
+            "sweep", "--n-list", "64,128,256", "--out", str(tmp_path / "sweep.csv"),
         ]) == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "n,classical_mean_queries,quantum_mean_queries"
         assert len(lines) == 4
-        assert cli.main(["sweep", "--trials", "0"]) == 1
+        # the rows are closed-form, so sweep takes no trial count or seed
+        for flag in ("--trials", "--seed"):
+            assert cli.main(["sweep", flag, "1"]) == 1
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert cli.main(["sweep", "--rho", "1"]) == 1
         assert cli.main(["sweep", "--n-list", "0,1,2"]) == 1
         err = capsys.readouterr().err
-        assert "error: trials must be >= 1" in err
         assert "error: rho must lie in (0, 1)" in err
         assert "error: n list entries must be >= 1, got 0" in err
         assert cli.main(["sweep", "--n-list", "64,abc,256"]) == 1
@@ -447,10 +455,12 @@ class TestCli:
         monkeypatch.setattr(harness, "generate_model", no_model)
         assert cli.main(["learn", "--num-samples", "100", "--rounds", "0"]) == 1
         assert cli.main(["learn", "--num-samples", "100", "--fail-prob", "0"]) == 1
+        assert cli.main(["learn", "--num-samples", "100", "--threshold", "inf"]) == 1
         assert cli.main(["constants", "--alpha", "1e-90", "--beta", "1"]) == 1
         err = capsys.readouterr().err
         assert "error: rounds must be >= 1" in err
         assert "error: fail_prob must lie in (0, 1)" in err
+        assert "error: threshold must be finite and > 0" in err
         assert "error: require n > k (k = 842)" in err
 
     def test_missing_out_directory_rejected_before_any_model(self, tmp_path, monkeypatch,
@@ -494,9 +504,15 @@ class TestCli:
     def test_theory_constants_errors_name_the_setting(self, capsys):
         assert cli.main(["constants", "--alpha", "1e-90", "--beta", "1", "--n", "10000"]) == 1
         assert cli.main(["constants", "--alpha", "1e200", "--beta", "1e200"]) == 1
+        assert cli.main(["constants", "--alpha", "0.4", "--beta", "2", "--fail-prob", "1"]) == 1
+        assert cli.main(["constants", "--alpha", "0.4", "--beta", "2", "--d2", "0"]) == 1
+        assert cli.main(["constants", "--alpha", "1e-113", "--beta", "19", "--n", "100000"]) == 1
         err = capsys.readouterr().err
         assert err.count("error: tau too small for T* = ceil(8/tau^2)") == 1
         assert err.count("error: alpha too large") == 1
+        assert err.count("error: fail_prob must lie in (0, 1)") == 1
+        assert err.count("error: d2 must be >= 1") == 1
+        assert err.count("error: tau underflowed to zero; alpha too small or beta too large") == 1
 
     def test_exact_enumeration_limit_rejected_before_any_model(self, monkeypatch, capsys, tmp_path):
         def no_model(*args, **kwargs):
@@ -518,7 +534,6 @@ class TestCli:
         ["gen-model", "--out", "/dev/null"],
         ["sample", "--model", "m.json", "--out", "/dev/null"],
         ["learn"],
-        ["sweep"],
     ], ids=lambda argv: argv[0])
     def test_negative_seed_names_the_flag(self, argv, capsys):
         assert cli.main([*argv, "--seed", "-1"]) == 1

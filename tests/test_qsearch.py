@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbmstruct import qsearch
-from rbmstruct.greedy import LearnerConfig, learn_ferro, learn_full_graph, learn_lc
+from rbmstruct.greedy import LearnerConfig, _learn_ferro, _learn_lc, learn_full_graph
 from rbmstruct.qsearch import (
     CORE_BUDGET_FACTOR,
     QueryMeter,
@@ -30,8 +30,7 @@ from conftest import (
     demo_ring_model,
     exponential_search_outcomes,
     grover_marked_probabilities,
-    metered_ferro,
-    metered_lc,
+    metered,
 )
 
 # Cost-shape constants, fitted once on Monte Carlo calibration runs and
@@ -293,9 +292,9 @@ class TestQuantumLearnFerro:
     def test_agrees_with_classical_at_vanishing_rho(self):
         s = _ring_samples()
         for u in range(4):
-            classical = learn_ferro(u, s, eta=0.02, k=3)
-            res = metered_ferro(
-                u, s, QueryMeter(), eta=0.02, k=3, delta=1e-8,
+            classical = _learn_ferro(u, s, threshold=0.02, rounds=3)
+            res = metered(
+                _learn_ferro, u, s, QueryMeter(), threshold=0.02, rounds=3, fail_prob=1e-8,
                 rng=np.random.default_rng([21, u]),
             )
             assert res.estimate == classical.estimate
@@ -308,9 +307,9 @@ class TestQuantumLearnFerro:
         agree = 0
         runs = 60
         for r in range(runs):
-            classical = learn_ferro(1, s, eta=0.02, k=3)
-            res = metered_ferro(
-                1, s, QueryMeter(), eta=0.02, k=3, delta=delta,
+            classical = _learn_ferro(1, s, threshold=0.02, rounds=3)
+            res = metered(
+                _learn_ferro, 1, s, QueryMeter(), threshold=0.02, rounds=3, fail_prob=delta,
                 rng=np.random.default_rng([23, r]),
             )
             agree += res.estimate == classical.estimate
@@ -320,8 +319,9 @@ class TestQuantumLearnFerro:
         s = _ring_samples(M=2000, seed=24)
         M, k = s.M, 3
         meter = QueryMeter()
-        res = metered_ferro(
-            0, s, meter, eta=0.02, k=k, delta=0.1, rng=np.random.default_rng(25)
+        res = metered(
+            _learn_ferro, 0, s, meter, threshold=0.02, rounds=k, fail_prob=0.1,
+            rng=np.random.default_rng(25),
         )
         assert len(res.trace) == k and not res.insufficient_samples
         # index scans: M(2t+1) per round, then M(2k-1) per pruning candidate
@@ -336,12 +336,12 @@ class TestQuantumLearnFerro:
     def test_smaller_budget_when_delta_near_one(self):
         s = _ring_samples(M=1000, seed=26)
         loose, tight = QueryMeter(), QueryMeter()
-        metered_ferro(
-            0, s, loose, eta=0.02, k=2, delta=0.99,
+        metered(
+            _learn_ferro, 0, s, loose, threshold=0.02, rounds=2, fail_prob=0.99,
             rng=np.random.default_rng(27),
         )
-        metered_ferro(
-            0, s, tight, eta=0.02, k=2, delta=0.01,
+        metered(
+            _learn_ferro, 0, s, tight, threshold=0.02, rounds=2, fail_prob=0.01,
             rng=np.random.default_rng(27),
         )
         assert loose.score_evals < tight.score_evals
@@ -349,8 +349,8 @@ class TestQuantumLearnFerro:
 
     def test_insufficient_flag_matches_classical(self):
         s = SampleSet.from_pm1(np.full((5, 4), -1, dtype=np.int8))
-        res = metered_ferro(
-            0, s, QueryMeter(), eta=0.02, k=2, delta=0.1,
+        res = metered(
+            _learn_ferro, 0, s, QueryMeter(), threshold=0.02, rounds=2, fail_prob=0.1,
             rng=np.random.default_rng(28),
         )
         assert res.insufficient_samples
@@ -376,8 +376,8 @@ class TestQuantumLearnFerro:
                 super().charge_index(q)
 
         meter = SnapMeter()
-        res = metered_ferro(
-            0, s, meter, eta=0.5, k=k, delta=delta,
+        res = metered(
+            _learn_ferro, 0, s, meter, threshold=0.5, rounds=k, fail_prob=delta,
             rng=np.random.default_rng(30),
         )
         assert len(res.trace) == k and len(marks) == k + 1
@@ -393,9 +393,9 @@ class TestQuantumLearnLc:
     def test_agrees_with_classical_at_vanishing_rho(self):
         s = _ring_samples(M=5000, seed=31)
         for u in range(4):
-            classical = learn_lc(u, s, tau=0.03, t_max=3)
-            res = metered_lc(
-                u, s, QueryMeter(), tau=0.03, t_max=3, zeta=1e-8,
+            classical = _learn_lc(u, s, threshold=0.03, rounds=3)
+            res = metered(
+                _learn_lc, u, s, QueryMeter(), threshold=0.03, rounds=3, fail_prob=1e-8,
                 rng=np.random.default_rng([32, u]),
             )
             assert res.estimate == classical.estimate
@@ -407,9 +407,9 @@ class TestQuantumLearnLc:
         agree = 0
         runs = 60
         for r in range(runs):
-            classical = learn_lc(2, s, tau=0.03, t_max=3)
-            res = metered_lc(
-                2, s, QueryMeter(), tau=0.03, t_max=3, zeta=zeta,
+            classical = _learn_lc(2, s, threshold=0.03, rounds=3)
+            res = metered(
+                _learn_lc, 2, s, QueryMeter(), threshold=0.03, rounds=3, fail_prob=zeta,
                 rng=np.random.default_rng([34, r]),
             )
             agree += res.estimate == classical.estimate
@@ -422,8 +422,8 @@ class TestQuantumLearnLc:
         s = _ring_samples(M=2000, seed=35)
         H, t_max = s.M, 2
         meter = QueryMeter()
-        res = metered_lc(
-            0, s, meter, tau=1e-6, t_max=t_max, zeta=0.1,
+        res = metered(
+            _learn_lc, 0, s, meter, threshold=1e-6, rounds=t_max, fail_prob=0.1,
             rng=np.random.default_rng(36),
         )
         assert len(res.trace) == t_max
@@ -436,8 +436,8 @@ class TestQuantumLearnLc:
     def test_t_max_one_single_addition(self):
         s = _ring_samples(M=2000, seed=37)
         meter = QueryMeter()
-        res = metered_lc(
-            0, s, meter, tau=0.01, t_max=1, zeta=0.1,
+        res = metered(
+            _learn_lc, 0, s, meter, threshold=0.01, rounds=1, fail_prob=0.1,
             rng=np.random.default_rng(38),
         )
         assert len(res.trace) <= 1
@@ -450,8 +450,8 @@ class TestQuantumLearnLc:
 
     def test_empty_samples(self):
         s = SampleSet.from_pm1(np.zeros((0, 3), dtype=np.int8))
-        res = metered_lc(
-            0, s, QueryMeter(), tau=0.05, t_max=2, zeta=0.1,
+        res = metered(
+            _learn_lc, 0, s, QueryMeter(), threshold=0.05, rounds=2, fail_prob=0.1,
             rng=np.random.default_rng(39),
         )
         assert res.insufficient_samples
@@ -520,12 +520,14 @@ class TestMeterIdentity:
 
         meter = CountMeter()
         if family == "ferro":
-            res = metered_ferro(
-                0, s, meter, eta=0.02, k=3, delta=0.1, rng=np.random.default_rng(25)
+            res = metered(
+                _learn_ferro, 0, s, meter, threshold=0.02, rounds=3, fail_prob=0.1,
+                rng=np.random.default_rng(25),
             )
         else:
-            res = metered_lc(
-                0, s, meter, tau=1e-6, t_max=3, zeta=0.1, rng=np.random.default_rng(36)
+            res = metered(
+                _learn_lc, 0, s, meter, threshold=1e-6, rounds=3, fail_prob=0.1,
+                rng=np.random.default_rng(36),
             )
         assert len(res.trace) >= 2
         assert len(calls) == 1 and calls[0] == meter.index_queries > 0
