@@ -4,20 +4,25 @@ Everything the greedy learners consume lives here: the empirical
 influence ratio and the average conditional covariance.
 
 The learners use the bitset forms at the end of this module. Each holds
-its conditioning set S as one bitset structure over samples, refined by
-one column per added node: the all-ones mask of S (``ones_mask``) for
-ferro, the cells of S (``conditioning_cells``) for lc. Both batch scorers,
-``influence_counts`` and ``cov_scores``, take (samples, u, cands,
-structure), and every count is a popcount. Each fast path has one slow
-reference above it, which the tests and ``verify`` compare it against:
+its conditioning set S as one structure over samples, refined by one
+column per added node: the all-ones mask of S (``ones_mask``) for ferro,
+the cells of S with their counts (``counted_cells``) for lc. That counted
+state is (cells, sizes, counts), where counts[l, j] = |cell_l & x_j|: a
+split counts only each +1 child, in one popcount pass over all n columns
+(the root's +1 child reads ``SampleSet.pairs``), and takes each -1
+child's counts by subtraction from its parent, so ``counted_cov_scores``
+scores every candidate without a pass over the samples. Each fast path has
+a slow reference, which the tests and ``verify`` compare it against:
 ``empirical_influence`` (row masking) for the influence counts,
-``build_index`` groups for ``conditioning_cells``, and
-``avg_cond_cov_direct`` for ``cov_scores``. The references take the
-queried nodes and the conditioning set, (u, S) or (u, v, S), as
-``ExactOracle``'s queries do, and check them through ``model.node_set``.
-``cov_scores`` gives the same floats as ``avg_cond_cov_decomposed`` bit
-for bit, because the float work is done in the same order (cells by
-first occurrence, one division per cell).
+``build_index`` groups for ``conditioning_cells``, ``conditioning_cells``
+and popcounts for ``counted_cells``, ``cov_scores`` for
+``counted_cov_scores``, and ``avg_cond_cov_direct`` for ``cov_scores``.
+The references take the queried nodes and the conditioning set, (u, S) or
+(u, v, S), as ``ExactOracle``'s queries do, and check them through
+``model.node_set``. ``counted_cov_scores``, ``cov_scores`` and
+``avg_cond_cov_decomposed`` give the same floats bit for bit, because the
+float work is done in the same order (cells by first occurrence, one
+division per cell).
 
 All counting is exact integer arithmetic (float64 sums of +-1 entries
 stay integral far below 2**53); each estimator divides once at the end.
@@ -188,25 +193,26 @@ def _lowest_bits(cells: np.ndarray) -> np.ndarray:
     return 64 * first + np.bitwise_count((word - np.uint64(1)) & ~word)
 
 
-def split_cells(cells: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Refine a cell stack by one column: each cell splits into its
-    samples with x_j = +1 and with x_j = -1. Empty cells are dropped and
-    the rest ordered by lowest set bit, which is build_index's
-    first-occurrence order."""
-    parts = np.concatenate((cells & col, cells & ~col))
-    parts = parts[popcount(parts) > 0]
-    if len(parts) > 1:
-        parts = parts[np.argsort(_lowest_bits(parts))]
-    return parts
+def _split_order(parts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row indices of the nonempty parts of a split, ordered by lowest set
+    bit, which is build_index's first-occurrence order."""
+    keep = np.flatnonzero(sizes > 0)
+    if len(keep) > 1:
+        keep = keep[np.argsort(_lowest_bits(parts[keep]))]
+    return keep
 
 
 def conditioning_cells(samples: SampleSet, S=()) -> np.ndarray:
     """(cells, ceil(M/64)) uint64 stack of the samples realizing each
     observed configuration of S, in first-occurrence order; the bitset
-    form of build_index(samples, S).groups for M >= 1."""
+    form of build_index(samples, S).groups for M >= 1. Each node j of S
+    splits every cell into its samples with x_j = +1 and with x_j = -1,
+    keeping the nonempty ones in first-occurrence order (``_split_order``)."""
     cells = ones_mask(samples)[None]
     for j in S:
-        cells = split_cells(cells, samples.bits[j])
+        col = samples.bits[j]
+        parts = np.concatenate((cells & col, cells & ~col))
+        cells = parts[_split_order(parts, popcount(parts))]
     return cells
 
 
@@ -228,4 +234,56 @@ def cov_scores(samples: SampleSet, u: int, cands, cells: np.ndarray) -> np.ndarr
         a_u = 2 * popcount(cell & xu) - size
         a_v = 2 * popcount(cols & cell) - size
         corr += a_u * a_v / size
+    return (z_total - corr) / M
+
+
+def counted_cells(samples: SampleSet, S=()) -> tuple:
+    """The cells of S with their counts, the lc learner's round state:
+    (cells, sizes, counts) with cells the conditioning_cells stack, sizes[l]
+    = |cell_l| and counts[l, j] = |cell_l & x_j| as an (L, n) int64 array.
+    The root (S empty) is read off ``SampleSet.pairs``; each node of S
+    refines it by ``split_counted``."""
+    state = (ones_mask(samples)[None], np.array([samples.M]), samples.pairs.diagonal()[None])
+    for j in S:
+        state = split_counted(samples, state, j)
+    return state
+
+
+def split_counted(samples: SampleSet, state: tuple, v: int) -> tuple:
+    """Split a counted state by column v, into the cells that
+    conditioning_cells makes for S plus v. Only the +1 children
+    are counted, one pass over all n columns per parent cell (none for the
+    all-samples cell, whose +1 child has counts pairs[v], nor for an empty
+    child); each -1 child's counts are its parent's minus its sibling's."""
+    cells, sizes, counts = state
+    bits = samples.bits
+    plus = cells & bits[v]
+    plus_sizes = counts[:, v]
+    plus_counts = np.zeros_like(counts)
+    for l, size in enumerate(plus_sizes):
+        if sizes[l] == samples.M:
+            plus_counts[l] = samples.pairs[v]
+        elif size:
+            plus_counts[l] = popcount(bits & plus[l])
+    parts = np.concatenate((plus, cells & ~bits[v]))
+    part_sizes = np.concatenate((plus_sizes, sizes - plus_sizes))
+    part_counts = np.concatenate((plus_counts, counts - plus_counts))
+    order = _split_order(parts, part_sizes)
+    return parts[order], part_sizes[order], part_counts[order]
+
+
+def counted_cov_scores(samples: SampleSet, u: int, cands, state: tuple) -> np.ndarray:
+    """cov_scores from a counted state (counted_cells), bit for bit, with
+    no pass over the samples: sum_i x_u^i x_v^i = M - 2 |x_u ^ x_v| comes
+    from the pair table, and the per-cell corrections a_u,l a_v,l / |F_l|
+    are accumulated along the cell axis in cell order (cumsum), one
+    division per cell. Needs M >= 1."""
+    _, sizes, counts = state
+    cands = np.asarray(cands)
+    pairs = samples.pairs
+    M = samples.M
+    z_total = M - 2 * (pairs[u, u] + pairs[cands, cands] - 2 * pairs[u, cands])
+    a_u = 2 * counts[:, u] - sizes
+    a_v = 2 * counts[:, cands] - sizes[:, None]
+    corr = np.cumsum(a_u[:, None] * a_v / sizes[:, None], axis=0)[-1]
     return (z_total - corr) / M

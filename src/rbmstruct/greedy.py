@@ -22,8 +22,17 @@ state update, stop rule and keep rule, and takes the per-round selector
 variants ("-q") are the same learners with metered maximum finding
 (``qsearch.max_find_pick``) as the selector, which charges each search.
 
+ferro's state is the all-ones mask of S (``influence_counts``). lc's is
+the cells of S with their counts (``counted_cells``, refined by
+``split_counted``, scored by ``counted_cov_scores``). lc's prune decides
+the last chosen node by its trace score, since its leave-one-out set is
+the prefix it was scored on, and every other one through
+``conditioning_cells`` and ``cov_scores``, the counted route's slow
+reference.
+
 With a meter, a learner charges its node's scans once, after its prune
-(``_charge``), by one index-cost law per family, the raw queries to scan
+(``_charge``), by one index-cost law per family. The laws price the cost
+model, not the work this simulation does: the raw queries to scan
 the conditioning structure of a set of size s: M(2s+1) for ferro (the
 all-ones sets of S and S union {u}), M*s for lc. Each scored round s costs
 law(s); pruning s chosen nodes costs s*law(s-1) plus s leave-one-out
@@ -38,11 +47,13 @@ import numpy as np
 
 from .estimators import (
     conditioning_cells,
+    counted_cells,
+    counted_cov_scores,
     cov_scores,
     influence_bits,
     influence_counts,
     ones_mask,
-    split_cells,
+    split_counted,
 )
 from .model import TwoHopGraph
 from .qsearch import QueryMeter, max_find_pick
@@ -100,16 +111,19 @@ def _greedy(u, n, budget, state, score, add, stop, pick):
     Each round scores the nodes not yet chosen with ``score(cands, state)``
     and lets ``pick(values) -> (index, value)`` select one; when
     ``stop(values, value)`` holds the run ends without taking it, otherwise
-    the node joins the chosen set, the pair (node, value) the trace, and
-    ``add(state, node)`` refines the conditioning state. Runs at most
-    ``budget`` rounds. Returns (chosen, trace, stopped, exhausted): a run
-    scored len(trace) + stopped rounds."""
+    the node joins the chosen set and the pair (node, value) the trace.
+    ``add(state, node)`` refines the conditioning state by the last pick
+    only when another round scores, so no state is built past the budget.
+    Runs at most ``budget`` rounds. Returns (chosen, trace, stopped,
+    exhausted): a run scored len(trace) + stopped rounds."""
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
     while len(chosen) < budget:
         cands = [j for j in range(n) if j != u and j not in chosen]
         if not cands:
             return chosen, trace, False, True
+        if chosen:
+            state = add(state, chosen[-1])
         values = score(cands, state)
         best, value = pick(values)
         if stop(values, value):
@@ -117,7 +131,6 @@ def _greedy(u, n, budget, state, score, add, stop, pick):
         j = cands[best]
         chosen.append(j)
         trace.append((j, value))
-        state = add(state, j)
     return chosen, trace, False, False
 
 
@@ -175,10 +188,11 @@ def _learn_ferro(
     return NeighborhoodResult(u, estimate, trace, pruned, insufficient, exhausted)
 
 
-def _score_candidates_lc(samples, u, cands, cells) -> np.ndarray:
+def _score_candidates_lc(samples, u, cands, state) -> np.ndarray:
     """Average conditional covariance of u with each candidate over the
-    cells of the current conditioning set."""
-    return cov_scores(samples, u, cands, cells)
+    cells of the current conditioning set, from their counts
+    (``counted_cells``)."""
+    return counted_cov_scores(samples, u, cands, state)
 
 
 def _learn_lc(
@@ -195,14 +209,19 @@ def _learn_lc(
     if H == 0:
         return NeighborhoodResult(u, (), [], (), insufficient_samples=True)
     chosen, trace, stopped, exhausted = _greedy(
-        u, n, rounds, conditioning_cells(samples),
-        score=lambda cands, cells: _score_candidates_lc(samples, u, cands, cells),
-        add=lambda cells, v: split_cells(cells, samples.bits[v]),
+        u, n, rounds, counted_cells(samples),
+        score=lambda cands, state: _score_candidates_lc(samples, u, cands, state),
+        add=lambda state, v: split_counted(samples, state, v),
         stop=lambda _, value: value < threshold,
         pick=pick,
     )
-    estimate, pruned = _prune(chosen, lambda v, rest: cov_scores(
-        samples, u, [v], conditioning_cells(samples, rest))[0] >= threshold)
+
+    def keep(v, rest):
+        if v == chosen[-1]:  # rest is the prefix v was scored on
+            return trace[-1][1] >= threshold
+        return cov_scores(samples, u, [v], conditioning_cells(samples, rest))[0] >= threshold
+
+    estimate, pruned = _prune(chosen, keep)
     if meter is not None:  # the scan of S
         _charge(meter, lambda s: H * s, H, len(trace) + stopped, len(chosen))
     return NeighborhoodResult(u, estimate, trace, pruned, exhausted=exhausted)

@@ -472,8 +472,9 @@ def covariance_identity_gap(rng, trials: int) -> float:
     """Largest |direct - bitset| average conditional covariance over
     ``trials`` draws of a random model (n 3..6, m 1..3), an exact sample
     set of 1..500 rows, a pair (u, v) and a conditioning set S. The direct
-    route averages over ``build_index`` groups; the bitset route is the
-    learners' ``cov_scores`` over ``conditioning_cells``."""
+    route averages over ``build_index`` groups; the bitset route is
+    ``cov_scores`` over ``conditioning_cells``, which the lc prune runs and
+    the learners' counted scores are held to."""
     worst = 0.0
     for _ in range(trials):
         mdl = random_model(rng, n_range=(3, 7), m_range=(1, 4))
@@ -583,6 +584,9 @@ def verify() -> bool:
         fast = estimators.cov_scores(samples, u, cands, estimators.conditioning_cells(samples, S))
         ref = [estimators.avg_cond_cov_decomposed(samples, u, v, S) for v in cands]
         same = same and fast.tolist() == ref
+        counted = estimators.counted_cov_scores(
+            samples, u, cands, estimators.counted_cells(samples, S))
+        same = same and counted.tobytes() == fast.tobytes()
         m_s = estimators.ones_mask(samples, S)
         numer, denom = estimators.influence_counts(samples, u, cands, m_s)
         masked = [estimators.empirical_influence(samples, u, S + [j]) for j in cands]

@@ -3,7 +3,8 @@
 A SampleSet holds M visible configurations bit-packed, MSB-first within
 each byte, bit 1 meaning +1; rows are ceil(n/8) bytes with zero pad bits.
 The learners read it transposed, as one bitset over samples per node
-(``SampleSet.bits``).
+(``SampleSet.bits``), and the lc learner also reads the pair table
+(``SampleSet.pairs``) of +1/+1 counts.
 Small models are sampled exactly by inverse CDF over the enumerated
 visible marginal: each uniform is looked up in draw order through a guide
 table over the CDF, and each drawn configuration index, shifted to the top
@@ -51,9 +52,15 @@ class SampleFileError(ValueError):
 
 
 class SampleSet:
-    """Immutable bit-packed matrix of M visible configurations in {-1,+1}^n."""
+    """Immutable bit-packed matrix of M visible configurations in {-1,+1}^n.
 
-    __slots__ = ("n", "packed", "_dense", "_bits")
+    Its views are built on first access and cached: ``dense`` (M*n bytes),
+    ``bits`` (n*ceil(M/64)*8 bytes) and ``pairs``, which costs n^2*8 bytes
+    (8 MiB at n = 1024). The lc learner's round state adds L*n*8 bytes of
+    cell counts for L cells. Pickling carries only ``packed``.
+    """
+
+    __slots__ = ("n", "packed", "_dense", "_bits", "_pairs")
 
     def __init__(self, n: int, packed: np.ndarray):
         if n < 1:
@@ -71,6 +78,7 @@ class SampleSet:
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "_dense", None)
         object.__setattr__(self, "_bits", None)
+        object.__setattr__(self, "_pairs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleSet is immutable")
@@ -123,6 +131,21 @@ class SampleSet:
             b.setflags(write=False)
             object.__setattr__(self, "_bits", b)
         return self._bits
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """Pair table: an (n, n) int64 array (cached, read-only) whose entry
+        [i, j] is the number of samples with x_i = x_j = +1, so its diagonal
+        counts each node's +1 entries. Built from ``bits`` one row at a
+        time, so its largest temporary is one n-row copy of ``bits``."""
+        if self._pairs is None:
+            bits = self.bits
+            p = np.empty((self.n, self.n), dtype=np.int64)
+            for i in range(self.n):
+                np.bitwise_count(bits & bits[i]).sum(axis=1, dtype=np.int64, out=p[i])
+            p.setflags(write=False)
+            object.__setattr__(self, "_pairs", p)
+        return self._pairs
 
     def __eq__(self, other):
         if not isinstance(other, SampleSet):

@@ -1,5 +1,6 @@
 """Property tests: the bitset routes the learners use against the index,
-masking and direct references, over random sample sets."""
+masking and direct references, and lc's counted state against the
+bitset routes, over random sample sets."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,11 +11,14 @@ from rbmstruct.estimators import (
     avg_cond_cov_direct,
     build_index,
     conditioning_cells,
+    counted_cells,
+    counted_cov_scores,
     cov_scores,
     empirical_influence,
     influence_bits,
     influence_counts,
     ones_mask,
+    popcount,
 )
 from rbmstruct.greedy import UNDEFINED_SCORE, _score_candidates_ferro
 from rbmstruct.sampling import SampleSet
@@ -35,6 +39,19 @@ def sample_sets(draw, min_n=1, min_M=0):
     M = draw(SAMPLE_COUNTS.filter(lambda m: m >= min_M))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_plus = rng.uniform(0.1, 0.9, size=n)
+    rows = np.where(rng.random((M, n)) < p_plus, 1, -1).astype(np.int8)
+    return SampleSet.from_pm1(rows), rng
+
+
+@st.composite
+def constant_column_sets(draw):
+    """A random SampleSet at or around word boundaries whose columns are
+    each biased, constant +1 or constant -1, so that splits leave empty
+    children."""
+    n = draw(st.integers(2, 12))
+    M = draw(st.sampled_from([1, 63, 64, 65, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_plus = rng.choice([0.0, 1.0, 0.2, 0.5, 0.8], size=n)
     rows = np.where(rng.random((M, n)) < p_plus, 1, -1).astype(np.int8)
     return SampleSet.from_pm1(rows), rng
 
@@ -113,3 +130,27 @@ def test_influence_counts_equal_masked_and_index_counts(case):
     scores = _score_candidates_ferro(samples, u, cands, m_s)
     assert scores.tolist() == [iv.value if iv.defined else UNDEFINED_SCORE for iv in masked]
     assert influence_bits(samples, u, S) == empirical_influence(samples, u, S)
+
+
+@PROPERTY
+@given(sample_sets())
+def test_pairs_equal_gram_matrix_of_dense(case):
+    samples, _ = case
+    plus = (samples.dense > 0).astype(np.int64)
+    assert samples.pairs.dtype == np.int64 and np.array_equal(samples.pairs, plus.T @ plus)
+
+
+@PROPERTY
+@given(st.one_of(constant_column_sets(), sample_sets(min_n=2, min_M=1)))
+def test_counted_state_equals_cells_popcounts_and_cov_scores(case):
+    samples, rng = case
+    u, S, cands = _split_nodes(rng, samples.n, max_s=4)
+    cells, sizes, counts = counted_cells(samples, S)
+    reference = conditioning_cells(samples, S)
+    assert np.array_equal(cells, reference)
+    assert np.array_equal(sizes, popcount(reference))
+    assert counts.shape == (len(reference), samples.n)
+    assert np.array_equal(counts, popcount(samples.bits[None] & reference[:, None]))
+    cands = cands or S[-1:]
+    fast = counted_cov_scores(samples, u, cands, (cells, sizes, counts))
+    assert fast.tobytes() == cov_scores(samples, u, cands, reference).tobytes()

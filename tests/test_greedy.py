@@ -65,6 +65,13 @@ class TestFerroConstants:
         with pytest.raises(ValueError, match="alpha too large"):
             ferro_constants(1e200, 1e200, 2, 0.1, 100)
 
+    # format_constants checks alpha and beta first (NonDegeneracyParams),
+    # so only a direct call reaches this check
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (0.2, 0.0)])
+    def test_weight_bounds_checked_on_direct_call(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"^require alpha > 0, beta > 0$"):
+            ferro_constants(alpha, beta, 2, 0.1, 100)
+
 
 class TestLcConstants:
     def test_frozen_reference_values(self):
@@ -94,6 +101,20 @@ class TestLcConstants:
     def test_overflowing_alpha_rejected(self, alpha, beta):
         with pytest.raises(ValueError, match="alpha too large"):
             lc_constants(alpha, beta, 0.1, 100)
+
+    # format_constants checks alpha and beta first, and ferro_constants
+    # fail_prob and n > k >= 1 before lc_constants runs, so only a direct
+    # call reaches these checks
+    @pytest.mark.parametrize("alpha,beta,fail_prob,n,message", [
+        (0.0, 1.0, 0.1, 100, r"^require alpha > 0, beta >= 0$"),
+        (0.2, -1.0, 0.1, 100, r"^require alpha > 0, beta >= 0$"),
+        (0.2, 1.0, 0.0, 100, r"^fail_prob must lie in \(0, 1\)$"),
+        (0.2, 1.0, 1.0, 100, r"^fail_prob must lie in \(0, 1\)$"),
+        (0.2, 1.0, 0.1, 0, r"^require n >= 1$"),
+    ])
+    def test_arguments_checked_on_direct_call(self, alpha, beta, fail_prob, n, message):
+        with pytest.raises(ValueError, match=message):
+            lc_constants(alpha, beta, fail_prob, n)
 
     def test_infinite_log_bound_rejected(self):
         # T* is about 9.6e307, so 2 T* ln 2 overflows the log bound

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from rbmstruct.model import (
     save_model,
     two_hop_graph,
 )
-from rbmstruct.sampling import exact_sample
+from rbmstruct.sampling import SampleSet, exact_sample
 from rbmstruct.sampling import load as load_samples
 
 from conftest import demo_ring_model
@@ -620,6 +621,30 @@ def test_benchmark_hooks_resolve():
         if required:
             assert hasattr(importlib.import_module(f"rbmstruct.{mod_name}"), attr), attr
     assert callable(importlib.import_module("rbmstruct.qsearch").dh_max_find)
+
+
+def test_benchmark_optional_hooks_count_every_scored_round():
+    """The benchmark's optional scoring hooks, greedy._score_candidates_ferro
+    and _score_candidates_lc, resolve, and every learner calls its family's
+    hook once per scored round: len(trace) rounds that chose a node, plus
+    the one that stopped (lc below the threshold, ferro with every
+    candidate undefined). So the traced greedy.score, greedy.rounds and
+    greedy.candidates_scored measure both families."""
+    spans = _benchmark_module("spans")
+    sample_sets = (exact_sample(demo_ring_model(), 500, seed=3),
+                   SampleSet.from_pm1(np.full((10, 4), -1, dtype=np.int8)))
+    for samples, alg, rounds in itertools.product(sample_sets, ALGORITHMS, (2, 3)):
+        config = LearnerConfig(alg, rounds=rounds, seed=1)
+        tracer = spans.Tracer()
+        with spans.instrument(spans.MeterLog(), tracer) as missing:
+            result = learn_full_graph(samples, config)
+        assert missing == []
+        scored = [len(r.trace) + (len(r.trace) < rounds and not r.exhausted)
+                  for r in result.per_node]
+        counts = tracer.counts[tracer.trial_id]
+        assert counts["rounds"] == sum(scored) > 0
+        assert counts["candidates_scored"] == sum(
+            samples.n - 1 - s for k in scored for s in range(k))
 
 
 def test_benchmark_max_find_capture_reaches_learners():

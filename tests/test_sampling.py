@@ -61,6 +61,15 @@ class TestSampleSet:
         with pytest.raises(AttributeError):
             s.n = 5
 
+    def test_cached_views_read_only_and_built_once(self):
+        s = SampleSet.from_pm1(np.array([[1, -1, 1], [1, 1, -1]]))
+        for name in ("dense", "bits", "pairs"):
+            view = getattr(s, name)
+            assert getattr(s, name) is view and not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0, 0] = 0
+        assert s.pairs.tolist() == [[2, 1, 1], [1, 1, 0], [1, 0, 1]]
+
     def test_bad_entries_rejected(self):
         with pytest.raises(ValueError):
             SampleSet.from_pm1(np.array([[1, 0]]))
@@ -68,9 +77,13 @@ class TestSampleSet:
     def test_pickle_round_trip(self):
         rows = np.random.default_rng(1).choice([-1, 1], size=(70, 11))
         s = SampleSet.from_pm1(rows)
-        back = pickle.loads(pickle.dumps(s))
+        blank = pickle.dumps(s)
+        s.dense, s.bits, s.pairs  # the caches are not pickled: workers rebuild them
+        assert pickle.dumps(s) == blank
+        back = pickle.loads(blank)
         assert back == s and back.n == s.n
         assert np.array_equal(back.bits, s.bits) and np.array_equal(back.dense, rows)
+        assert np.array_equal(back.pairs, s.pairs)
         with pytest.raises(AttributeError):
             back.n = 5
 
