@@ -3,20 +3,25 @@
 Everything the greedy learners consume lives here: the empirical
 influence ratio and the average conditional covariance.
 
-The learners use the bitset forms at the end of this module. Each holds
+The lc learner uses the bitset forms at the end of this module. It holds
 its conditioning set S as one structure over samples, refined by one
-column per added node: the all-ones mask of S (``ones_mask``) for ferro,
-the cells of S with their counts (``counted_cells``) for lc. That counted
-state is (cells, sizes, counts), where counts[l, j] = |cell_l & x_j|: a
-split counts only each +1 child, in one popcount pass over all n columns
-(the root's +1 child reads ``SampleSet.pairs``), and takes each -1
-child's counts by subtraction from its parent, so ``counted_cov_scores``
-scores every candidate without a pass over the samples. Each fast path has
-a slow reference, which the tests and ``verify`` compare it against:
-``empirical_influence`` (row masking) for the influence counts,
-``build_index`` groups for ``conditioning_cells``, ``conditioning_cells``
-and popcounts for ``counted_cells``, ``cov_scores`` for
-``counted_cov_scores``, and ``avg_cond_cov_direct`` for ``cov_scores``.
+column per added node: the cells of S with their counts
+(``counted_cells``). That counted state is (cells, sizes, counts), where
+counts[l, j] = |cell_l & x_j|: a split counts only each +1 child, in one
+popcount pass over all n columns (the root's +1 child reads
+``SampleSet.pairs``), and takes each -1 child's counts by subtraction
+from its parent, so ``counted_cov_scores`` scores every candidate without
+a pass over the samples. The ferro learner holds S itself and reads its
+all-ones counts from ``SampleSet.ones_counts``, cached per sample set;
+from here it takes only ``influence_bits``, one node's influence, for its
+prune. Each fast path has a slow reference, which the tests and
+``verify`` compare it against: ``influence_counts`` (one pass over the
+columns under the all-ones mask of S, ``ones_mask``) for
+``SampleSet.ones_counts``, ``empirical_influence`` (row masking) for
+``influence_counts`` and ``influence_bits``, ``build_index`` groups for
+``conditioning_cells``, ``conditioning_cells`` and popcounts for
+``counted_cells``, ``cov_scores`` for ``counted_cov_scores``, and
+``avg_cond_cov_direct`` for ``cov_scores``.
 The references take the queried nodes and the conditioning set, (u, S) or
 (u, v, S), as ``ExactOracle``'s queries do, and check them through
 ``model.node_set``. ``counted_cov_scores``, ``cov_scores`` and
@@ -181,7 +186,8 @@ def influence_bits(samples: SampleSet, u: int, S) -> InfluenceValue:
 def influence_counts(samples: SampleSet, u: int, cands, m_s) -> tuple[np.ndarray, np.ndarray]:
     """(numer, denom) all-ones counts for each candidate j, given the
     bitset m_s of the samples with x_S = 1^s (ones_mask): denom counts
-    those with x_j = +1, numer those with x_j = x_u = +1."""
+    those with x_j = +1, numer those with x_j = x_u = +1. The slow
+    reference for ``SampleSet.ones_counts`` of S and of S union {u}."""
     cols = samples.bits[list(cands)] & m_s
     return popcount(cols & samples.bits[u]), popcount(cols)
 

@@ -22,13 +22,16 @@ state update, stop rule and keep rule, and takes the per-round selector
 variants ("-q") are the same learners with metered maximum finding
 (``qsearch.max_find_pick``) as the selector, which charges each search.
 
-ferro's state is the all-ones mask of S (``influence_counts``). lc's is
-the cells of S with their counts (``counted_cells``, refined by
-``split_counted``, scored by ``counted_cov_scores``). lc's prune decides
-the last chosen node by its trace score, since its leave-one-out set is
-the prefix it was scored on, and every other one through
-``conditioning_cells`` and ``cov_scores``, the counted route's slow
-reference.
+ferro's state is the set S itself: its scores read the all-ones counts
+of S and of S union {u} from ``SampleSet.ones_counts``, which caches them
+per sample set, so clique-mates that condition on the same set count it
+once. Its prune counts each leave-one-out set afresh (``influence_bits``).
+lc's state is the cells of S with their counts (``counted_cells``,
+refined by ``split_counted``, scored by ``counted_cov_scores``). lc's
+prune decides the last chosen node by its trace score, since its
+leave-one-out set is the prefix it was scored on, and every other one
+through ``conditioning_cells`` and ``cov_scores``, the counted route's
+slow reference.
 
 With a meter, a learner charges its node's scans once, after its prune
 (``_charge``), by one index-cost law per family. The laws price the cost
@@ -51,8 +54,6 @@ from .estimators import (
     counted_cov_scores,
     cov_scores,
     influence_bits,
-    influence_counts,
-    ones_mask,
     split_counted,
 )
 from .model import TwoHopGraph
@@ -88,11 +89,13 @@ class NeighborhoodResult:
     exhausted: bool = False
 
 
-def _score_candidates_ferro(samples, u, cands, m_s) -> np.ndarray:
+def _score_candidates_ferro(samples, u, cands, S) -> np.ndarray:
     """Empirical influence scores for each candidate j: pinning S, does
-    adding j keep u magnetized? ``m_s`` is the bitset of the samples with
-    x_S = 1^s. Undefined candidates get UNDEFINED_SCORE."""
-    numer, denom = influence_counts(samples, u, cands, m_s)
+    adding j keep u magnetized? The all-ones counts of S union {u, j} and
+    of S union {j} are read from ``SampleSet.ones_counts``, whose sets
+    other nodes share. Undefined candidates get UNDEFINED_SCORE."""
+    numer = samples.ones_counts((*S, u))[cands]
+    denom = samples.ones_counts(S)[cands]
     out = np.full(len(cands), UNDEFINED_SCORE)
     ok = denom > 0
     out[ok] = 2.0 * numer[ok] / denom[ok] - 1.0
@@ -169,9 +172,9 @@ def _learn_ferro(
     """
     n, M = samples.n, samples.M
     chosen, trace, insufficient, exhausted = _greedy(
-        u, n, rounds, ones_mask(samples),
-        score=lambda cands, m_s: _score_candidates_ferro(samples, u, cands, m_s),
-        add=lambda m_s, j: m_s & samples.bits[j],
+        u, n, rounds, frozenset(),
+        score=lambda cands, S: _score_candidates_ferro(samples, u, cands, S),
+        add=lambda S, j: S | {j},
         stop=lambda values, _: not np.any(values > UNDEFINED_SCORE),
         pick=pick,
     )

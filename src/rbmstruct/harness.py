@@ -592,6 +592,8 @@ def verify() -> bool:
         masked = [estimators.empirical_influence(samples, u, S + [j]) for j in cands]
         same = same and numer.tolist() == [iv.numer_count for iv in masked]
         same = same and denom.tolist() == [iv.denom_count for iv in masked]
+        same = same and np.array_equal(samples.ones_counts(S + [u])[cands], numer)
+        same = same and np.array_equal(samples.ones_counts(S)[cands], denom)
     check("bitset scores equal the index and masking routes", same)
 
     gap = influence_identity_gap(np.random.default_rng(102), 30)

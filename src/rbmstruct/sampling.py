@@ -3,8 +3,11 @@
 A SampleSet holds M visible configurations bit-packed, MSB-first within
 each byte, bit 1 meaning +1; rows are ceil(n/8) bytes with zero pad bits.
 The learners read it transposed, as one bitset over samples per node
-(``SampleSet.bits``), and the lc learner also reads the pair table
-(``SampleSet.pairs``) of +1/+1 counts.
+(``SampleSet.bits``, built by 8x8 bit-matrix transposes of each packed
+byte column). The lc learner also reads the pair table
+(``SampleSet.pairs``) of +1/+1 counts, and the ferro learner the all-ones
+counts of each conditioning set (``SampleSet.ones_counts``), which every
+node that asks for the same set shares.
 Small models are sampled exactly by inverse CDF over the enumerated
 visible marginal: each uniform is looked up in draw order through a guide
 table over the CDF, and each drawn configuration index, shifted to the top
@@ -42,6 +45,14 @@ _HEADER = struct.Struct("<4sBIQ")
 # sweep loop but more burn-in draws: at n=64, m=32, M=20k, 32 to 64 chains
 # were fastest, and small models with large M gain up to 256.
 _CHAINS = 64
+# (shift, mask) of the three delta swaps that transpose an 8x8 bit matrix
+# held one row per byte in a little-endian uint64 (Hacker's Delight 7-3).
+_TRANSPOSE_8X8 = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)
+    )
+)
 # exact: exact_sample (n + m <= ENUM_GUARD); gibbs: gibbs_sample. draw()
 # dispatches on these names.
 SAMPLERS = ("exact", "gibbs")
@@ -56,11 +67,14 @@ class SampleSet:
 
     Its views are built on first access and cached: ``dense`` (M*n bytes),
     ``bits`` (n*ceil(M/64)*8 bytes) and ``pairs``, which costs n^2*8 bytes
-    (8 MiB at n = 1024). The lc learner's round state adds L*n*8 bytes of
-    cell counts for L cells. Pickling carries only ``packed``.
+    (8 MiB at n = 1024). ``ones_counts`` keeps n*8 bytes per
+    conditioning set asked for, beyond ``pairs`` for sets of size 0 or 1:
+    a ferro run over every node asked for about 5 sets per node at
+    n = 1024, 33 MiB in all. The lc learner's round state adds L*n*8
+    bytes of cell counts for L cells. Pickling carries only ``packed``.
     """
 
-    __slots__ = ("n", "packed", "_dense", "_bits", "_pairs")
+    __slots__ = ("n", "packed", "_dense", "_bits", "_pairs", "_ones")
 
     def __init__(self, n: int, packed: np.ndarray):
         if n < 1:
@@ -79,6 +93,7 @@ class SampleSet:
         object.__setattr__(self, "_dense", None)
         object.__setattr__(self, "_bits", None)
         object.__setattr__(self, "_pairs", None)
+        object.__setattr__(self, "_ones", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleSet is immutable")
@@ -116,17 +131,31 @@ class SampleSet:
     def bits(self) -> np.ndarray:
         """Column bitsets: an (n, ceil(M/64)) uint64 array (cached,
         read-only). Bit i % 64 of word i // 64 in row j is set when sample
-        i has x_j = +1; pad bits past M are zero. Built one column at a
-        time through one M-byte buffer, so no (M, n) temporary is made."""
+        i has x_j = +1; pad bits past M are zero. Built one packed byte
+        column at a time by 8x8 bit-matrix transposes: each little-endian
+        word of a zero-padded copy of the column holds 8 samples as the
+        rows of a bit matrix, so its transpose holds in byte k the bitset
+        byte of node 8c + 7 - k. The temporaries are M-sized, so no (M, n)
+        array is made."""
         if self._bits is None:
-            M = self.M
+            n, M = self.n, self.M
             words = (M + 63) // 64
-            b = np.zeros((self.n, 8 * words), dtype=np.uint8)
-            col = np.empty(M, dtype=np.uint8)
-            for j in range(self.n):
-                np.right_shift(self.packed[:, j // 8], 7 - j % 8, out=col)
-                col &= 1
-                b[j, : (M + 7) // 8] = np.packbits(col, bitorder="little")
+            b = np.zeros((n, 8 * words), dtype=np.uint8)
+            buf = np.zeros(64 * words, dtype=np.uint8)
+            x = buf.view("<u8")
+            t = np.empty_like(x)
+            for c in range(self.packed.shape[1]):
+                buf[:M] = self.packed[:, c]
+                buf[M:] = 0
+                for shift, mask in _TRANSPOSE_8X8:  # delta swaps
+                    np.right_shift(x, shift, out=t)
+                    t ^= x
+                    t &= mask
+                    x ^= t
+                    t <<= shift
+                    x ^= t
+                # column k of the (8 * words, 8) byte view is node 8c + 7 - k
+                b[8 * c : 8 * c + 8] = buf.reshape(-1, 8)[:, ::-1].T[: n - 8 * c]
             b = b.view("<u8")
             b.setflags(write=False)
             object.__setattr__(self, "_bits", b)
@@ -146,6 +175,26 @@ class SampleSet:
             p.setflags(write=False)
             object.__setattr__(self, "_pairs", p)
         return self._pairs
+
+    def ones_counts(self, S) -> np.ndarray:
+        """All-ones counts given S: an (n,) int64 vector (cached per set,
+        read-only) whose entry j is the number of samples with x_i = +1 for
+        every i in S union {j}. Memoized under frozenset(S), so every order
+        of S returns the same array. A set of size 0 or 1 is read off
+        ``pairs`` (its diagonal, or row v); a larger one costs one pass
+        over ``bits``."""
+        key = frozenset(S)
+        counts = self._ones.get(key)
+        if counts is None:
+            if len(key) <= 1:
+                counts = self.pairs[next(iter(key))] if key else self.pairs.diagonal()
+            else:
+                bits = self.bits
+                mask = np.bitwise_and.reduce(bits[list(key)], axis=0)
+                counts = np.bitwise_count(bits & mask).sum(axis=1, dtype=np.int64)
+                counts.setflags(write=False)
+            self._ones[key] = counts
+        return counts
 
     def __eq__(self, other):
         if not isinstance(other, SampleSet):

@@ -1,6 +1,6 @@
 """Property tests: the bitset routes the learners use against the index,
-masking and direct references, and lc's counted state against the
-bitset routes, over random sample sets."""
+masking and direct references, and lc's counted state and ferro's
+all-ones counts against the bitset routes, over random sample sets."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -127,7 +127,7 @@ def test_influence_counts_equal_masked_and_index_counts(case):
     masked = [empirical_influence(samples, u, S + [j]) for j in cands]
     assert numer.tolist() == [iv.numer_count for iv in masked]
     assert denom.tolist() == [iv.denom_count for iv in masked]
-    scores = _score_candidates_ferro(samples, u, cands, m_s)
+    scores = _score_candidates_ferro(samples, u, cands, frozenset(S))
     assert scores.tolist() == [iv.value if iv.defined else UNDEFINED_SCORE for iv in masked]
     assert influence_bits(samples, u, S) == empirical_influence(samples, u, S)
 
@@ -154,3 +154,23 @@ def test_counted_state_equals_cells_popcounts_and_cov_scores(case):
     cands = cands or S[-1:]
     fast = counted_cov_scores(samples, u, cands, (cells, sizes, counts))
     assert fast.tobytes() == cov_scores(samples, u, cands, reference).tobytes()
+
+
+@PROPERTY
+@given(st.one_of(constant_column_sets(), sample_sets()))
+def test_ones_counts_equal_influence_counts_and_masking(case):
+    samples, rng = case
+    u, S, cands = _split_nodes(rng, samples.n, max_s=5)
+    for s in range(len(S) + 1):  # every prefix: empty, singleton and larger
+        prefix = S[:s]
+        counts = samples.ones_counts(prefix)
+        assert counts.dtype == np.int64 and counts.shape == (samples.n,)
+        assert not counts.flags.writeable
+        assert samples.ones_counts(prefix[::-1]) is counts
+        for j in range(samples.n):
+            rest = [i for i in prefix if i != j]
+            assert counts[j] == empirical_influence(samples, j, rest).numer_count
+        others = [j for j in range(samples.n) if j != u and j not in prefix]
+        numer, denom = influence_counts(samples, u, others, ones_mask(samples, prefix))
+        assert np.array_equal(samples.ones_counts(prefix + [u])[others], numer)
+        assert np.array_equal(counts[others], denom)

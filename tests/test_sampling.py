@@ -69,6 +69,13 @@ class TestSampleSet:
             with pytest.raises(ValueError):
                 view[0, 0] = 0
         assert s.pairs.tolist() == [[2, 1, 1], [1, 1, 0], [1, 0, 1]]
+        ones = {(): [2, 1, 1], (0,): [2, 1, 1], (2, 0): [1, 0, 1], (0, 1, 2): [0, 0, 0]}
+        for S, want in ones.items():
+            counts = s.ones_counts(S)
+            assert counts.tolist() == want and not counts.flags.writeable
+            assert s.ones_counts(S[::-1]) is counts and s.ones_counts(list(S)) is counts
+            with pytest.raises(ValueError):
+                counts[0] = 0
 
     def test_bad_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -79,11 +86,13 @@ class TestSampleSet:
         s = SampleSet.from_pm1(rows)
         blank = pickle.dumps(s)
         s.dense, s.bits, s.pairs  # the caches are not pickled: workers rebuild them
+        s.ones_counts(()), s.ones_counts((3,)), s.ones_counts((7, 0, 4))
         assert pickle.dumps(s) == blank
         back = pickle.loads(blank)
         assert back == s and back.n == s.n
         assert np.array_equal(back.bits, s.bits) and np.array_equal(back.dense, rows)
         assert np.array_equal(back.pairs, s.pairs)
+        assert np.array_equal(back.ones_counts((0, 4, 7)), s.ones_counts((7, 0, 4)))
         with pytest.raises(AttributeError):
             back.n = 5
 
