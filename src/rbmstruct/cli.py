@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen-model, sample, learn, sweep, constants, verify.
+Subcommands: gen-model, sample, learn, sweep, constants.
 Node indices are 0-based everywhere. Exit codes: 0 success, 1 invalid
 configuration or arguments, 2 internal invariant failure.
 """
@@ -84,8 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, default=100)
     c.add_argument("--fail-prob", type=float, default=d.fail_prob,
                    help="delta of the ferro bound and zeta of the lc bound")
-
-    sub.add_parser("verify", help="run the invariant battery")
     return p
 
 
@@ -142,17 +140,12 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    return 0 if harness.verify() else 2
-
-
 _COMMANDS = {
     "gen-model": _cmd_gen_model,
     "sample": _cmd_sample,
     "learn": _cmd_learn,
     "sweep": _cmd_sweep,
     "constants": _cmd_constants,
-    "verify": _cmd_verify,
 }
 
 

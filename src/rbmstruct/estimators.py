@@ -14,20 +14,24 @@ from its parent, so ``counted_cov_scores`` scores every candidate without
 a pass over the samples. The ferro learner holds S itself and reads its
 all-ones counts from ``SampleSet.ones_counts``, cached per sample set;
 from here it takes only ``influence_bits``, one node's influence, for its
-prune. Each fast path has a slow reference, which the tests and
-``verify`` compare it against: ``influence_counts`` (one pass over the
-columns under the all-ones mask of S, ``ones_mask``) for
-``SampleSet.ones_counts``, ``empirical_influence`` (row masking) for
-``influence_counts`` and ``influence_bits``, ``build_index`` groups for
-``conditioning_cells``, ``conditioning_cells`` and popcounts for
-``counted_cells``, ``cov_scores`` for ``counted_cov_scores``, and
-``avg_cond_cov_direct`` for ``cov_scores``.
-The references take the queried nodes and the conditioning set, (u, S) or
-(u, v, S), as ``ExactOracle``'s queries do, and check them through
-``model.node_set``. ``counted_cov_scores``, ``cov_scores`` and
+prune. Each fast path is held to a slow reference in the tests:
+``SampleSet.ones_counts`` to ``influence_counts`` (one pass over the
+columns under the all-ones mask of S, ``ones_mask``), ``influence_bits``
+and ``influence_counts`` to ``empirical_influence`` (row masking),
+``conditioning_cells`` to ``build_index`` groups, ``counted_cells`` to
+``conditioning_cells`` and popcounts, ``counted_cov_scores`` to
+``cov_scores``, and ``cov_scores`` to ``avg_cond_cov_decomposed`` and
+``avg_cond_cov_direct``. ``counted_cov_scores``, ``cov_scores`` and
 ``avg_cond_cov_decomposed`` give the same floats bit for bit, because the
 float work is done in the same order (cells by first occurrence, one
-division per cell).
+division per cell). The references take (u, S) or (u, v, S) and check
+them through ``model.node_set``.
+
+Most references live in ``tests/conftest.py``. ``build_index`` (with its
+``ConfigIndex``) and ``avg_cond_cov_decomposed`` stay here although no
+run calls them: the benchmark's span hooks (``perfbench/spans.py``)
+require both names. They move to the tests when those hooks move to the
+learners' live calls.
 
 All counting is exact integer arithmetic (float64 sums of +-1 entries
 stay integral far below 2**53); each estimator divides once at the end.
@@ -98,38 +102,6 @@ def build_index(samples: SampleSet, S) -> ConfigIndex:
     return ConfigIndex([np.flatnonzero(inverse == l) for l in np.argsort(first)])
 
 
-def empirical_influence(samples: SampleSet, u: int, S) -> InfluenceValue:
-    """Influence of pinning S to +1 on X_u, as the ratio of all-ones counts
-    on S union {u} and on S, counted by row masking. Undefined when no
-    sample has x_S = 1^s."""
-    S = node_set(S, samples.n, u)
-    mask = np.ones(samples.M, dtype=bool)
-    for i in S:
-        mask &= samples.dense[:, i] == 1
-    return InfluenceValue(
-        numer_count=int((mask & (samples.dense[:, u] == 1)).sum()),
-        denom_count=int(mask.sum()),
-    )
-
-
-def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, S) -> float:
-    """Average conditional covariance, cell by cell: each observed
-    configuration of S contributes its within-cell covariance weighted by
-    the cell's empirical probability."""
-    groups = _groups(samples, u, v, S)
-    M = samples.M
-    xu = samples.dense[:, u].astype(np.float64)
-    xv = samples.dense[:, v].astype(np.float64)
-    total = 0.0
-    for g in groups:
-        c = len(g)
-        mean_z = float((xu[g] * xv[g]).sum()) / c
-        mean_u = float(xu[g].sum()) / c
-        mean_v = float(xv[g].sum()) / c
-        total += (c / M) * (mean_z - mean_u * mean_v)
-    return total
-
-
 def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, S) -> float:
     """Average conditional covariance via the sum decomposition
 
@@ -138,8 +110,11 @@ def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, S) -> float:
     where a_j,l is the signed sum of x_j over cell l. Agrees with the
     direct route as an exact rational identity (float routes match to
     about 1e-15)."""
-    groups = _groups(samples, u, v, S)
+    S = node_set(S, samples.n, u, v)
     M = samples.M
+    if M == 0:
+        raise ValueError("need at least one sample")
+    groups = build_index(samples, S).groups
     xu = samples.dense[:, u].astype(np.int64)
     xv = samples.dense[:, v].astype(np.int64)
     z_total = int(xu @ xv)
@@ -147,15 +122,6 @@ def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, S) -> float:
     for g in groups:
         corr += int(xu[g].sum()) * int(xv[g].sum()) / len(g)
     return (z_total - corr) / M
-
-
-def _groups(samples: SampleSet, u: int, v: int, S) -> list:
-    """The cells of S for a covariance query on (u, v); ValueError for bad
-    nodes or an empty sample set."""
-    S = node_set(S, samples.n, u, v)
-    if samples.M == 0:
-        raise ValueError("need at least one sample")
-    return build_index(samples, S).groups
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
@@ -181,15 +147,6 @@ def influence_bits(samples: SampleSet, u: int, S) -> InfluenceValue:
         numer_count=int(popcount(m_s & samples.bits[u])),
         denom_count=int(popcount(m_s)),
     )
-
-
-def influence_counts(samples: SampleSet, u: int, cands, m_s) -> tuple[np.ndarray, np.ndarray]:
-    """(numer, denom) all-ones counts for each candidate j, given the
-    bitset m_s of the samples with x_S = 1^s (ones_mask): denom counts
-    those with x_j = +1, numer those with x_j = x_u = +1. The slow
-    reference for ``SampleSet.ones_counts`` of S and of S union {u}."""
-    cols = samples.bits[list(cands)] & m_s
-    return popcount(cols & samples.bits[u]), popcount(cols)
 
 
 def _lowest_bits(cells: np.ndarray) -> np.ndarray:

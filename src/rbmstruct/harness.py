@@ -1,6 +1,6 @@
 """Experiment runner: generate models, sample, learn, score recovery; the
-invariant checks that ``verify`` shares with the acceptance suite; and the
-learners' theory bounds, which ``constants`` reports (``format_constants``).
+argmax-query scaling sweep; and the learners' theory bounds, which
+``constants`` reports (``format_constants``).
 
 Per-trial randomness is derived from the master seed by a counter-based
 split: the RNG for role r of trial t is seeded with the entropy sequence
@@ -25,35 +25,26 @@ import functools
 import json
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators, sampling
+from . import sampling
 from .greedy import LearnerConfig, learn_full_graph
 from .model import (
     KIND_FERROMAGNETIC,
-    ExactOracle,
     NonDegeneracyParams,
     RbmModel,
     check_enumerable,
     check_shape,
     generate_model,
     load_model,
-    random_model,
     two_hop_graph,
 )
-from .qsearch import (
-    QueryMeter,
-    ScoreOracle,
-    dh_max_find,
-    grover_stage,
-    stage_success_probability,
-)
-from .sampling import SAMPLERS, GibbsConfig, SampleSet, exact_sample, gibbs_sample, split_rhat
+from .qsearch import QueryMeter, ScoreOracle, dh_max_find
+from .sampling import SAMPLERS, GibbsConfig, split_rhat
 
 THREADS_ENV = "RBM_SL_THREADS"
 
@@ -460,179 +451,3 @@ def format_constants(alpha: float, beta: float, d2: int, fail_prob: float, n: in
         f"delta_cond         = {lcc.delta_cond!r}",
         *bound("lc sample bound   ", lcc),
     ])
-
-
-# Shared invariant checks. Each returns its measured statistic and leaves
-# the bound to its caller: the acceptance suite (criteria 1, 2, 7 and 10 in
-# tests/test_acceptance.py) runs them at full size, verify() at reduced
-# counts with the same seeds.
-
-
-def covariance_identity_gap(rng, trials: int) -> float:
-    """Largest |direct - bitset| average conditional covariance over
-    ``trials`` draws of a random model (n 3..6, m 1..3), an exact sample
-    set of 1..500 rows, a pair (u, v) and a conditioning set S. The direct
-    route averages over ``build_index`` groups; the bitset route is
-    ``cov_scores`` over ``conditioning_cells``, which the lc prune runs and
-    the learners' counted scores are held to."""
-    worst = 0.0
-    for _ in range(trials):
-        mdl = random_model(rng, n_range=(3, 7), m_range=(1, 4))
-        H = int(rng.integers(1, 501))
-        samples = exact_sample(mdl, H, seed=int(rng.integers(2**31)))
-        u, v = (int(x) for x in rng.choice(mdl.n, size=2, replace=False))
-        others = [i for i in range(mdl.n) if i not in (u, v)]
-        S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
-        direct = estimators.avg_cond_cov_direct(samples, u, v, S)
-        cells = estimators.conditioning_cells(samples, S)
-        worst = max(worst, abs(direct - float(estimators.cov_scores(samples, u, [v], cells)[0])))
-    return worst
-
-
-def influence_identity_gap(rng, cases: int) -> float:
-    """Largest |influence ratio - conditional mean by row selection| over
-    ``cases`` defined draws of uniform +-1 rows (n 2..6, M 1..399), a node
-    u and a conditioning set S; undefined draws are skipped. The ratio is
-    the learners' bitset count, the mean runs over the rows a boolean mask
-    selects."""
-    worst = 0.0
-    checked = 0
-    while checked < cases:
-        n = int(rng.integers(2, 7))
-        M = int(rng.integers(1, 400))
-        samples = SampleSet.from_pm1(rng.choice([-1, 1], size=(M, n)))
-        u = int(rng.integers(n))
-        others = [i for i in range(n) if i != u]
-        S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
-        iv = estimators.influence_bits(samples, u, S)
-        if not iv.defined:
-            continue
-        rows = (samples.dense[:, S] == 1).all(axis=1)
-        direct = float(samples.dense[rows, u].astype(np.float64).mean())
-        worst = max(worst, abs(iv.value - direct))
-        checked += 1
-    return worst
-
-
-def stage_deviations(rng, reps: int) -> list[tuple[float, float, float]]:
-    """(hit rate, law, standard error of the rate) for ``reps`` Grover
-    stages of each j = 0..5 on 64 items with 4 marked; the law is
-    ``stage_success_probability``."""
-    n, t = 64, 4
-    marked = np.arange(t)
-    out = []
-    for j in range(6):
-        hits = sum(grover_stage(marked, n, j, rng) is not None for _ in range(reps))
-        p = stage_success_probability(n, t, j)
-        out.append((hits / reps, p, math.sqrt(p * (1 - p) / reps)))
-    return out
-
-
-def max_find_success(rho: float, runs: int) -> float:
-    """Fraction of ``runs`` maximum-finding searches at failure probability
-    rho that return the argmax of 256 uniform scores; run r draws its
-    scores from seed [71, r] and its search from [72, int(100 rho), r]."""
-    good = 0
-    for r in range(runs):
-        vals = np.random.default_rng([71, r]).random(256)
-        scores = ScoreOracle(vals, cost=1, meter=QueryMeter())
-        i, _ = dh_max_find(scores, rho, np.random.default_rng([72, int(rho * 100), r]))
-        good += i == int(np.argmax(vals))
-    return good / runs
-
-
-def gibbs_tv(model: RbmModel, M: int, cfg: GibbsConfig) -> float:
-    """Total variation between the visible configurations of M Gibbs draws
-    and the exact marginal (``ExactOracle``, so n + m <= ENUM_GUARD)."""
-    exact_p = ExactOracle(model).probabilities
-    samples = gibbs_sample(model, M, cfg)
-    bits = (samples.dense > 0).astype(np.int64)
-    weights = 1 << np.arange(model.n - 1, -1, -1, dtype=np.int64)
-    counts = np.bincount(bits @ weights, minlength=1 << model.n)
-    return float(0.5 * np.abs(counts / samples.M - exact_p).sum())
-
-
-def verify() -> bool:
-    """Invariant battery for an installed package: prints one PASS/FAIL
-    line per check and returns True when all hold. Five checks are
-    acceptance criteria 1, 2, 7 and 10 through the shared checks above, with
-    the criteria's seeds at smaller counts (4 sigma for the stages, success
-    >= 0.9 at rho = 0.1); the bitset, sample-file, normalization and exact
-    sampler checks are verify's own."""
-    ok = True
-
-    def check(name, cond):
-        nonlocal ok
-        status = "PASS" if cond else "FAIL"
-        print(f"[verify] {name}: {status}")
-        ok = ok and bool(cond)
-
-    gap = covariance_identity_gap(np.random.default_rng(101), 30)
-    check("covariance decomposition identity (<= 1e-12)", gap <= 1e-12)
-
-    # bitset fast paths against the index and masking references
-    brng = np.random.default_rng(20240812)
-    same = True
-    for _ in range(30):
-        n = int(brng.integers(3, 12))
-        M = int(brng.integers(1, 300))
-        samples = SampleSet.from_pm1(brng.choice([-1, 1], size=(M, n)))
-        nodes = [int(x) for x in brng.permutation(n)]
-        u, cands = nodes[0], nodes[1:]
-        S = cands[: int(brng.integers(0, n - 1))]
-        cands = cands[len(S) :]
-        fast = estimators.cov_scores(samples, u, cands, estimators.conditioning_cells(samples, S))
-        ref = [estimators.avg_cond_cov_decomposed(samples, u, v, S) for v in cands]
-        same = same and fast.tolist() == ref
-        counted = estimators.counted_cov_scores(
-            samples, u, cands, estimators.counted_cells(samples, S))
-        same = same and counted.tobytes() == fast.tobytes()
-        m_s = estimators.ones_mask(samples, S)
-        numer, denom = estimators.influence_counts(samples, u, cands, m_s)
-        masked = [estimators.empirical_influence(samples, u, S + [j]) for j in cands]
-        same = same and numer.tolist() == [iv.numer_count for iv in masked]
-        same = same and denom.tolist() == [iv.denom_count for iv in masked]
-        same = same and np.array_equal(samples.ones_counts(S + [u])[cands], numer)
-        same = same and np.array_equal(samples.ones_counts(S)[cands], denom)
-    check("bitset scores equal the index and masking routes", same)
-
-    gap = influence_identity_gap(np.random.default_rng(102), 30)
-    check("influence expansion identity (<= 1e-12)", gap <= 1e-12)
-
-    samples = SampleSet.from_pm1(np.random.default_rng(20240811).choice([-1, 1], size=(17, 11)))
-    with tempfile.TemporaryDirectory() as td:
-        p = os.path.join(td, "s.rbms")
-        sampling.save(samples, p)
-        check("sample file round trip", sampling.load(p) == samples)
-
-    stages = stage_deviations(np.random.default_rng(107), 20_000)
-    within = all(abs(rate - p) <= 4 * se for rate, p, se in stages)
-    check("Grover stage statistics (4 sigma)", within)
-
-    check("maximum finding success >= 1 - rho", max_find_success(0.1, 200) >= 0.9)
-
-    mdl = generate_model(KIND_FERROMAGNETIC, 5, 3, 2, NonDegeneracyParams(0.3, 1.5), seed=5)
-    total = ExactOracle(mdl).probabilities.sum()
-    check("visible marginal normalization", abs(total - 1.0) <= 1e-12)
-
-    # the exact sampler against searchsorted of the same uniforms in draw
-    # order, on random models and sizes and one model with nearly all mass
-    # on all +1
-    vrng = np.random.default_rng(20240813)
-    cases = [(random_model(vrng, n_range=(6, 13), m_range=(0, 4)), int(vrng.integers(1, 3000)))
-             for _ in range(4)]
-    cases.append((RbmModel(np.zeros((12, 0)), np.full(12, 20.0), []), 1000))
-    same = True
-    for seed, (mdl, M) in enumerate(cases):
-        cdf = np.cumsum(ExactOracle(mdl).probabilities)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, np.random.default_rng(seed).random(M), side="right")
-        bits = (idx[:, None] >> np.arange(mdl.n - 1, -1, -1)) & 1
-        same = same and np.array_equal(exact_sample(mdl, M, seed).dense, 2 * bits - 1)
-    check("exact sampler equals the draw-order CDF search", same)
-
-    # criterion 10's first model and chain seed
-    mdl = generate_model(KIND_FERROMAGNETIC, 6, 4, 2, NonDegeneracyParams(0.3, 1.5), seed=300)
-    tv = gibbs_tv(mdl, 50_000, GibbsConfig(burn_in=1000, thinning=10, seed=400))
-    check("Gibbs total variation to the exact marginal (<= 0.03)", tv <= 0.03)
-    return ok

@@ -13,10 +13,9 @@ which ExactOracle tabulates over all 2^n visible configurations. Each
 factor depends only on the spins it couples, so the log table is built as
 a sum of small factor tables (the fields, and one per hidden unit over the
 2^|S_j| patterns of its support S_j) broadcast into an n-axis array, then
-max-shifted so large couplings do not overflow. Everything exact in this
-package (marginals, influence, average conditional covariance, the two-hop
-graph) comes from this module and serves as the reference the sample-based
-learners are tested against.
+max-shifted so large couplings do not overflow. The exact sampler draws
+from that table, and the tests read their exact influence and average
+conditional covariance off it.
 
 Node indices are 0-based throughout. Configuration index c encodes node i
 in bit (n-1-i), bit 1 meaning +1, so configurations enumerate in
@@ -217,9 +216,7 @@ class ExactOracle:
     its support S_j, broadcast into the table over those axes. A build
     costs sum_j 2^|S_j| log-cosh evaluations plus n + m table-sized adds,
     so sparse supports are cheap and no +-1 configuration matrix is made.
-    ``probabilities`` holds P(X = x) for every configuration; influence
-    and covariance queries fix axes and sum out the rest. Build one oracle
-    per model and query it as often as needed.
+    ``probabilities`` holds P(X = x) for every configuration.
     """
 
     def __init__(self, model: RbmModel):
@@ -246,35 +243,6 @@ class ExactOracle:
     def probabilities(self) -> np.ndarray:
         """The table flattened to configuration-index order."""
         return self._p.reshape(-1)
-
-    def influence(self, u: int, S) -> float:
-        """E[X_u | X_S = 1^s]: expected magnetization of u with S pinned to +1."""
-        S = node_set(S, self.n, u)
-        # fix S and u to +1, then u to -1, and sum out the free axes
-        index = [1 if i in S else slice(None) for i in range(self.n)]
-        index[u] = 1
-        plus = float(self._p[tuple(index)].sum())
-        index[u] = 0
-        minus = float(self._p[tuple(index)].sum())
-        den = plus + minus
-        if den <= 0.0:
-            raise ValueError("conditioning event has probability zero")
-        return (plus - minus) / den
-
-    def avg_cond_cov(self, u: int, v: int, S) -> float:
-        """E_{x_S}[ Cov(X_u, X_v | X_S = x_S) ], averaged over the law of X_S."""
-        S = node_set(S, self.n, u, v)
-        kept = sorted((*S, u, v))
-        free = tuple(i for i in range(self.n) if i not in kept)
-        # the marginal over S, u, v as one (cell, x_u, x_v) array
-        q = self._p.sum(axis=free)
-        q = np.moveaxis(q, (kept.index(u), kept.index(v)), (-2, -1)).reshape(-1, 2, 2)
-        w = q.sum(axis=(1, 2))
-        au = (q[:, 1] - q[:, 0]).sum(axis=1)
-        av = (q[:, :, 1] - q[:, :, 0]).sum(axis=1)
-        zuv = q[:, 1, 1] + q[:, 0, 0] - q[:, 0, 1] - q[:, 1, 0]
-        nz = w > 0
-        return float(np.sum(zuv[nz] - au[nz] * av[nz] / w[nz]))
 
 
 def _log_2cosh(t: np.ndarray) -> np.ndarray:
@@ -411,23 +379,6 @@ def generate_model(
     if violations:
         raise RuntimeError(f"generator produced a degenerate model: {violations}")
     return model
-
-
-def random_model(rng, kind=KIND_GENERAL, n_range=(2, 5), m_range=(0, 3)) -> RbmModel:
-    """Unconstrained random model drawn from ``rng``: n and m uniform over
-    the half-open ranges, couplings in [-1, 1], fields in [-0.5, 0.5].
-    Ferromagnetic takes absolute values; locally consistent gives each
-    hidden node's column one random sign. No non-degeneracy is enforced."""
-    n = int(rng.integers(*n_range))
-    m = int(rng.integers(*m_range))
-    J = rng.uniform(-1.0, 1.0, size=(n, m))
-    f = rng.uniform(-0.5, 0.5, size=n)
-    g = rng.uniform(-0.5, 0.5, size=m)
-    if kind == KIND_FERROMAGNETIC:
-        J, f, g = np.abs(J), np.abs(f), np.abs(g)
-    elif kind == KIND_LOCALLY_CONSISTENT:
-        J = np.abs(J) * rng.choice([-1.0, 1.0], size=m)
-    return RbmModel(J, f, g, kind=kind)
 
 
 def save_model(model: RbmModel, path) -> None:

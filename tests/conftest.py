@@ -1,8 +1,14 @@
-"""Shared test fixtures and independent brute-force oracles.
+"""Shared test fixtures, independent brute-force oracles, and the slow
+references that the package's fast paths are held to.
 
-The oracle functions here are deliberately plain Python (itertools over
+The brute oracles are deliberately plain Python (itertools over
 configurations, no numpy vectorization) so expected values in the tests
 come from a code path that shares nothing with the package internals.
+The references are numpy: unconstrained random models (``random_model``),
+exact influence and average conditional covariance read off an
+``ExactOracle`` table, and the empirical estimators by row masking and
+by sample groups, which the bitset routes in ``rbmstruct.estimators``
+must equal.
 """
 
 from __future__ import annotations
@@ -13,9 +19,111 @@ import math
 import numpy as np
 
 from rbmstruct import qsearch
-from rbmstruct.model import ExactOracle, RbmModel
+from rbmstruct.estimators import InfluenceValue, build_index, popcount
+from rbmstruct.model import (
+    KIND_FERROMAGNETIC,
+    KIND_GENERAL,
+    KIND_LOCALLY_CONSISTENT,
+    ExactOracle,
+    RbmModel,
+    node_set,
+)
 from rbmstruct.qsearch import max_find_pick
 from rbmstruct.sampling import SampleSet
+
+
+def random_model(rng, kind=KIND_GENERAL, n_range=(2, 5), m_range=(0, 3)) -> RbmModel:
+    """Unconstrained random model drawn from ``rng``: n and m uniform over
+    the half-open ranges, couplings in [-1, 1], fields in [-0.5, 0.5].
+    Ferromagnetic takes absolute values; locally consistent gives each
+    hidden node's column one random sign. No non-degeneracy is enforced."""
+    n = int(rng.integers(*n_range))
+    m = int(rng.integers(*m_range))
+    J = rng.uniform(-1.0, 1.0, size=(n, m))
+    f = rng.uniform(-0.5, 0.5, size=n)
+    g = rng.uniform(-0.5, 0.5, size=m)
+    if kind == KIND_FERROMAGNETIC:
+        J, f, g = np.abs(J), np.abs(f), np.abs(g)
+    elif kind == KIND_LOCALLY_CONSISTENT:
+        J = np.abs(J) * rng.choice([-1.0, 1.0], size=m)
+    return RbmModel(J, f, g, kind=kind)
+
+
+def exact_influence(oracle: ExactOracle, u: int, S) -> float:
+    """E[X_u | X_S = 1^s]: expected magnetization of u with S pinned to +1."""
+    n = oracle.n
+    S = node_set(S, n, u)
+    p = oracle.probabilities.reshape((2,) * n)
+    # fix S and u to +1, then u to -1, and sum out the free axes
+    index = [1 if i in S else slice(None) for i in range(n)]
+    index[u] = 1
+    plus = float(p[tuple(index)].sum())
+    index[u] = 0
+    minus = float(p[tuple(index)].sum())
+    den = plus + minus
+    if den <= 0.0:
+        raise ValueError("conditioning event has probability zero")
+    return (plus - minus) / den
+
+
+def exact_avg_cond_cov(oracle: ExactOracle, u: int, v: int, S) -> float:
+    """E_{x_S}[ Cov(X_u, X_v | X_S = x_S) ], averaged over the law of X_S."""
+    n = oracle.n
+    S = node_set(S, n, u, v)
+    kept = sorted((*S, u, v))
+    free = tuple(i for i in range(n) if i not in kept)
+    # the marginal over S, u, v as one (cell, x_u, x_v) array
+    q = oracle.probabilities.reshape((2,) * n).sum(axis=free)
+    q = np.moveaxis(q, (kept.index(u), kept.index(v)), (-2, -1)).reshape(-1, 2, 2)
+    w = q.sum(axis=(1, 2))
+    au = (q[:, 1] - q[:, 0]).sum(axis=1)
+    av = (q[:, :, 1] - q[:, :, 0]).sum(axis=1)
+    zuv = q[:, 1, 1] + q[:, 0, 0] - q[:, 0, 1] - q[:, 1, 0]
+    nz = w > 0
+    return float(np.sum(zuv[nz] - au[nz] * av[nz] / w[nz]))
+
+
+def empirical_influence(samples: SampleSet, u: int, S) -> InfluenceValue:
+    """Influence of pinning S to +1 on X_u, as the ratio of all-ones counts
+    on S union {u} and on S, counted by row masking. Undefined when no
+    sample has x_S = 1^s."""
+    S = node_set(S, samples.n, u)
+    mask = np.ones(samples.M, dtype=bool)
+    for i in S:
+        mask &= samples.dense[:, i] == 1
+    return InfluenceValue(
+        numer_count=int((mask & (samples.dense[:, u] == 1)).sum()),
+        denom_count=int(mask.sum()),
+    )
+
+
+def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, S) -> float:
+    """Average conditional covariance, cell by cell: each observed
+    configuration of S contributes its within-cell covariance weighted by
+    the cell's empirical probability."""
+    S = node_set(S, samples.n, u, v)
+    M = samples.M
+    if M == 0:
+        raise ValueError("need at least one sample")
+    xu = samples.dense[:, u].astype(np.float64)
+    xv = samples.dense[:, v].astype(np.float64)
+    total = 0.0
+    for g in build_index(samples, S).groups:
+        c = len(g)
+        mean_z = float((xu[g] * xv[g]).sum()) / c
+        mean_u = float(xu[g].sum()) / c
+        mean_v = float(xv[g].sum()) / c
+        total += (c / M) * (mean_z - mean_u * mean_v)
+    return total
+
+
+def influence_counts(samples: SampleSet, u: int, cands, m_s) -> tuple[np.ndarray, np.ndarray]:
+    """(numer, denom) all-ones counts for each candidate j, given the
+    bitset m_s of the samples with x_S = 1^s (ones_mask): denom counts
+    those with x_j = +1, numer those with x_j = x_u = +1. The slow
+    reference for ``SampleSet.ones_counts`` of S and of S union {u}."""
+    cols = samples.bits[list(cands)] & m_s
+    return popcount(cols & samples.bits[u]), popcount(cols)
 
 
 def brute_joint_weight(model: RbmModel, x, y) -> float:

@@ -8,20 +8,19 @@ from hypothesis import strategies as st
 
 from rbmstruct.estimators import (
     avg_cond_cov_decomposed,
-    avg_cond_cov_direct,
     build_index,
     conditioning_cells,
     counted_cells,
     counted_cov_scores,
     cov_scores,
-    empirical_influence,
     influence_bits,
-    influence_counts,
     ones_mask,
     popcount,
 )
 from rbmstruct.greedy import UNDEFINED_SCORE, _score_candidates_ferro
 from rbmstruct.sampling import SampleSet
+
+from conftest import avg_cond_cov_direct, empirical_influence, influence_counts
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 

@@ -6,15 +6,20 @@ import pytest
 from rbmstruct.estimators import (
     InfluenceValue,
     avg_cond_cov_decomposed,
-    avg_cond_cov_direct,
     build_index,
     conditioning_cells,
-    empirical_influence,
 )
-from rbmstruct.model import ExactOracle, random_model
+from rbmstruct.model import ExactOracle
 from rbmstruct.sampling import SampleSet, exact_sample
 
-from conftest import brute_conditional_mean
+from conftest import (
+    avg_cond_cov_direct,
+    brute_conditional_mean,
+    empirical_influence,
+    exact_avg_cond_cov,
+    exact_influence,
+    random_model,
+)
 
 
 def _random_samples(rng, n_range=(2, 6), m_range=(1, 60)):
@@ -85,9 +90,9 @@ class TestNodeChecks:
     def test_out_of_range_nodes_rejected(self):
         s = SampleSet.from_pm1(np.array([[1, 1, -1], [-1, 1, 1]]))
         oracle = ExactOracle(random_model(np.random.default_rng(0), n_range=(3, 4)))
-        pair_queries = (oracle.avg_cond_cov, partial(avg_cond_cov_direct, s),
+        pair_queries = (partial(exact_avg_cond_cov, oracle), partial(avg_cond_cov_direct, s),
                         partial(avg_cond_cov_decomposed, s))
-        node_queries = (oracle.influence, partial(empirical_influence, s))
+        node_queries = (partial(exact_influence, oracle), partial(empirical_influence, s))
         calls = [(build_index, (s, [-1]))]
         for u, v, S, pair_only in self.BAD_NODES:
             calls += [(q, (u, v, S)) for q in pair_queries]
@@ -192,6 +197,6 @@ class TestLargeSampleConsistency:
         s = exact_sample(m, 100_000, seed=8)
         u, v, w = 0, 1, 2
         iv = empirical_influence(s, u, [v])
-        assert abs(iv.value - oracle.influence(u, [v])) <= 0.02
+        assert abs(iv.value - exact_influence(oracle, u, [v])) <= 0.02
         emp = avg_cond_cov_decomposed(s, u, v, [w])
-        assert abs(emp - oracle.avg_cond_cov(u, v, [w])) <= 0.02
+        assert abs(emp - exact_avg_cond_cov(oracle, u, v, [w])) <= 0.02

@@ -1,9 +1,6 @@
-import math
-
 import numpy as np
-import pytest
 
-from rbmstruct.estimators import avg_cond_cov_decomposed, empirical_influence
+from rbmstruct.estimators import avg_cond_cov_decomposed
 from rbmstruct.greedy import (
     LearnerConfig,
     _argmax,
@@ -14,7 +11,6 @@ from rbmstruct.greedy import (
     _prune,
     learn_full_graph,
 )
-from rbmstruct.harness import ferro_constants, lc_constants
 from rbmstruct.model import (
     ExactOracle,
     NonDegeneracyParams,
@@ -24,102 +20,12 @@ from rbmstruct.model import (
 )
 from rbmstruct.sampling import SampleSet, exact_sample
 
-from conftest import demo_ring_model
-
-
-def _indep_sigmoid(x):
-    # independent route: exp-based, no shared helper
-    return math.exp(x) / (math.exp(x) + 1.0)
-
-
-class TestFerroConstants:
-    def test_frozen_reference_values(self):
-        fc = ferro_constants(0.2, 1.0, 2, 0.1, 100)
-        # independent evaluation of the same formula
-        eta = 0.2**2 * _indep_sigmoid(-2.0) * (1.0 - math.tanh(1.0)) ** 2
-        assert fc.eta == pytest.approx(eta, rel=1e-12)
-        assert f"{fc.eta:.3e}" == "2.710e-04"
-        assert fc.k == 20
-        # high-precision fixture computed with 40-digit arithmetic
-        assert fc.sample_bound == pytest.approx(1.0036558135542139e23, rel=1e-12)
-
-    def test_zero_coupling_limit(self):
-        fc = ferro_constants(1.0, 1e-12, 1, 0.5, 10)
-        assert fc.eta == pytest.approx(0.5, rel=1e-9)
-
-    def test_sample_bound_monotone(self):
-        base = ferro_constants(0.3, 1.0, 2, 0.1, 64).sample_bound
-        assert ferro_constants(0.3, 1.0, 2, 0.1, 128).sample_bound > base
-        assert ferro_constants(0.3, 1.0, 3, 0.1, 64).sample_bound > base
-
-    def test_precondition_n_greater_k(self):
-        with pytest.raises(ValueError, match="n > k"):
-            ferro_constants(0.2, 1.0, 2, 0.1, 10)  # k = 20 >= n
-
-    @pytest.mark.parametrize("alpha,beta", [(1e-200, 1.0), (0.4, 30.0)])
-    def test_underflowed_eta_rejected(self, alpha, beta):
-        with pytest.raises(ValueError, match="eta underflowed to zero"):
-            ferro_constants(alpha, beta, 2, 0.1, 100)
-
-    def test_overflowing_alpha_rejected(self):
-        with pytest.raises(ValueError, match="alpha too large"):
-            ferro_constants(1e200, 1e200, 2, 0.1, 100)
-
-    # format_constants checks alpha and beta first (NonDegeneracyParams),
-    # so only a direct call reaches this check
-    @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (0.2, 0.0)])
-    def test_weight_bounds_checked_on_direct_call(self, alpha, beta):
-        with pytest.raises(ValueError, match=r"^require alpha > 0, beta > 0$"):
-            ferro_constants(alpha, beta, 2, 0.1, 100)
-
-
-class TestLcConstants:
-    def test_frozen_reference_values(self):
-        lcc = lc_constants(0.2, 1.0, 0.1, 100)
-        assert lcc.tau == pytest.approx(0.2**2 * math.exp(-12.0), rel=1e-12)
-        assert f"{lcc.tau:.3e}" == "2.458e-07"
-        assert lcc.delta_cond == pytest.approx(0.5 * math.exp(-2.0), rel=1e-12)
-        assert f"{lcc.delta_cond:.3e}" == "6.767e-02"
-        assert lcc.t_star == math.ceil(8.0 / lcc.tau**2)
-        assert lcc.t_star > 1e12  # far beyond desk scale
-        assert math.isinf(lcc.sample_bound)
-        assert np.isfinite(lcc.log10_sample_bound)
-
-    def test_zero_field_strength(self):
-        lcc = lc_constants(1.0, 0.0, 0.1, 10)
-        assert lcc.tau == 1.0
-        assert lcc.t_star == 8
-
-    # tau^2 underflows to zero at beta 31 and at alpha 1e-90, and to a
-    # subnormal (8 / tau^2 = inf) at alpha 1e-161
-    @pytest.mark.parametrize("alpha,beta", [(0.4, 31.0), (1e-90, 1.0), (1e-161, 0.0)])
-    def test_vanishing_tau_squared_rejected(self, alpha, beta):
-        with pytest.raises(ValueError, match=r"tau too small for T\* = ceil\(8/tau\^2\)"):
-            lc_constants(alpha, beta, 0.1, 100)
-
-    @pytest.mark.parametrize("alpha,beta", [(1e200, 1e200), (1e100, 0.0)])
-    def test_overflowing_alpha_rejected(self, alpha, beta):
-        with pytest.raises(ValueError, match="alpha too large"):
-            lc_constants(alpha, beta, 0.1, 100)
-
-    # format_constants checks alpha and beta first, and ferro_constants
-    # fail_prob and n > k >= 1 before lc_constants runs, so only a direct
-    # call reaches these checks
-    @pytest.mark.parametrize("alpha,beta,fail_prob,n,message", [
-        (0.0, 1.0, 0.1, 100, r"^require alpha > 0, beta >= 0$"),
-        (0.2, -1.0, 0.1, 100, r"^require alpha > 0, beta >= 0$"),
-        (0.2, 1.0, 0.0, 100, r"^fail_prob must lie in \(0, 1\)$"),
-        (0.2, 1.0, 1.0, 100, r"^fail_prob must lie in \(0, 1\)$"),
-        (0.2, 1.0, 0.1, 0, r"^require n >= 1$"),
-    ])
-    def test_arguments_checked_on_direct_call(self, alpha, beta, fail_prob, n, message):
-        with pytest.raises(ValueError, match=message):
-            lc_constants(alpha, beta, fail_prob, n)
-
-    def test_infinite_log_bound_rejected(self):
-        # T* is about 9.6e307, so 2 T* ln 2 overflows the log bound
-        with pytest.raises(ValueError, match="tau too small for a finite sample bound"):
-            lc_constants(1.7e-77, 0.0, 0.1, 10)
+from conftest import (
+    demo_ring_model,
+    empirical_influence,
+    exact_avg_cond_cov,
+    exact_influence,
+)
 
 
 class TestLearnFerro:
@@ -245,11 +151,12 @@ class TestPruningSoundnessExactScores:
             for u in range(m.n):
                 chosen = self._chosen(
                     m, u,
-                    score=lambda cands, S: [oracle.influence(u, S + [j]) for j in cands],
+                    score=lambda cands, S: [exact_influence(oracle, u, S + [j]) for j in cands],
                     stop=lambda values, value: False,
                 )
-                i_full = oracle.influence(u, chosen)
-                kept, _ = _prune(chosen, lambda j, rest: i_full - oracle.influence(u, rest) >= 1e-6)
+                i_full = exact_influence(oracle, u, chosen)
+                kept, _ = _prune(
+                    chosen, lambda j, rest: i_full - exact_influence(oracle, u, rest) >= 1e-6)
                 assert set(kept) == truth.neighbors(u)
 
     def test_lc(self):
@@ -261,10 +168,11 @@ class TestPruningSoundnessExactScores:
             for u in range(m.n):
                 chosen = self._chosen(
                     m, u,
-                    score=lambda cands, S: [oracle.avg_cond_cov(u, v, S) for v in cands],
+                    score=lambda cands, S: [exact_avg_cond_cov(oracle, u, v, S) for v in cands],
                     stop=lambda values, value: value < 1e-6,
                 )
-                kept, _ = _prune(chosen, lambda v, rest: oracle.avg_cond_cov(u, v, rest) >= 1e-6)
+                kept, _ = _prune(
+                    chosen, lambda v, rest: exact_avg_cond_cov(oracle, u, v, rest) >= 1e-6)
                 assert set(kept) == truth.neighbors(u)
 
 

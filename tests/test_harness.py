@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbmstruct import cli, estimators, harness, qsearch
+from rbmstruct import cli, harness, qsearch
 from rbmstruct import model as model_mod
 from rbmstruct.greedy import (
     ALGORITHMS,
@@ -26,6 +26,7 @@ from rbmstruct.harness import (
     ExperimentConfig,
     ferro_constants,
     format_constants,
+    lc_constants,
     run,
     sweep_scaling,
 )
@@ -298,6 +299,101 @@ class TestSweepScaling:
             assert rows == [(n, float(n), q) for n, q in zip(n_list, quantum)]
 
 
+def _indep_sigmoid(x):
+    # independent route: exp-based, no shared helper
+    return math.exp(x) / (math.exp(x) + 1.0)
+
+
+class TestFerroConstants:
+    def test_frozen_reference_values(self):
+        fc = ferro_constants(0.2, 1.0, 2, 0.1, 100)
+        # independent evaluation of the same formula
+        eta = 0.2**2 * _indep_sigmoid(-2.0) * (1.0 - math.tanh(1.0)) ** 2
+        assert fc.eta == pytest.approx(eta, rel=1e-12)
+        assert f"{fc.eta:.3e}" == "2.710e-04"
+        assert fc.k == 20
+        # high-precision fixture computed with 40-digit arithmetic
+        assert fc.sample_bound == pytest.approx(1.0036558135542139e23, rel=1e-12)
+
+    def test_zero_coupling_limit(self):
+        fc = ferro_constants(1.0, 1e-12, 1, 0.5, 10)
+        assert fc.eta == pytest.approx(0.5, rel=1e-9)
+
+    def test_sample_bound_monotone(self):
+        base = ferro_constants(0.3, 1.0, 2, 0.1, 64).sample_bound
+        assert ferro_constants(0.3, 1.0, 2, 0.1, 128).sample_bound > base
+        assert ferro_constants(0.3, 1.0, 3, 0.1, 64).sample_bound > base
+
+    def test_precondition_n_greater_k(self):
+        with pytest.raises(ValueError, match="n > k"):
+            ferro_constants(0.2, 1.0, 2, 0.1, 10)  # k = 20 >= n
+
+    @pytest.mark.parametrize("alpha,beta", [(1e-200, 1.0), (0.4, 30.0)])
+    def test_underflowed_eta_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="eta underflowed to zero"):
+            ferro_constants(alpha, beta, 2, 0.1, 100)
+
+    def test_overflowing_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha too large"):
+            ferro_constants(1e200, 1e200, 2, 0.1, 100)
+
+    # format_constants checks alpha and beta first (NonDegeneracyParams),
+    # so only a direct call reaches this check
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (0.2, 0.0)])
+    def test_weight_bounds_checked_on_direct_call(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"^require alpha > 0, beta > 0$"):
+            ferro_constants(alpha, beta, 2, 0.1, 100)
+
+
+class TestLcConstants:
+    def test_frozen_reference_values(self):
+        lcc = lc_constants(0.2, 1.0, 0.1, 100)
+        assert lcc.tau == pytest.approx(0.2**2 * math.exp(-12.0), rel=1e-12)
+        assert f"{lcc.tau:.3e}" == "2.458e-07"
+        assert lcc.delta_cond == pytest.approx(0.5 * math.exp(-2.0), rel=1e-12)
+        assert f"{lcc.delta_cond:.3e}" == "6.767e-02"
+        assert lcc.t_star == math.ceil(8.0 / lcc.tau**2)
+        assert lcc.t_star > 1e12  # far beyond desk scale
+        assert math.isinf(lcc.sample_bound)
+        assert np.isfinite(lcc.log10_sample_bound)
+
+    def test_zero_field_strength(self):
+        lcc = lc_constants(1.0, 0.0, 0.1, 10)
+        assert lcc.tau == 1.0
+        assert lcc.t_star == 8
+
+    # tau^2 underflows to zero at beta 31 and at alpha 1e-90, and to a
+    # subnormal (8 / tau^2 = inf) at alpha 1e-161
+    @pytest.mark.parametrize("alpha,beta", [(0.4, 31.0), (1e-90, 1.0), (1e-161, 0.0)])
+    def test_vanishing_tau_squared_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"tau too small for T\* = ceil\(8/tau\^2\)"):
+            lc_constants(alpha, beta, 0.1, 100)
+
+    @pytest.mark.parametrize("alpha,beta", [(1e200, 1e200), (1e100, 0.0)])
+    def test_overflowing_alpha_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha too large"):
+            lc_constants(alpha, beta, 0.1, 100)
+
+    # format_constants checks alpha and beta first, and ferro_constants
+    # fail_prob and n > k >= 1 before lc_constants runs, so only a direct
+    # call reaches these checks
+    @pytest.mark.parametrize("alpha,beta,fail_prob,n,message", [
+        (0.0, 1.0, 0.1, 100, r"^require alpha > 0, beta >= 0$"),
+        (0.2, -1.0, 0.1, 100, r"^require alpha > 0, beta >= 0$"),
+        (0.2, 1.0, 0.0, 100, r"^fail_prob must lie in \(0, 1\)$"),
+        (0.2, 1.0, 1.0, 100, r"^fail_prob must lie in \(0, 1\)$"),
+        (0.2, 1.0, 0.1, 0, r"^require n >= 1$"),
+    ])
+    def test_arguments_checked_on_direct_call(self, alpha, beta, fail_prob, n, message):
+        with pytest.raises(ValueError, match=message):
+            lc_constants(alpha, beta, fail_prob, n)
+
+    def test_infinite_log_bound_rejected(self):
+        # T* is about 9.6e307, so 2 T* ln 2 overflows the log bound
+        with pytest.raises(ValueError, match="tau too small for a finite sample bound"):
+            lc_constants(1.7e-77, 0.0, 0.1, 10)
+
+
 class TestFormatConstants:
     def test_flags_not_desk_reproducible(self):
         fc = ferro_constants(0.2, 1.0, 2, 0.1, 100)
@@ -545,7 +641,7 @@ class TestCli:
         blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
         lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
         commands = [shlex.split(line)[1:] for line in lines if line.startswith("rbmstruct ")]
-        assert len(commands) == 7
+        assert len(commands) == 6
         parser = cli._build_parser()
         for argv in commands:
             parser.parse_args(argv)
@@ -561,13 +657,17 @@ class TestCli:
                       if k not in ("command", "model", "out")}
             assert shared == {k: defaults[k] for k in shared}, argv[0]
 
-    def test_verify_command(self, monkeypatch, capsys):
-        assert cli.main(["verify"]) == 0
-        assert capsys.readouterr().out.count(": PASS\n") == 9
-        cov_scores = estimators.cov_scores
-        monkeypatch.setattr(estimators, "cov_scores", lambda *a: cov_scores(*a) + 1e-9)
-        assert cli.main(["verify"]) == 2
-        assert "covariance decomposition identity (<= 1e-12): FAIL" in capsys.readouterr().out
+    def test_removed_verify_command_exit_code(self, capsys):
+        assert cli.main(["verify"]) == 1
+        assert "invalid choice: 'verify'" in capsys.readouterr().err
+
+    def test_invariant_failure_exit_code(self, monkeypatch, capsys):
+        def fail(args):
+            raise AssertionError("cells out of order")
+
+        monkeypatch.setitem(cli._COMMANDS, "constants", fail)
+        assert cli.main(["constants", "--alpha", "0.4", "--beta", "2"]) == 2
+        assert "internal invariant failure: cells out of order" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["abc", "-2"])
     def test_bad_threads_variable_exit_code(self, threads, monkeypatch, capsys):

@@ -15,14 +15,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Public names no production code calls, each with its reason for staying.
-ALLOWED = {
-    # exact population influence, the reference the estimator tests compare against
-    "model.ExactOracle.influence",
-    # exact average conditional covariance, the same for the covariance estimators
-    "model.ExactOracle.avg_cond_cov",
-}
-
 
 def _references(tree: ast.AST) -> Counter:
     out = Counter()
@@ -67,4 +59,4 @@ def test_every_public_name_is_referenced():
         for qual, node in _public_definitions(module, tree)
         if total[node.name] == _references(node)[node.name]
     }
-    assert unreferenced == ALLOWED
+    assert unreferenced == set()

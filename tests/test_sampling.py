@@ -15,7 +15,6 @@ from rbmstruct.model import (
     NonDegeneracyParams,
     RbmModel,
     generate_model,
-    random_model,
 )
 from rbmstruct.sampling import (
     GibbsConfig,
@@ -29,7 +28,7 @@ from rbmstruct.sampling import (
     split_rhat,
 )
 
-from conftest import brute_exact_sample
+from conftest import brute_exact_sample, random_model
 
 
 def sigmoid(x):
