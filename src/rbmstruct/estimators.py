@@ -3,35 +3,34 @@
 Everything the greedy learners consume lives here: the empirical
 influence ratio and the average conditional covariance.
 
-The lc learner uses the bitset forms at the end of this module. It holds
-its conditioning set S as one structure over samples, refined by one
-column per added node: the cells of S with their counts
-(``counted_cells``). That counted state is (cells, sizes, counts), where
-counts[l, j] = |cell_l & x_j|: a split counts only each +1 child, in one
-popcount pass over all n columns (the root's +1 child reads
-``SampleSet.pairs``), and takes each -1 child's counts by subtraction
-from its parent, so ``counted_cov_scores`` scores every candidate without
-a pass over the samples. The ferro learner holds S itself and reads its
-all-ones counts from ``SampleSet.ones_counts``, cached per sample set;
-from here it takes only ``influence_bits``, one node's influence, for its
-prune. Each fast path is held to a slow reference in the tests:
+The lc learner holds its conditioning set S as the cells of S with their
+counts, (cells, sizes, counts) with counts[l, j] = |cell_l & x_j|,
+starting from the one cell of the empty set (``counted_cells``). A split
+by a chosen node (``split_counted``) counts only each +1 child, in one
+popcount pass over all n columns (the root's reads ``SampleSet.pairs``),
+and each -1 child by subtraction from its parent. ``counted_cov_scores``
+scores every candidate from the counts, and ``merge_counted`` gives the
+prune each leave-one-out state by merging cells, neither with a pass over
+the samples. The ferro learner holds S itself, reads its all-ones counts
+from ``SampleSet.ones_counts`` and takes from here only
+``influence_bits``, one node's influence, for its prune.
+
+Each fast path is held to a slow reference in ``tests/conftest.py``:
 ``SampleSet.ones_counts`` to ``influence_counts`` (one pass over the
 columns under the all-ones mask of S, ``ones_mask``), ``influence_bits``
-and ``influence_counts`` to ``empirical_influence`` (row masking),
-``conditioning_cells`` to ``build_index`` groups, ``counted_cells`` to
-``conditioning_cells`` and popcounts, ``counted_cov_scores`` to
-``cov_scores``, and ``cov_scores`` to ``avg_cond_cov_decomposed`` and
-``avg_cond_cov_direct``. ``counted_cov_scores``, ``cov_scores`` and
-``avg_cond_cov_decomposed`` give the same floats bit for bit, because the
-float work is done in the same order (cells by first occurrence, one
-division per cell). The references take (u, S) or (u, v, S) and check
-them through ``model.node_set``.
-
-Most references live in ``tests/conftest.py``. ``build_index`` (with its
-``ConfigIndex``) and ``avg_cond_cov_decomposed`` stay here although no
-run calls them: the benchmark's span hooks (``perfbench/spans.py``)
-require both names. They move to the tests when those hooks move to the
-learners' live calls.
+and ``influence_counts`` to ``empirical_influence`` (row masking), the
+counted state (split or merged) to the bitset cells ``conditioning_cells``
+and their popcounts, ``conditioning_cells`` to ``build_index`` groups,
+``counted_cov_scores`` to ``cov_scores`` over those cells, and
+``cov_scores`` to ``avg_cond_cov_decomposed`` and ``avg_cond_cov_direct``.
+``counted_cov_scores``, ``cov_scores`` and ``avg_cond_cov_decomposed``
+give the same floats bit for bit, because the float work is done in the
+same order (cells by first occurrence, one division per cell). The
+references take (u, S) or (u, v, S) and check them through
+``model.node_set``. ``build_index`` (with its ``ConfigIndex``) and
+``avg_cond_cov_decomposed`` stay here although no run calls them: the
+benchmark's span hooks (``perfbench/spans.py``) require both names. They
+move to the tests when those hooks move to the learners' live calls.
 
 All counting is exact integer arithmetic (float64 sums of +-1 entries
 stay integral far below 2**53); each estimator divides once at the end.
@@ -92,8 +91,7 @@ class ConfigIndex:
 
 def build_index(samples: SampleSet, S) -> ConfigIndex:
     """Group sample indices by their configuration on S, groups in
-    first-occurrence order: the covariance references' cells, and the
-    slow reference for conditioning_cells."""
+    first-occurrence order: the covariance references' cells."""
     S = node_set(S, samples.n)
     _, first, inverse = np.unique(
         samples.dense[:, list(S)], axis=0, return_index=True, return_inverse=True
@@ -165,59 +163,25 @@ def _split_order(parts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return keep
 
 
-def conditioning_cells(samples: SampleSet, S=()) -> np.ndarray:
-    """(cells, ceil(M/64)) uint64 stack of the samples realizing each
-    observed configuration of S, in first-occurrence order; the bitset
-    form of build_index(samples, S).groups for M >= 1. Each node j of S
-    splits every cell into its samples with x_j = +1 and with x_j = -1,
-    keeping the nonempty ones in first-occurrence order (``_split_order``)."""
-    cells = ones_mask(samples)[None]
-    for j in S:
-        col = samples.bits[j]
-        parts = np.concatenate((cells & col, cells & ~col))
-        cells = parts[_split_order(parts, popcount(parts))]
-    return cells
-
-
-def cov_scores(samples: SampleSet, u: int, cands, cells: np.ndarray) -> np.ndarray:
-    """Average conditional covariance of x_u with each candidate, over a
-    cell stack (conditioning_cells), by the same sum decomposition as
-    avg_cond_cov_decomposed and bit-identical to it: with a_j,l =
-    2 |cell_l & x_j| - |cell_l| and sum_i x_u^i x_v^i = M - 2 |x_u ^ x_v|,
-    every numerator is an exact integer below 2**53, and the per-cell
-    corrections are added in float64 in cell order. Needs M >= 1."""
-    bits = samples.bits
-    xu = bits[u]
-    cols = bits[list(cands)]
-    M = samples.M
-    z_total = M - 2 * popcount(cols ^ xu)
-    corr = np.zeros(len(cols))
-    for cell in cells:
-        size = popcount(cell)
-        a_u = 2 * popcount(cell & xu) - size
-        a_v = 2 * popcount(cols & cell) - size
-        corr += a_u * a_v / size
-    return (z_total - corr) / M
-
-
-def counted_cells(samples: SampleSet, S=()) -> tuple:
-    """The cells of S with their counts, the lc learner's round state:
-    (cells, sizes, counts) with cells the conditioning_cells stack, sizes[l]
-    = |cell_l| and counts[l, j] = |cell_l & x_j| as an (L, n) int64 array.
-    The root (S empty) is read off ``SampleSet.pairs``; each node of S
-    refines it by ``split_counted``."""
-    state = (ones_mask(samples)[None], np.array([samples.M]), samples.pairs.diagonal()[None])
-    for j in S:
-        state = split_counted(samples, state, j)
-    return state
+def counted_cells(samples: SampleSet) -> tuple:
+    """The counted state of the empty set, where the lc learner's rounds
+    start: (cells, sizes, counts) with cells the (L, ceil(M/64)) uint64
+    bitset stack of the samples realizing each observed configuration of
+    the conditioning set, in first-occurrence order, sizes[l] = |cell_l|
+    and counts[l, j] = |cell_l & x_j| as an (L, n) int64 array. Here L = 1
+    and the counts are read off ``SampleSet.pairs``; each chosen node
+    refines the state by ``split_counted``."""
+    return ones_mask(samples)[None], np.array([samples.M]), samples.pairs.diagonal()[None]
 
 
 def split_counted(samples: SampleSet, state: tuple, v: int) -> tuple:
-    """Split a counted state by column v, into the cells that
-    conditioning_cells makes for S plus v. Only the +1 children
-    are counted, one pass over all n columns per parent cell (none for the
-    all-samples cell, whose +1 child has counts pairs[v], nor for an empty
-    child); each -1 child's counts are its parent's minus its sibling's."""
+    """Split the counted state of S by column v into that of S plus v:
+    each cell into its samples with x_v = +1 and with x_v = -1, keeping
+    the nonempty ones in first-occurrence order (``_split_order``). Only
+    the +1 children are counted, one pass over all n columns per parent
+    cell (none for the all-samples cell, whose +1 child has counts
+    pairs[v], nor for an empty child); each -1 child's counts are its
+    parent's minus its sibling's."""
     cells, sizes, counts = state
     bits = samples.bits
     plus = cells & bits[v]
@@ -235,10 +199,31 @@ def split_counted(samples: SampleSet, state: tuple, v: int) -> tuple:
     return parts[order], part_sizes[order], part_counts[order]
 
 
+def merge_counted(state: tuple, rest) -> tuple:
+    """The counted state of rest, a subset of S, from the counted state of
+    S, with no pass over the samples. Each cell of S is pure on S, so its
+    sign on node j is counts[l, j] == sizes[l]; the cells that agree on
+    rest (keyed by their packed signs, of any length) merge, their sizes
+    and counts summed, each in the place of its first member, which keeps
+    the first-occurrence order of the cells of rest. The cell bitsets are
+    left out (None): scoring reads only sizes and counts, and joining the
+    bitsets would read L*ceil(M/64) words per merge."""
+    _, sizes, counts = state
+    groups: dict[bytes, int] = {}
+    keys = map(bytes, np.packbits(counts[:, rest] == sizes[:, None], axis=1))
+    group = np.array([groups.setdefault(key, len(groups)) for key in keys])
+    order = np.argsort(group)
+    starts = np.searchsorted(group[order], np.arange(len(groups)))
+    return None, np.add.reduceat(sizes[order], starts), np.add.reduceat(counts[order], starts)
+
+
 def counted_cov_scores(samples: SampleSet, u: int, cands, state: tuple) -> np.ndarray:
-    """cov_scores from a counted state (counted_cells), bit for bit, with
-    no pass over the samples: sum_i x_u^i x_v^i = M - 2 |x_u ^ x_v| comes
-    from the pair table, and the per-cell corrections a_u,l a_v,l / |F_l|
+    """Average conditional covariance of x_u with each candidate over the
+    cells of a counted state, by the same sum decomposition as
+    avg_cond_cov_decomposed and bit-identical to it, with no pass over the
+    samples: sum_i x_u^i x_v^i = M - 2 |x_u ^ x_v| comes from the pair
+    table, a_j,l = 2 counts[l, j] - sizes[l], every numerator is an exact
+    integer below 2**53, and the per-cell corrections a_u,l a_v,l / |F_l|
     are accumulated along the cell axis in cell order (cumsum), one
     division per cell. Needs M >= 1."""
     _, sizes, counts = state

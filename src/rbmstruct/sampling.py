@@ -70,8 +70,10 @@ class SampleSet:
     (8 MiB at n = 1024). ``ones_counts`` keeps n*8 bytes per
     conditioning set asked for, beyond ``pairs`` for sets of size 0 or 1:
     a ferro run over every node asked for about 5 sets per node at
-    n = 1024, 33 MiB in all. The lc learner's round state adds L*n*8
-    bytes of cell counts for L cells. Pickling carries only ``packed``.
+    n = 1024, 33 MiB in all. The lc learner's round state adds
+    L*(n + ceil(M/64))*8 bytes of cell counts and bitsets for L cells, and
+    its prune one merged state (counts only) at a time. Pickling carries
+    only ``packed``.
     """
 
     __slots__ = ("n", "packed", "_dense", "_bits", "_pairs", "_ones")

@@ -7,8 +7,9 @@ come from a code path that shares nothing with the package internals.
 The references are numpy: unconstrained random models (``random_model``),
 exact influence and average conditional covariance read off an
 ``ExactOracle`` table, and the empirical estimators by row masking and
-by sample groups, which the bitset routes in ``rbmstruct.estimators``
-must equal.
+by sample groups, and the bitset cells and covariance scores
+(``conditioning_cells``, ``cov_scores``), which the counted routes in
+``rbmstruct.estimators`` must equal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ import math
 import numpy as np
 
 from rbmstruct import qsearch
-from rbmstruct.estimators import InfluenceValue, build_index, popcount
+from rbmstruct.estimators import (
+    InfluenceValue,
+    _split_order,
+    build_index,
+    counted_cells,
+    ones_mask,
+    popcount,
+    split_counted,
+)
 from rbmstruct.model import (
     KIND_FERROMAGNETIC,
     KIND_GENERAL,
@@ -124,6 +133,50 @@ def influence_counts(samples: SampleSet, u: int, cands, m_s) -> tuple[np.ndarray
     reference for ``SampleSet.ones_counts`` of S and of S union {u}."""
     cols = samples.bits[list(cands)] & m_s
     return popcount(cols & samples.bits[u]), popcount(cols)
+
+
+def conditioning_cells(samples: SampleSet, S=()) -> np.ndarray:
+    """(cells, ceil(M/64)) uint64 stack of the samples realizing each
+    observed configuration of S, in first-occurrence order; the bitset
+    form of build_index(samples, S).groups for M >= 1. Each node j of S
+    splits every cell into its samples with x_j = +1 and with x_j = -1,
+    keeping the nonempty ones in first-occurrence order (``_split_order``)."""
+    cells = ones_mask(samples)[None]
+    for j in S:
+        col = samples.bits[j]
+        parts = np.concatenate((cells & col, cells & ~col))
+        cells = parts[_split_order(parts, popcount(parts))]
+    return cells
+
+
+def cov_scores(samples: SampleSet, u: int, cands, cells: np.ndarray) -> np.ndarray:
+    """Average conditional covariance of x_u with each candidate, over a
+    cell stack (conditioning_cells), by the same sum decomposition as
+    avg_cond_cov_decomposed and bit-identical to it: with a_j,l =
+    2 |cell_l & x_j| - |cell_l| and sum_i x_u^i x_v^i = M - 2 |x_u ^ x_v|,
+    every numerator is an exact integer below 2**53, and the per-cell
+    corrections are added in float64 in cell order. Needs M >= 1."""
+    bits = samples.bits
+    xu = bits[u]
+    cols = bits[list(cands)]
+    M = samples.M
+    z_total = M - 2 * popcount(cols ^ xu)
+    corr = np.zeros(len(cols))
+    for cell in cells:
+        size = popcount(cell)
+        a_u = 2 * popcount(cell & xu) - size
+        a_v = 2 * popcount(cols & cell) - size
+        corr += a_u * a_v / size
+    return (z_total - corr) / M
+
+
+def counted_state(samples: SampleSet, S) -> tuple:
+    """The lc learner's counted state of S, as its rounds build it: the
+    root state (``counted_cells``) split by each node of S in turn."""
+    state = counted_cells(samples)
+    for j in S:
+        state = split_counted(samples, state, j)
+    return state
 
 
 def brute_joint_weight(model: RbmModel, x, y) -> float:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from rbmstruct.estimators import conditioning_cells, cov_scores, influence_bits
+from rbmstruct.estimators import influence_bits
 from rbmstruct.greedy import LearnerConfig, _learn_ferro, _learn_lc, learn_full_graph
 from rbmstruct.harness import ferro_constants, lc_constants, sweep_scaling
 from rbmstruct.model import ExactOracle, NonDegeneracyParams, generate_model, two_hop_graph
@@ -27,6 +27,8 @@ from rbmstruct.sampling import GibbsConfig, SampleSet, exact_sample, gibbs_sampl
 
 from conftest import (
     avg_cond_cov_direct,
+    conditioning_cells,
+    cov_scores,
     exact_avg_cond_cov,
     exact_influence,
     metered,
@@ -39,8 +41,8 @@ def _report(num: int, name: str) -> None:
 
 
 def test_criterion_01_covariance_decomposition_identity():
-    # the direct route over build_index groups against the bitset route the
-    # lc prune runs, which the learners' counted scores are held to
+    # the direct route over build_index groups against the bitset cells
+    # route, which the learners' counted scores are held to
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(200):

@@ -9,18 +9,23 @@ from hypothesis import strategies as st
 from rbmstruct.estimators import (
     avg_cond_cov_decomposed,
     build_index,
-    conditioning_cells,
-    counted_cells,
     counted_cov_scores,
-    cov_scores,
     influence_bits,
+    merge_counted,
     ones_mask,
     popcount,
 )
 from rbmstruct.greedy import UNDEFINED_SCORE, _score_candidates_ferro
 from rbmstruct.sampling import SampleSet
 
-from conftest import avg_cond_cov_direct, empirical_influence, influence_counts
+from conftest import (
+    avg_cond_cov_direct,
+    conditioning_cells,
+    counted_state,
+    cov_scores,
+    empirical_influence,
+    influence_counts,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -144,15 +149,26 @@ def test_pairs_equal_gram_matrix_of_dense(case):
 def test_counted_state_equals_cells_popcounts_and_cov_scores(case):
     samples, rng = case
     u, S, cands = _split_nodes(rng, samples.n, max_s=4)
-    cells, sizes, counts = counted_cells(samples, S)
-    reference = conditioning_cells(samples, S)
-    assert np.array_equal(cells, reference)
-    assert np.array_equal(sizes, popcount(reference))
-    assert counts.shape == (len(reference), samples.n)
-    assert np.array_equal(counts, popcount(samples.bits[None] & reference[:, None]))
     cands = cands or S[-1:]
-    fast = counted_cov_scores(samples, u, cands, (cells, sizes, counts))
-    assert fast.tobytes() == cov_scores(samples, u, cands, reference).tobytes()
+
+    def check(S, state):
+        _, sizes, counts = state
+        reference = conditioning_cells(samples, S)
+        assert np.array_equal(sizes, popcount(reference))
+        assert counts.shape == (len(reference), samples.n)
+        assert np.array_equal(counts, popcount(samples.bits[None] & reference[:, None]))
+        fast = counted_cov_scores(samples, u, cands, state)
+        assert fast.tobytes() == cov_scores(samples, u, cands, reference).tobytes()
+        return reference
+
+    full = counted_state(samples, S)
+    assert np.array_equal(full[0], check(S, full))
+    for v in S:  # each leave-one-out state, merged off the full one
+        rest = [j for j in S if j != v]
+        merged = merge_counted(full, rest)
+        built = counted_state(samples, rest)
+        assert np.array_equal(merged[1], built[1]) and np.array_equal(merged[2], built[2])
+        check(rest, merged)
 
 
 @PROPERTY

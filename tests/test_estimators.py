@@ -7,7 +7,6 @@ from rbmstruct.estimators import (
     InfluenceValue,
     avg_cond_cov_decomposed,
     build_index,
-    conditioning_cells,
 )
 from rbmstruct.model import ExactOracle
 from rbmstruct.sampling import SampleSet, exact_sample
@@ -15,6 +14,7 @@ from rbmstruct.sampling import SampleSet, exact_sample
 from conftest import (
     avg_cond_cov_direct,
     brute_conditional_mean,
+    conditioning_cells,
     empirical_influence,
     exact_avg_cond_cov,
     exact_influence,

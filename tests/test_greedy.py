@@ -21,6 +21,8 @@ from rbmstruct.model import (
 from rbmstruct.sampling import SampleSet, exact_sample
 
 from conftest import (
+    conditioning_cells,
+    cov_scores,
     demo_ring_model,
     empirical_influence,
     exact_avg_cond_cov,
@@ -122,6 +124,33 @@ class TestLearnLc:
         res = _learn_lc(0, s, threshold=0.05, rounds=2)
         assert res.insufficient_samples
 
+    def test_prune_past_63_chosen_nodes(self):
+        # u = 0. Nodes 1..66 each follow u on a private block of 4 samples;
+        # nodes 67..69 go against u on the blocks of nodes 1..3 and follow
+        # it on a private pair. Elsewhere each node is constant per block.
+        # The greedy takes all 69 nodes, 67..69 last, so a prune that loses
+        # the nodes past the 63rd of a leave-one-out set keeps nodes 1..3.
+        rng = np.random.default_rng(0)
+        sizes = [4] * 66 + [2] * 3
+        block = np.repeat(np.arange(69), sizes)
+        x = rng.choice([-1, 1], size=(69, 70)).astype(np.int8)[block]
+        x[:, 0] = np.concatenate([np.repeat([1, -1], k // 2) for k in sizes])
+        single = block < 66
+        x[single, 1 + block[single]] = x[single, 0]
+        for t in range(3):
+            x[block == t, 67 + t] = -x[block == t, 0]
+            x[block == 66 + t, 67 + t] = x[block == 66 + t, 0]
+        s = SampleSet.from_pm1(x)
+        res = _learn_lc(0, s, threshold=1e-9, rounds=69)
+        chosen = [j for j, _ in res.trace]
+        assert len(chosen) == 69 and chosen[-3:] == [67, 68, 69]
+        kept, pruned = [], []
+        for v in chosen:
+            cells = conditioning_cells(s, [j for j in chosen if j != v])
+            (kept if cov_scores(s, 0, [v], cells)[0] >= 1e-9 else pruned).append(v)
+        assert res.estimate == tuple(sorted(kept)) and res.pruned == tuple(pruned)
+        assert sorted(pruned) == [1, 2, 3]
+
 
 class TestPruningSoundnessExactScores:
     """The learners' own candidate loop and prune (``greedy._greedy``,
@@ -134,12 +163,13 @@ class TestPruningSoundnessExactScores:
         exact scores of the candidates given the chosen set S. Each trace
         entry (j, value) must be the exact score of j given the nodes chosen
         before it, so a loop that does not condition on its choices fails."""
-        chosen, trace, _, _ = _greedy(
+        chosen, trace, state, _, _ = _greedy(
             u, m.n, 3, [], score=lambda cands, S: np.array(score(cands, S)),
             add=lambda S, j: S + [j], stop=stop, pick=_argmax,
         )
         for i, (j, value) in enumerate(trace):
             assert value == score([j], chosen[:i])[0], (u, i)
+        assert state == chosen, u  # add folded over every pick, the last too
         return chosen
 
     def test_ferro(self):

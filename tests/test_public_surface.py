@@ -1,10 +1,11 @@
-"""Every public name of the package and the benchmark has a caller.
+"""Every name the package and the benchmark define has a caller.
 
-A public module-level function or class, or a public method, must be
-referenced by name somewhere in ``src/rbmstruct`` or ``perfbench``
-outside its own definition: as an identifier, an attribute, an import, or
-a ``perfbench.spans.SPAN_HOOKS`` string. Tests do not count as callers.
-Functions named ``test_*`` are called by pytest's collection.
+A module-level function or class (public or private), a public method, or
+a module-level constant must be referenced by name somewhere in
+``src/rbmstruct`` or ``perfbench`` outside its own definition: as an
+identifier, an attribute, an import, or a ``perfbench.spans.SPAN_HOOKS``
+string. Tests do not count as callers. Functions named ``test_*`` are
+called by pytest's collection, and dunder names by Python.
 """
 
 from __future__ import annotations
@@ -33,18 +34,24 @@ def _references(tree: ast.AST) -> Counter:
     return out
 
 
-def _public_definitions(module: str, tree: ast.Module):
-    """(qualified name, node) of each public top-level def and class and
-    each public method."""
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, name, node) of each top-level def, class and
+    constant, and of each public method."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    yield f"{module}.{t.id}", t.id, node
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith(("_", "test_")):
-            yield f"{module}.{node.name}", node
+        if not node.name.startswith(("__", "test_")):
+            yield f"{module}.{node.name}", node.name, node
         if isinstance(node, ast.ClassDef):
             for method in node.body:
                 if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                    yield f"{module}.{node.name}.{method.name}", method
+                    yield f"{module}.{node.name}.{method.name}", method.name, method
 
 
 def test_every_public_name_is_referenced():
@@ -56,7 +63,7 @@ def test_every_public_name_is_referenced():
     unreferenced = {
         qual
         for module, tree in trees.items()
-        for qual, node in _public_definitions(module, tree)
-        if total[node.name] == _references(node)[node.name]
+        for qual, name, node in _definitions(module, tree)
+        if total[name] == _references(node)[name]
     }
     assert unreferenced == set()
