@@ -3,26 +3,29 @@
 Everything the greedy learners consume lives here: the empirical
 influence ratio and the average conditional covariance.
 
-The lc learner holds its conditioning set S as the cells of S with their
-counts, (cells, sizes, counts) with counts[l, j] = |cell_l & x_j|,
-starting from the one cell of the empty set (``counted_cells``). A split
-by a chosen node (``split_counted``) counts only each +1 child, in one
-popcount pass over all n columns (the root's reads ``SampleSet.pairs``),
-and each -1 child by subtraction from its parent. ``counted_cov_scores``
-scores every candidate from the counts, and ``merge_counted`` gives the
-prune each leave-one-out state by merging cells, neither with a pass over
-the samples. The ferro learner holds S itself, reads its all-ones counts
-from ``SampleSet.ones_counts`` and takes from here only
+Both learners read their per-node counts from one view, the all-ones
+counts of a set (``SampleSet.ones_counts``). The lc learner holds its
+conditioning set S as the cells of S with their counts, (cells, sizes,
+counts) with counts[l, j] = |cell_l & x_j|, starting from the one cell of
+the empty set (``counted_cells``, whose counts are ``ones_counts(())``).
+A split by a chosen node (``split_counted``) counts only each +1 child,
+in one popcount pass over all n columns (the root's is
+``ones_counts((v,))``), and each -1 child by subtraction from its parent.
+``counted_cov_scores`` scores every candidate from the counts, and
+``merge_counted`` gives the prune each leave-one-out state by merging
+cells, neither with a pass over the samples. The ferro learner holds S
+itself, reads the all-ones counts of S and takes from here only
 ``influence_bits``, one node's influence, for its prune.
 
 Each fast path is held to a slow reference in ``tests/conftest.py``:
 ``SampleSet.ones_counts`` to ``influence_counts`` (one pass over the
-columns under the all-ones mask of S, ``ones_mask``), ``influence_bits``
-and ``influence_counts`` to ``empirical_influence`` (row masking), the
-counted state (split or merged) to the bitset cells ``conditioning_cells``
-and their popcounts, ``conditioning_cells`` to ``build_index`` groups,
-``counted_cov_scores`` to ``cov_scores`` over those cells, and
-``cov_scores`` to ``avg_cond_cov_decomposed`` and ``avg_cond_cov_direct``.
+columns under the all-ones mask of S, ``SampleSet.ones_mask``),
+``influence_bits`` and ``influence_counts`` to ``empirical_influence``
+(row masking), the counted state (split or merged) to the bitset cells
+``conditioning_cells`` and their popcounts, ``conditioning_cells`` to
+``build_index`` groups, ``counted_cov_scores`` to ``cov_scores`` over
+those cells, and ``cov_scores`` to ``avg_cond_cov_decomposed`` and
+``avg_cond_cov_direct``.
 ``counted_cov_scores``, ``cov_scores`` and ``avg_cond_cov_decomposed``
 give the same floats bit for bit, because the float work is done in the
 same order (cells by first occurrence, one division per cell). The
@@ -127,20 +130,9 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def ones_mask(samples: SampleSet, S=()) -> np.ndarray:
-    """Bitset of the samples with x_S = 1^s; all M samples for empty S."""
-    M = samples.M
-    mask = np.full((M + 63) // 64, np.iinfo(np.uint64).max, dtype=np.uint64)
-    if M % 64:
-        mask[-1] = (1 << (M % 64)) - 1
-    for j in S:
-        mask &= samples.bits[j]
-    return mask
-
-
 def influence_bits(samples: SampleSet, u: int, S) -> InfluenceValue:
     """InfluenceValue of u given S, by popcounts over the column bitsets."""
-    m_s = ones_mask(samples, S)
+    m_s = samples.ones_mask(S)
     return InfluenceValue(
         numer_count=int(popcount(m_s & samples.bits[u])),
         denom_count=int(popcount(m_s)),
@@ -169,9 +161,9 @@ def counted_cells(samples: SampleSet) -> tuple:
     bitset stack of the samples realizing each observed configuration of
     the conditioning set, in first-occurrence order, sizes[l] = |cell_l|
     and counts[l, j] = |cell_l & x_j| as an (L, n) int64 array. Here L = 1
-    and the counts are read off ``SampleSet.pairs``; each chosen node
+    and the counts are ``SampleSet.ones_counts(())``; each chosen node
     refines the state by ``split_counted``."""
-    return ones_mask(samples)[None], np.array([samples.M]), samples.pairs.diagonal()[None]
+    return samples.ones_mask()[None], np.array([samples.M]), samples.ones_counts(())[None]
 
 
 def split_counted(samples: SampleSet, state: tuple, v: int) -> tuple:
@@ -180,8 +172,8 @@ def split_counted(samples: SampleSet, state: tuple, v: int) -> tuple:
     the nonempty ones in first-occurrence order (``_split_order``). Only
     the +1 children are counted, one pass over all n columns per parent
     cell (none for the all-samples cell, whose +1 child has counts
-    pairs[v], nor for an empty child); each -1 child's counts are its
-    parent's minus its sibling's."""
+    ``SampleSet.ones_counts((v,))``, nor for an empty child); each -1
+    child's counts are its parent's minus its sibling's."""
     cells, sizes, counts = state
     bits = samples.bits
     plus = cells & bits[v]
@@ -189,7 +181,7 @@ def split_counted(samples: SampleSet, state: tuple, v: int) -> tuple:
     plus_counts = np.zeros_like(counts)
     for l, size in enumerate(plus_sizes):
         if sizes[l] == samples.M:
-            plus_counts[l] = samples.pairs[v]
+            plus_counts[l] = samples.ones_counts((v,))
         elif size:
             plus_counts[l] = popcount(bits & plus[l])
     parts = np.concatenate((plus, cells & ~bits[v]))
@@ -221,16 +213,17 @@ def counted_cov_scores(samples: SampleSet, u: int, cands, state: tuple) -> np.nd
     """Average conditional covariance of x_u with each candidate over the
     cells of a counted state, by the same sum decomposition as
     avg_cond_cov_decomposed and bit-identical to it, with no pass over the
-    samples: sum_i x_u^i x_v^i = M - 2 |x_u ^ x_v| comes from the pair
-    table, a_j,l = 2 counts[l, j] - sizes[l], every numerator is an exact
-    integer below 2**53, and the per-cell corrections a_u,l a_v,l / |F_l|
-    are accumulated along the cell axis in cell order (cumsum), one
-    division per cell. Needs M >= 1."""
+    samples: cands is an index array (or list) of nodes, sum_i x_u^i x_v^i
+    = M - 2 (|x_u| + |x_v| - 2 |x_u & x_v|) is read off the all-ones
+    counts of the empty set and of {u} (``SampleSet.ones_counts``),
+    a_j,l = 2 counts[l, j] - sizes[l], every numerator is an exact integer
+    below 2**53, and the per-cell corrections a_u,l a_v,l / |F_l| are
+    accumulated along the cell axis in cell order (cumsum), one division
+    per cell. Needs M >= 1."""
     _, sizes, counts = state
-    cands = np.asarray(cands)
-    pairs = samples.pairs
+    ones, with_u = samples.ones_counts(()), samples.ones_counts((u,))
     M = samples.M
-    z_total = M - 2 * (pairs[u, u] + pairs[cands, cands] - 2 * pairs[u, cands])
+    z_total = M - 2 * (ones[u] + ones[cands] - 2 * with_u[cands])
     a_u = 2 * counts[:, u] - sizes
     a_v = 2 * counts[:, cands] - sizes[:, None]
     corr = np.cumsum(a_u[:, None] * a_v / sizes[:, None], axis=0)[-1]

@@ -32,7 +32,9 @@ from 11 to 16 ms (2-CPU Xeon) when the prune read it.
 lc's state is the cells of S with their counts (``counted_cells``,
 refined by ``split_counted``, scored by ``counted_cov_scores``), and its
 prune reads every leave-one-out state off the final one by merging cells
-(``merge_counted``), with no pass over the samples.
+(``merge_counted``), with no pass over the samples; the counts it takes
+from the samples are the ``ones_counts`` of the empty set and of single
+nodes, which every node shares.
 
 With a meter, a learner charges its node's scans once, after its prune
 (``_charge``), by one index-cost law per family. The laws price the cost
@@ -111,8 +113,9 @@ def _argmax(values) -> tuple[int, float]:
 def _greedy(u, n, budget, state, score, add, stop, pick):
     """The candidate loop shared by both learners and their quantum variants.
 
-    Each round scores the nodes not yet chosen with ``score(cands, state)``
-    and lets ``pick(values) -> (index, value)`` select one; when
+    Each round scores the nodes not yet chosen, an ascending index array
+    ``cands`` read off a mask of the free nodes, with ``score(cands,
+    state)`` and lets ``pick(values) -> (index, value)`` select one; when
     ``stop(values, value)`` holds the run ends without taking it, otherwise
     the node joins the chosen set, the pair (node, value) the trace, and
     ``add(state, node)`` refines the conditioning state by it. Runs at most
@@ -121,15 +124,18 @@ def _greedy(u, n, budget, state, score, add, stop, pick):
     stopped rounds."""
     chosen: list[int] = []
     trace: list[tuple[int, float]] = []
+    free = np.ones(n, dtype=bool)
+    free[u] = False
     while len(chosen) < budget:
-        cands = [j for j in range(n) if j != u and j not in chosen]
-        if not cands:
+        cands = np.flatnonzero(free)
+        if not cands.size:
             return chosen, trace, state, False, True
         values = score(cands, state)
         best, value = pick(values)
         if stop(values, value):
             return chosen, trace, state, True, False
-        j = cands[best]
+        j = int(cands[best])
+        free[j] = False
         chosen.append(j)
         trace.append((j, value))
         state = add(state, j)

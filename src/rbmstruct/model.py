@@ -188,13 +188,10 @@ class TwoHopGraph:
 
 def two_hop_graph(model: RbmModel) -> TwoHopGraph:
     """Graph-theoretic two-hop neighborhood graph of the visible layer."""
-    support = model.J != 0
-    shared = support @ support.T  # counts of common hidden nodes
-    edges = set()
-    for i, k in zip(*np.nonzero(shared)):
-        if i < k:
-            edges.add((int(i), int(k)))
-    return TwoHopGraph(n=model.n, edges=frozenset(edges))
+    support = (model.J != 0).astype(np.float32)
+    shared = np.triu(support @ support.T, 1)  # counts of common hidden nodes
+    rows, cols = np.nonzero(shared)
+    return TwoHopGraph(n=model.n, edges=frozenset(zip(rows.tolist(), cols.tolist())))
 
 
 def check_enumerable(n: int, m: int) -> None:

@@ -4,10 +4,10 @@ A SampleSet holds M visible configurations bit-packed, MSB-first within
 each byte, bit 1 meaning +1; rows are ceil(n/8) bytes with zero pad bits.
 The learners read it transposed, as one bitset over samples per node
 (``SampleSet.bits``, built by 8x8 bit-matrix transposes of each packed
-byte column). The lc learner also reads the pair table
-(``SampleSet.pairs``) of +1/+1 counts, and the ferro learner the all-ones
-counts of each conditioning set (``SampleSet.ones_counts``), which every
-node that asks for the same set shares.
+byte column). Both learners count from it through one view, the all-ones
+counts of a set (``SampleSet.ones_counts``), which every node that asks
+for the same set shares: ferro for its conditioning sets, lc for the
+empty set and the singletons.
 Small models are sampled exactly by inverse CDF over the enumerated
 visible marginal: each uniform is looked up in draw order through a guide
 table over the CDF, and each drawn configuration index, shifted to the top
@@ -65,18 +65,18 @@ class SampleFileError(ValueError):
 class SampleSet:
     """Immutable bit-packed matrix of M visible configurations in {-1,+1}^n.
 
-    Its views are built on first access and cached: ``dense`` (M*n bytes),
-    ``bits`` (n*ceil(M/64)*8 bytes) and ``pairs``, which costs n^2*8 bytes
-    (8 MiB at n = 1024). ``ones_counts`` keeps n*8 bytes per
-    conditioning set asked for, beyond ``pairs`` for sets of size 0 or 1:
-    a ferro run over every node asked for about 5 sets per node at
-    n = 1024, 33 MiB in all. The lc learner's round state adds
+    Its views are built on first access and cached: ``dense`` (M*n bytes)
+    and ``bits`` (n*ceil(M/64)*8 bytes). ``ones_counts`` keeps n*8 bytes
+    per set asked for; the n + 1 sets of size 0 or 1, which both learners
+    ask for over every node, take n^2*8 bytes (8 MiB at n = 1024), and a
+    ferro run over every node asked for about 5 sets per node at
+    n = 1024, 41 MiB in all. The lc learner's round state adds
     L*(n + ceil(M/64))*8 bytes of cell counts and bitsets for L cells, and
     its prune one merged state (counts only) at a time. Pickling carries
     only ``packed``.
     """
 
-    __slots__ = ("n", "packed", "_dense", "_bits", "_pairs", "_ones")
+    __slots__ = ("n", "packed", "_dense", "_bits", "_ones")
 
     def __init__(self, n: int, packed: np.ndarray):
         if n < 1:
@@ -94,7 +94,6 @@ class SampleSet:
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "_dense", None)
         object.__setattr__(self, "_bits", None)
-        object.__setattr__(self, "_pairs", None)
         object.__setattr__(self, "_ones", {})
 
     def __setattr__(self, name, value):
@@ -163,38 +162,31 @@ class SampleSet:
             object.__setattr__(self, "_bits", b)
         return self._bits
 
-    @property
-    def pairs(self) -> np.ndarray:
-        """Pair table: an (n, n) int64 array (cached, read-only) whose entry
-        [i, j] is the number of samples with x_i = x_j = +1, so its diagonal
-        counts each node's +1 entries. Built from ``bits`` one row at a
-        time, so its largest temporary is one n-row copy of ``bits``."""
-        if self._pairs is None:
-            bits = self.bits
-            p = np.empty((self.n, self.n), dtype=np.int64)
-            for i in range(self.n):
-                np.bitwise_count(bits & bits[i]).sum(axis=1, dtype=np.int64, out=p[i])
-            p.setflags(write=False)
-            object.__setattr__(self, "_pairs", p)
-        return self._pairs
+    def ones_mask(self, S=()) -> np.ndarray:
+        """Bitset of the samples with x_i = +1 for every i in S: a
+        (ceil(M/64),) uint64 vector in the layout of a ``bits`` row, pad
+        bits past M zero; all M samples for empty S."""
+        M = self.M
+        mask = np.full((M + 63) // 64, np.iinfo(np.uint64).max, dtype=np.uint64)
+        if M % 64:
+            mask[-1] = (1 << (M % 64)) - 1
+        for j in S:
+            mask &= self.bits[j]
+        return mask
 
     def ones_counts(self, S) -> np.ndarray:
         """All-ones counts given S: an (n,) int64 vector (cached per set,
         read-only) whose entry j is the number of samples with x_i = +1 for
-        every i in S union {j}. Memoized under frozenset(S), so every order
-        of S returns the same array. A set of size 0 or 1 is read off
-        ``pairs`` (its diagonal, or row v); a larger one costs one pass
-        over ``bits``."""
+        every i in S union {j}, so ``ones_counts(())`` counts each node's
+        +1 entries and ``ones_counts((v,))[j]`` those with x_v = x_j = +1.
+        Memoized under frozenset(S), so every order of S returns the same
+        array. Each set costs one pass over ``bits`` under its
+        ``ones_mask``."""
         key = frozenset(S)
         counts = self._ones.get(key)
         if counts is None:
-            if len(key) <= 1:
-                counts = self.pairs[next(iter(key))] if key else self.pairs.diagonal()
-            else:
-                bits = self.bits
-                mask = np.bitwise_and.reduce(bits[list(key)], axis=0)
-                counts = np.bitwise_count(bits & mask).sum(axis=1, dtype=np.int64)
-                counts.setflags(write=False)
+            counts = np.bitwise_count(self.bits & self.ones_mask(key)).sum(axis=1, dtype=np.int64)
+            counts.setflags(write=False)
             self._ones[key] = counts
         return counts
 

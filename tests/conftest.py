@@ -25,7 +25,6 @@ from rbmstruct.estimators import (
     _split_order,
     build_index,
     counted_cells,
-    ones_mask,
     popcount,
     split_counted,
 )
@@ -128,9 +127,9 @@ def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, S) -> float:
 
 def influence_counts(samples: SampleSet, u: int, cands, m_s) -> tuple[np.ndarray, np.ndarray]:
     """(numer, denom) all-ones counts for each candidate j, given the
-    bitset m_s of the samples with x_S = 1^s (ones_mask): denom counts
-    those with x_j = +1, numer those with x_j = x_u = +1. The slow
-    reference for ``SampleSet.ones_counts`` of S and of S union {u}."""
+    bitset m_s of the samples with x_S = 1^s (``SampleSet.ones_mask``):
+    denom counts those with x_j = +1, numer those with x_j = x_u = +1. The
+    slow reference for ``SampleSet.ones_counts`` of S and of S union {u}."""
     cols = samples.bits[list(cands)] & m_s
     return popcount(cols & samples.bits[u]), popcount(cols)
 
@@ -141,7 +140,7 @@ def conditioning_cells(samples: SampleSet, S=()) -> np.ndarray:
     form of build_index(samples, S).groups for M >= 1. Each node j of S
     splits every cell into its samples with x_j = +1 and with x_j = -1,
     keeping the nonempty ones in first-occurrence order (``_split_order``)."""
-    cells = ones_mask(samples)[None]
+    cells = samples.ones_mask()[None]
     for j in S:
         col = samples.bits[j]
         parts = np.concatenate((cells & col, cells & ~col))
@@ -177,6 +176,19 @@ def counted_state(samples: SampleSet, S) -> tuple:
     for j in S:
         state = split_counted(samples, state, j)
     return state
+
+
+def brute_two_hop_edges(model: RbmModel) -> frozenset:
+    """Pairs (i, k), i < k, of visible nodes that some hidden unit couples
+    to both, by plain loops over J: the reference for
+    ``model.two_hop_graph``."""
+    J = model.J.tolist()
+    return frozenset(
+        (i, k)
+        for i in range(model.n)
+        for k in range(i + 1, model.n)
+        if any(J[i][a] != 0 and J[k][a] != 0 for a in range(model.m))
+    )
 
 
 def brute_joint_weight(model: RbmModel, x, y) -> float:

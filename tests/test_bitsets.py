@@ -3,7 +3,7 @@ masking and direct references, and lc's counted state and ferro's
 all-ones counts against the bitset routes, over random sample sets."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbmstruct.estimators import (
@@ -12,7 +12,6 @@ from rbmstruct.estimators import (
     counted_cov_scores,
     influence_bits,
     merge_counted,
-    ones_mask,
     popcount,
 )
 from rbmstruct.greedy import UNDEFINED_SCORE, _score_candidates_ferro
@@ -89,7 +88,7 @@ def test_bits_match_samples_and_pad_bits_are_zero(case):
     flags = _flags(bits)
     assert np.array_equal(flags[:, :M].T, samples.dense > 0)
     assert not flags[:, M:].any()
-    valid = _flags(ones_mask(samples))
+    valid = _flags(samples.ones_mask())
     assert valid[:M].all() and not valid[M:].any()
 
 
@@ -126,7 +125,7 @@ def test_influence_counts_equal_masked_and_index_counts(case):
     u, S, cands = _split_nodes(rng, samples.n, max_s=6)
     if not cands:
         cands, S = S[-1:], S[:-1]
-    m_s = ones_mask(samples, S)
+    m_s = samples.ones_mask(S)
     numer, denom = influence_counts(samples, u, cands, m_s)
     masked = [empirical_influence(samples, u, S + [j]) for j in cands]
     assert numer.tolist() == [iv.numer_count for iv in masked]
@@ -138,10 +137,18 @@ def test_influence_counts_equal_masked_and_index_counts(case):
 
 @PROPERTY
 @given(sample_sets())
+@example((SampleSet.from_pm1(np.ones((0, 1), dtype=np.int8)), None))
+@example((SampleSet.from_pm1(np.ones((0, 9), dtype=np.int8)), None))
+@example((SampleSet.from_pm1(np.array([[1], [-1], [1]])), None))
 def test_pairs_equal_gram_matrix_of_dense(case):
+    # the singleton rows of ones_counts are the Gram matrix of the +1
+    # indicators, and the empty set's counts its diagonal
     samples, _ = case
     plus = (samples.dense > 0).astype(np.int64)
-    assert samples.pairs.dtype == np.int64 and np.array_equal(samples.pairs, plus.T @ plus)
+    gram = plus.T @ plus
+    rows = np.array([samples.ones_counts((i,)) for i in range(samples.n)])
+    assert rows.dtype == np.int64 and np.array_equal(rows, gram)
+    assert np.array_equal(samples.ones_counts(()), gram.diagonal())
 
 
 @PROPERTY
@@ -186,6 +193,6 @@ def test_ones_counts_equal_influence_counts_and_masking(case):
             rest = [i for i in prefix if i != j]
             assert counts[j] == empirical_influence(samples, j, rest).numer_count
         others = [j for j in range(samples.n) if j != u and j not in prefix]
-        numer, denom = influence_counts(samples, u, others, ones_mask(samples, prefix))
+        numer, denom = influence_counts(samples, u, others, samples.ones_mask(prefix))
         assert np.array_equal(samples.ones_counts(prefix + [u])[others], numer)
         assert np.array_equal(counts[others], denom)

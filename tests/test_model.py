@@ -26,6 +26,7 @@ from rbmstruct.model import (
 from conftest import (
     brute_avg_cond_cov,
     brute_influence,
+    brute_two_hop_edges,
     brute_visible_marginal,
     brute_visible_weights,
     demo_ring_model,
@@ -178,6 +179,27 @@ class TestTwoHopGraph:
         g = two_hop_graph(m)
         assert len(g.edges) == 10  # complete graph on 5
         assert g.max_degree == 4
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 24), m=st.integers(0, 10), density=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_edges_equal_brute_pairwise(self, n, m, density, seed):
+        # mixed-sign supports; some columns are emptied and some keep one node
+        rng = np.random.default_rng(seed)
+        J = rng.uniform(-1.0, 1.0, size=(n, m)) * (rng.random((n, m)) < density)
+        for a in range(m):
+            shape = rng.integers(3)
+            if shape == 0:
+                J[:, a] = 0.0
+            elif shape == 1:
+                J[:, a] = 0.0
+                J[rng.integers(n), a] = rng.choice([-0.5, 0.5])
+        model = RbmModel(J, np.zeros(n), np.zeros(m))
+        g = two_hop_graph(model)
+        assert g.edges == brute_two_hop_edges(model)
+        assert all(type(i) is int and type(k) is int for i, k in g.edges)
 
 
 class TestExactInfluence:
