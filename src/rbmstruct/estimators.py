@@ -1,27 +1,31 @@
 """Empirical estimators over sample sets.
 
 Everything the greedy learners consume lives here: the empirical
-influence ratio and the average conditional covariance.
+influence ratio and the average conditional covariance, counted by
+``sampling``'s bit primitives and its one kernel, ``SampleSet.counts``.
 
 Both learners read their per-node counts from one view, the all-ones
 counts of a set (``SampleSet.ones_counts``). The lc learner holds its
 conditioning set S as the cells of S with their counts, (cells, sizes,
 counts) with counts[l, j] = |cell_l & x_j|, starting from the one cell of
 the empty set (``counted_cells``, whose counts are ``ones_counts(())``).
-A split by a chosen node (``split_counted``) counts only each +1 child,
-in one popcount pass over all n columns (the root's is
-``ones_counts((v,))``), and each -1 child by subtraction from its parent.
-``counted_cov_scores`` scores every candidate from the counts, and
-``merge_counted`` gives the prune each leave-one-out state by merging
-cells, neither with a pass over the samples. The ferro learner holds S
-itself, reads the all-ones counts of S and takes from here only
-``influence_bits``, one node's influence, for its prune.
+A split by a chosen node (``split_counted``) counts only the +1
+children, by one ``SampleSet.counts`` call over their bitsets (the
+root's is ``ones_counts((v,))``), and each -1 child by subtraction from
+its parent. ``counted_cov_scores`` scores every candidate from the
+counts, and ``merge_counted`` gives the prune each leave-one-out state by
+merging cells, neither with a pass over the samples. The ferro learner
+holds S itself, reads the all-ones counts of S and takes from here only
+``influence_bits``, one node's influence as a float (None when no sample
+is +1 on all of S), for its prune.
 
-Each fast path is held to a slow reference in ``tests/conftest.py``:
-``SampleSet.ones_counts`` to ``influence_counts`` (one pass over the
-columns under the all-ones mask of S, ``SampleSet.ones_mask``),
-``influence_bits`` and ``influence_counts`` to ``empirical_influence``
-(row masking), the counted state (split or merged) to the bitset cells
+Each fast path is held to a slow reference in ``tests/conftest.py`` or
+``tests/test_bitsets.py``: ``SampleSet.counts`` to ``popcount`` of every
+column under every mask, ``SampleSet.ones_counts`` to ``counts`` and to
+``influence_counts`` (one pass over the columns under the all-ones mask
+of S, ``SampleSet.ones_mask``), ``influence_bits`` and
+``influence_counts`` to ``empirical_influence`` (row masking), the
+counted state (split or merged) to the bitset cells
 ``conditioning_cells`` and their popcounts, ``conditioning_cells`` to
 ``build_index`` groups, ``counted_cov_scores`` to ``cov_scores`` over
 those cells, and ``cov_scores`` to ``avg_cond_cov_decomposed`` and
@@ -43,35 +47,10 @@ rounding rather than to statistical noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import node_set
-from .sampling import SampleSet
-
-
-@dataclass(frozen=True)
-class InfluenceValue:
-    """Empirical influence as a counted ratio.
-
-    numer_count is the number of samples with x on S union {u} all +1,
-    denom_count the number with x on S all +1. The value is
-    2 * numer / denom - 1, undefined (None) when denom_count is zero.
-    """
-
-    numer_count: int
-    denom_count: int
-
-    @property
-    def defined(self) -> bool:
-        return self.denom_count > 0
-
-    @property
-    def value(self) -> float | None:
-        if not self.defined:
-            return None
-        return 2.0 * self.numer_count / self.denom_count - 1.0
+from .sampling import SampleSet, lowest_bits, popcount
 
 
 class ConfigIndex:
@@ -125,25 +104,16 @@ def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, S) -> float:
     return (z_total - corr) / M
 
 
-def popcount(words: np.ndarray) -> np.ndarray:
-    """Number of set bits along the last axis, as int64."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-
-def influence_bits(samples: SampleSet, u: int, S) -> InfluenceValue:
-    """InfluenceValue of u given S, by popcounts over the column bitsets."""
+def influence_bits(samples: SampleSet, u: int, S) -> float | None:
+    """Empirical influence of u given S, 2 * numer / denom - 1, by two
+    popcounts under the all-ones mask of S: numer counts the samples with
+    x = +1 on S union {u}, denom those with x = +1 on S. None (undefined)
+    when denom is 0."""
     m_s = samples.ones_mask(S)
-    return InfluenceValue(
-        numer_count=int(popcount(m_s & samples.bits[u])),
-        denom_count=int(popcount(m_s)),
-    )
-
-
-def _lowest_bits(cells: np.ndarray) -> np.ndarray:
-    """Index of the lowest set bit of each (nonempty) bitset row."""
-    first = (cells != 0).argmax(axis=1)
-    word = cells[np.arange(len(cells)), first]
-    return 64 * first + np.bitwise_count((word - np.uint64(1)) & ~word)
+    denom = int(popcount(m_s))
+    if not denom:
+        return None
+    return 2.0 * int(popcount(m_s & samples.bits[u])) / denom - 1.0
 
 
 def _split_order(parts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -151,7 +121,7 @@ def _split_order(parts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     bit, which is build_index's first-occurrence order."""
     keep = np.flatnonzero(sizes > 0)
     if len(keep) > 1:
-        keep = keep[np.argsort(_lowest_bits(parts[keep]))]
+        keep = keep[np.argsort(lowest_bits(parts[keep]))]
     return keep
 
 
@@ -170,20 +140,17 @@ def split_counted(samples: SampleSet, state: tuple, v: int) -> tuple:
     """Split the counted state of S by column v into that of S plus v:
     each cell into its samples with x_v = +1 and with x_v = -1, keeping
     the nonempty ones in first-occurrence order (``_split_order``). Only
-    the +1 children are counted, one pass over all n columns per parent
-    cell (none for the all-samples cell, whose +1 child has counts
-    ``SampleSet.ones_counts((v,))``, nor for an empty child); each -1
-    child's counts are its parent's minus its sibling's."""
+    the +1 children are counted, by one ``SampleSet.counts`` call over
+    their bitsets (none for the root, whose +1 child has counts
+    ``SampleSet.ones_counts((v,))``); each -1 child's counts are its
+    parent's minus its sibling's."""
     cells, sizes, counts = state
     bits = samples.bits
     plus = cells & bits[v]
     plus_sizes = counts[:, v]
-    plus_counts = np.zeros_like(counts)
-    for l, size in enumerate(plus_sizes):
-        if sizes[l] == samples.M:
-            plus_counts[l] = samples.ones_counts((v,))
-        elif size:
-            plus_counts[l] = popcount(bits & plus[l])
+    # a cell of all M samples is the state's only cell, so its +1 child is
+    # x_v itself, whose counts every node shares
+    plus_counts = samples.ones_counts((v,))[None] if sizes[0] == samples.M else samples.counts(plus)
     parts = np.concatenate((plus, cells & ~bits[v]))
     part_sizes = np.concatenate((plus_sizes, sizes - plus_sizes))
     part_counts = np.concatenate((plus_counts, counts - plus_counts))

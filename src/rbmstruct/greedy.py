@@ -26,9 +26,10 @@ ferro's state is the set S itself: its scores read the all-ones counts
 of S and of S union {u} from ``SampleSet.ones_counts``, which caches them
 per sample set, so clique-mates that condition on the same set count it
 once. Its prune counts each leave-one-out set afresh (``influence_bits``,
-two popcounts under one mask): ``ones_counts`` would count all n columns
-per set, and the learner's median on fresh n=16, M=256k sample sets rose
-from 11 to 16 ms (2-CPU Xeon) when the prune read it.
+two popcounts under one mask, a float or None when undefined):
+``ones_counts`` would count all n columns per set, and the learner's
+median on fresh n=16, M=256k sample sets rose from 11 to 16 ms (2-CPU
+Xeon) when the prune read it.
 lc's state is the cells of S with their counts (``counted_cells``,
 refined by ``split_counted``, scored by ``counted_cov_scores``), and its
 prune reads every leave-one-out state off the final one by merging cells
@@ -186,8 +187,8 @@ def _learn_ferro(
     i_full = influence_bits(samples, u, chosen)
 
     def keep(j, rest):
-        i_rest = influence_bits(samples, u, rest)
-        return i_full.defined and i_rest.defined and i_full.value - i_rest.value >= threshold
+        # rest is within chosen, so its influence is defined when i_full is
+        return i_full is not None and i_full - influence_bits(samples, u, rest) >= threshold
 
     estimate, pruned = _prune(chosen, keep)
     if meter is not None:  # the scans of S and of S union {u}

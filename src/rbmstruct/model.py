@@ -176,14 +176,12 @@ class TwoHopGraph:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"bad edge ({i}, {j}) for n = {self.n}")
 
-    def neighbors(self, u: int) -> set:
-        return {j for e in self.edges for j in e if u in e and j != u}
-
     @property
     def max_degree(self) -> int:
+        """Largest node degree (0 for no edges), from edge endpoint counts."""
         if not self.edges:
             return 0
-        return max(len(self.neighbors(u)) for u in range(self.n))
+        return int(np.bincount(np.array(tuple(self.edges)).ravel()).max())
 
 
 def two_hop_graph(model: RbmModel) -> TwoHopGraph:

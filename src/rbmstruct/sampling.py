@@ -4,10 +4,13 @@ A SampleSet holds M visible configurations bit-packed, MSB-first within
 each byte, bit 1 meaning +1; rows are ceil(n/8) bytes with zero pad bits.
 The learners read it transposed, as one bitset over samples per node
 (``SampleSet.bits``, built by 8x8 bit-matrix transposes of each packed
-byte column). Both learners count from it through one view, the all-ones
-counts of a set (``SampleSet.ones_counts``), which every node that asks
-for the same set shares: ferro for its conditioning sets, lc for the
-empty set and the singletons.
+byte column): bit i % 64 of word i // 64 is sample i, pad bits zero.
+This module owns that layout, its bit primitives (``popcount``,
+``lowest_bits``) and the one column-count kernel (``SampleSet.counts``).
+The kernel's memo, the all-ones counts of a set
+(``SampleSet.ones_counts``), is shared by every node that asks for the
+same set: ferro for its conditioning sets, lc for the empty set and the
+singletons.
 Small models are sampled exactly by inverse CDF over the enumerated
 visible marginal: each uniform is looked up in draw order through a guide
 table over the CDF, and each drawn configuration index, shifted to the top
@@ -62,15 +65,29 @@ class SampleFileError(ValueError):
     """Raised on malformed sample files; the message names the defect."""
 
 
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Number of set bits along the last axis, as int64."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def lowest_bits(rows: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each (nonempty) bitset row."""
+    first = (rows != 0).argmax(axis=1)
+    word = rows[np.arange(len(rows)), first]
+    return 64 * first + np.bitwise_count((word - np.uint64(1)) & ~word)
+
+
 class SampleSet:
     """Immutable bit-packed matrix of M visible configurations in {-1,+1}^n.
 
     Its views are built on first access and cached: ``dense`` (M*n bytes)
-    and ``bits`` (n*ceil(M/64)*8 bytes). ``ones_counts`` keeps n*8 bytes
-    per set asked for; the n + 1 sets of size 0 or 1, which both learners
-    ask for over every node, take n^2*8 bytes (8 MiB at n = 1024), and a
-    ferro run over every node asked for about 5 sets per node at
-    n = 1024, 41 MiB in all. The lc learner's round state adds
+    and ``bits`` (n*ceil(M/64)*8 bytes). ``counts`` counts the columns of
+    ``bits`` under a stack of masks and keeps nothing; ``ones_counts``
+    keeps its result for the all-ones mask of a set, n*8 bytes per set
+    asked for: the n + 1 sets of size 0 or 1, which both learners ask for
+    over every node, take n^2*8 bytes (8 MiB at n = 1024), and a ferro
+    run over every node asked for about 5 sets per node at n = 1024,
+    41 MiB in all. The lc learner's round state adds
     L*(n + ceil(M/64))*8 bytes of cell counts and bitsets for L cells, and
     its prune one merged state (counts only) at a time. Pickling carries
     only ``packed``.
@@ -174,18 +191,29 @@ class SampleSet:
             mask &= self.bits[j]
         return mask
 
+    def counts(self, masks: np.ndarray) -> np.ndarray:
+        """Masked column counts: an (L, n) int64 array whose entry [l, j]
+        is the number of samples in both masks[l] and x_j = +1, for an
+        (L, ceil(M/64)) uint64 stack of bitsets in the layout of a
+        ``bits`` row. One pass over ``bits`` per mask, so no temporary is
+        larger than ``bits``; L = 0 gives an empty (0, n) array."""
+        out = np.empty((len(masks), self.n), dtype=np.int64)
+        for l, mask in enumerate(masks):
+            out[l] = popcount(self.bits & mask)
+        return out
+
     def ones_counts(self, S) -> np.ndarray:
         """All-ones counts given S: an (n,) int64 vector (cached per set,
         read-only) whose entry j is the number of samples with x_i = +1 for
         every i in S union {j}, so ``ones_counts(())`` counts each node's
         +1 entries and ``ones_counts((v,))[j]`` those with x_v = x_j = +1.
         Memoized under frozenset(S), so every order of S returns the same
-        array. Each set costs one pass over ``bits`` under its
+        array. Each set costs one ``counts`` pass under its
         ``ones_mask``."""
         key = frozenset(S)
         counts = self._ones.get(key)
         if counts is None:
-            counts = np.bitwise_count(self.bits & self.ones_mask(key)).sum(axis=1, dtype=np.int64)
+            counts = self.counts(self.ones_mask(key)[None])[0]
             counts.setflags(write=False)
             self._ones[key] = counts
         return counts

@@ -20,24 +20,18 @@ import math
 import numpy as np
 
 from rbmstruct import qsearch
-from rbmstruct.estimators import (
-    InfluenceValue,
-    _split_order,
-    build_index,
-    counted_cells,
-    popcount,
-    split_counted,
-)
+from rbmstruct.estimators import _split_order, build_index, counted_cells, split_counted
 from rbmstruct.model import (
     KIND_FERROMAGNETIC,
     KIND_GENERAL,
     KIND_LOCALLY_CONSISTENT,
     ExactOracle,
     RbmModel,
+    TwoHopGraph,
     node_set,
 )
 from rbmstruct.qsearch import max_find_pick
-from rbmstruct.sampling import SampleSet
+from rbmstruct.sampling import SampleSet, popcount
 
 
 def random_model(rng, kind=KIND_GENERAL, n_range=(2, 5), m_range=(0, 3)) -> RbmModel:
@@ -91,18 +85,18 @@ def exact_avg_cond_cov(oracle: ExactOracle, u: int, v: int, S) -> float:
     return float(np.sum(zuv[nz] - au[nz] * av[nz] / w[nz]))
 
 
-def empirical_influence(samples: SampleSet, u: int, S) -> InfluenceValue:
-    """Influence of pinning S to +1 on X_u, as the ratio of all-ones counts
-    on S union {u} and on S, counted by row masking. Undefined when no
-    sample has x_S = 1^s."""
+def empirical_influence(samples: SampleSet, u: int, S) -> tuple:
+    """Influence of pinning S to +1 on X_u by row masking, as (numer,
+    denom, value): numer counts the samples with x = +1 on S union {u},
+    denom those with x = +1 on S, and value = 2 * numer / denom - 1, None
+    (undefined) when no sample has x_S = 1^s."""
     S = node_set(S, samples.n, u)
     mask = np.ones(samples.M, dtype=bool)
     for i in S:
         mask &= samples.dense[:, i] == 1
-    return InfluenceValue(
-        numer_count=int((mask & (samples.dense[:, u] == 1)).sum()),
-        denom_count=int(mask.sum()),
-    )
+    numer = int((mask & (samples.dense[:, u] == 1)).sum())
+    denom = int(mask.sum())
+    return numer, denom, 2.0 * numer / denom - 1.0 if denom else None
 
 
 def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, S) -> float:
@@ -176,6 +170,11 @@ def counted_state(samples: SampleSet, S) -> tuple:
     for j in S:
         state = split_counted(samples, state, j)
     return state
+
+
+def neighbors(graph: TwoHopGraph, u: int) -> set:
+    """The nodes that share an edge with u."""
+    return {j for e in graph.edges for j in e if u in e and j != u}
 
 
 def brute_two_hop_edges(model: RbmModel) -> frozenset:

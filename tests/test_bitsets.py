@@ -1,6 +1,8 @@
-"""Property tests: the bitset routes the learners use against the index,
-masking and direct references, and lc's counted state and ferro's
-all-ones counts against the bitset routes, over random sample sets."""
+"""Property tests: the bit primitives and the column-count kernel of
+``SampleSet`` against plain references, the bitset routes the learners
+use against the index, masking and direct references, and lc's counted
+state and ferro's all-ones counts against the bitset routes, over random
+sample sets."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,10 +14,9 @@ from rbmstruct.estimators import (
     counted_cov_scores,
     influence_bits,
     merge_counted,
-    popcount,
 )
 from rbmstruct.greedy import UNDEFINED_SCORE, _score_candidates_ferro
-from rbmstruct.sampling import SampleSet
+from rbmstruct.sampling import SampleSet, lowest_bits, popcount
 
 from conftest import (
     avg_cond_cov_direct,
@@ -128,11 +129,24 @@ def test_influence_counts_equal_masked_and_index_counts(case):
     m_s = samples.ones_mask(S)
     numer, denom = influence_counts(samples, u, cands, m_s)
     masked = [empirical_influence(samples, u, S + [j]) for j in cands]
-    assert numer.tolist() == [iv.numer_count for iv in masked]
-    assert denom.tolist() == [iv.denom_count for iv in masked]
+    assert numer.tolist() == [c for c, _, _ in masked]
+    assert denom.tolist() == [c for _, c, _ in masked]
     scores = _score_candidates_ferro(samples, u, cands, frozenset(S))
-    assert scores.tolist() == [iv.value if iv.defined else UNDEFINED_SCORE for iv in masked]
-    assert influence_bits(samples, u, S) == empirical_influence(samples, u, S)
+    assert scores.tolist() == [UNDEFINED_SCORE if v is None else v for _, _, v in masked]
+    assert influence_bits(samples, u, S) == empirical_influence(samples, u, S)[2]
+
+
+@PROPERTY
+@given(sample_sets(min_n=2))
+def test_influence_of_a_subset_is_defined_when_the_set_is(case):
+    # the premise of ferro's keep rule: the all-ones samples of S are
+    # among those of any rest within S (S is in random order, so its
+    # prefixes are random subsets)
+    samples, rng = case
+    u, S, _ = _split_nodes(rng, samples.n, max_s=6)
+    if influence_bits(samples, u, S) is not None:
+        for k in range(len(S)):
+            assert influence_bits(samples, u, S[:k]) is not None
 
 
 @PROPERTY
@@ -191,8 +205,30 @@ def test_ones_counts_equal_influence_counts_and_masking(case):
         assert samples.ones_counts(prefix[::-1]) is counts
         for j in range(samples.n):
             rest = [i for i in prefix if i != j]
-            assert counts[j] == empirical_influence(samples, j, rest).numer_count
+            assert counts[j] == empirical_influence(samples, j, rest)[0]
         others = [j for j in range(samples.n) if j != u and j not in prefix]
         numer, denom = influence_counts(samples, u, others, samples.ones_mask(prefix))
         assert np.array_equal(samples.ones_counts(prefix + [u])[others], numer)
         assert np.array_equal(counts[others], denom)
+
+
+@PROPERTY
+@given(
+    st.sampled_from([0, 1, 63, 64, 65]),
+    st.sampled_from([1, 8, 9]),
+    st.sampled_from([0, 1, 2, 7]),
+    st.integers(0, 2**32 - 1),
+)
+def test_counts_kernel_equals_popcount_reference(M, n, L, seed):
+    rng = np.random.default_rng(seed)
+    samples = SampleSet.from_pm1(np.where(rng.random((M, n)) < 0.5, 1, -1).astype(np.int8))
+    words = rng.integers(0, 2**64, size=(L, (M + 63) // 64), dtype=np.uint64)
+    masks = words & samples.ones_mask()  # pad bits past M zero
+    counts = samples.counts(masks)
+    assert counts.dtype == np.int64 and counts.shape == (L, n)
+    assert np.array_equal(counts, popcount(samples.bits[None] & masks[:, None]))
+    S = [int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)]
+    assert np.array_equal(samples.ones_counts(S), samples.counts(samples.ones_mask(S)[None])[0])
+    nonempty = masks[popcount(masks) > 0]
+    if len(nonempty):
+        assert lowest_bits(nonempty).tolist() == [int(_members(row, M)[0]) for row in nonempty]

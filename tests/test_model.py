@@ -198,8 +198,10 @@ class TestTwoHopGraph:
                 J[rng.integers(n), a] = rng.choice([-0.5, 0.5])
         model = RbmModel(J, np.zeros(n), np.zeros(m))
         g = two_hop_graph(model)
-        assert g.edges == brute_two_hop_edges(model)
+        edges = brute_two_hop_edges(model)
+        assert g.edges == edges
         assert all(type(i) is int and type(k) is int for i, k in g.edges)
+        assert g.max_degree == max(sum(u in e for e in edges) for u in range(n))
 
 
 class TestExactInfluence:
