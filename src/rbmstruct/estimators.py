@@ -19,25 +19,18 @@ holds S itself, reads the all-ones counts of S and takes from here only
 ``influence_bits``, one node's influence as a float (None when no sample
 is +1 on all of S), for its prune.
 
-Each fast path is held to a slow reference in ``tests/conftest.py`` or
-``tests/test_bitsets.py``: ``SampleSet.counts`` to ``popcount`` of every
-column under every mask, ``SampleSet.ones_counts`` to ``counts`` and to
-``influence_counts`` (one pass over the columns under the all-ones mask
-of S, ``SampleSet.ones_mask``), ``influence_bits`` and
-``influence_counts`` to ``empirical_influence`` (row masking), the
-counted state (split or merged) to the bitset cells
-``conditioning_cells`` and their popcounts, ``conditioning_cells`` to
-``build_index`` groups, ``counted_cov_scores`` to ``cov_scores`` over
-those cells, and ``cov_scores`` to ``avg_cond_cov_decomposed`` and
-``avg_cond_cov_direct``.
-``counted_cov_scores``, ``cov_scores`` and ``avg_cond_cov_decomposed``
-give the same floats bit for bit, because the float work is done in the
-same order (cells by first occurrence, one division per cell). The
-references take (u, S) or (u, v, S) and check them through
-``model.node_set``. ``build_index`` (with its ``ConfigIndex``) and
-``avg_cond_cov_decomposed`` stay here although no run calls them: the
-benchmark's span hooks (``perfbench/spans.py``) require both names. They
-move to the tests when those hooks move to the learners' live calls.
+Each fast path is held to a slow reference in ``tests/conftest.py``
+that does not go through the route it checks: the kernel to per-column
+popcounts, the counts to row masking, the counted state to bitset cells
+split one node at a time, and the covariance to per-group sums over the
+decoded samples grouped by value. ``counted_cov_scores`` and the
+per-group references give the same floats bit for bit, because the float
+work is done in the same order (cells by first occurrence, one division
+per cell). ``build_index`` (with its ``ConfigIndex``) and
+``avg_cond_cov_decomposed`` are views of the counted route that no run
+calls: the cells of the counted state of S as index arrays, and
+``counted_cov_scores`` of one pair. They stay only because the
+benchmark's span hooks (``perfbench/spans.py``) require both names.
 
 All counting is exact integer arithmetic (float64 sums of +-1 entries
 stay integral far below 2**53); each estimator divides once at the end.
@@ -73,35 +66,23 @@ class ConfigIndex:
 
 def build_index(samples: SampleSet, S) -> ConfigIndex:
     """Group sample indices by their configuration on S, groups in
-    first-occurrence order: the covariance references' cells."""
+    first-occurrence order: the cells of the counted state of S as index
+    arrays, none when M = 0."""
     S = node_set(S, samples.n)
-    _, first, inverse = np.unique(
-        samples.dense[:, list(S)], axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    return ConfigIndex([np.flatnonzero(inverse == l) for l in np.argsort(first)])
+    if samples.M == 0:
+        return ConfigIndex([])
+    cells = _counted_state(samples, S)[0]
+    flags = np.unpackbits(cells.view(np.uint8), axis=1, bitorder="little")
+    return ConfigIndex([np.flatnonzero(row) for row in flags])
 
 
 def avg_cond_cov_decomposed(samples: SampleSet, u: int, v: int, S) -> float:
-    """Average conditional covariance via the sum decomposition
-
-        (1/M) * ( sum_i x_u^i x_v^i  -  sum_l a_u,l a_v,l / |F_l| ),
-
-    where a_j,l is the signed sum of x_j over cell l. Agrees with the
-    direct route as an exact rational identity (float routes match to
-    about 1e-15)."""
+    """Average conditional covariance of x_u and x_v over the cells of S,
+    read off the counted state of S by ``counted_cov_scores``."""
     S = node_set(S, samples.n, u, v)
-    M = samples.M
-    if M == 0:
+    if samples.M == 0:
         raise ValueError("need at least one sample")
-    groups = build_index(samples, S).groups
-    xu = samples.dense[:, u].astype(np.int64)
-    xv = samples.dense[:, v].astype(np.int64)
-    z_total = int(xu @ xv)
-    corr = 0.0
-    for g in groups:
-        corr += int(xu[g].sum()) * int(xv[g].sum()) / len(g)
-    return (z_total - corr) / M
+    return float(counted_cov_scores(samples, u, [v], _counted_state(samples, S))[0])
 
 
 def influence_bits(samples: SampleSet, u: int, S) -> float | None:
@@ -118,7 +99,7 @@ def influence_bits(samples: SampleSet, u: int, S) -> float | None:
 
 def _split_order(parts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Row indices of the nonempty parts of a split, ordered by lowest set
-    bit, which is build_index's first-occurrence order."""
+    bit, which is the first-occurrence order of the cells."""
     keep = np.flatnonzero(sizes > 0)
     if len(keep) > 1:
         keep = keep[np.argsort(lowest_bits(parts[keep]))]
@@ -158,6 +139,15 @@ def split_counted(samples: SampleSet, state: tuple, v: int) -> tuple:
     return parts[order], part_sizes[order], part_counts[order]
 
 
+def _counted_state(samples: SampleSet, S) -> tuple:
+    """The counted state of S as the lc learner's rounds build it: the
+    root state (``counted_cells``) split by each node of S in turn."""
+    state = counted_cells(samples)
+    for j in S:
+        state = split_counted(samples, state, j)
+    return state
+
+
 def merge_counted(state: tuple, rest) -> tuple:
     """The counted state of rest, a subset of S, from the counted state of
     S, with no pass over the samples. Each cell of S is pure on S, so its
@@ -178,8 +168,11 @@ def merge_counted(state: tuple, rest) -> tuple:
 
 def counted_cov_scores(samples: SampleSet, u: int, cands, state: tuple) -> np.ndarray:
     """Average conditional covariance of x_u with each candidate over the
-    cells of a counted state, by the same sum decomposition as
-    avg_cond_cov_decomposed and bit-identical to it, with no pass over the
+    cells F_l of a counted state, by the sum decomposition
+
+        (1/M) * ( sum_i x_u^i x_v^i  -  sum_l a_u,l a_v,l / |F_l| ),
+
+    where a_j,l is the signed sum of x_j over cell l, with no pass over the
     samples: cands is an index array (or list) of nodes, sum_i x_u^i x_v^i
     = M - 2 (|x_u| + |x_v| - 2 |x_u & x_v|) is read off the all-ones
     counts of the empty set and of {u} (``SampleSet.ones_counts``),

@@ -362,6 +362,15 @@ def _sample_bound(log_bound: float) -> tuple[float, float]:
     return math.exp(log_bound) if log_bound < 700.0 else math.inf, log_bound * math.log10(math.e)
 
 
+def _check_fail_prob(fail_prob: float) -> None:
+    """ValueError unless fail_prob lies in (0, 1) and 4 / fail_prob, which
+    both sample bounds take the log of, is finite."""
+    if not 0 < fail_prob < 1:
+        raise ValueError("fail_prob must lie in (0, 1)")
+    if 4.0 / fail_prob == math.inf:
+        raise ValueError("fail_prob too small for a finite sample bound")
+
+
 def ferro_constants(
     alpha: float, beta: float, d2: int, fail_prob: float, n: int
 ) -> FerroTheoryConstants:
@@ -372,8 +381,7 @@ def ferro_constants(
         raise ValueError("require alpha > 0, beta > 0")
     if d2 < 1:
         raise ValueError("d2 must be >= 1")
-    if not 0 < fail_prob < 1:
-        raise ValueError("fail_prob must lie in (0, 1)")
+    _check_fail_prob(fail_prob)
     e = math.exp(-2.0 * beta)
     try:
         eta = alpha**2 * (e / (1.0 + e)) * (1.0 - math.tanh(beta)) ** 2
@@ -401,8 +409,7 @@ def lc_constants(alpha: float, beta: float, fail_prob: float, n: int) -> LcTheor
     zeta = fail_prob."""
     if alpha <= 0 or beta < 0:
         raise ValueError("require alpha > 0, beta >= 0")
-    if not 0 < fail_prob < 1:
-        raise ValueError("fail_prob must lie in (0, 1)")
+    _check_fail_prob(fail_prob)
     if n < 1:
         raise ValueError("require n >= 1")
     try:

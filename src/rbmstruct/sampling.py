@@ -80,20 +80,20 @@ def lowest_bits(rows: np.ndarray) -> np.ndarray:
 class SampleSet:
     """Immutable bit-packed matrix of M visible configurations in {-1,+1}^n.
 
-    Its views are built on first access and cached: ``dense`` (M*n bytes)
-    and ``bits`` (n*ceil(M/64)*8 bytes). ``counts`` counts the columns of
-    ``bits`` under a stack of masks and keeps nothing; ``ones_counts``
-    keeps its result for the all-ones mask of a set, n*8 bytes per set
-    asked for: the n + 1 sets of size 0 or 1, which both learners ask for
-    over every node, take n^2*8 bytes (8 MiB at n = 1024), and a ferro
-    run over every node asked for about 5 sets per node at n = 1024,
-    41 MiB in all. The lc learner's round state adds
+    Its one decoded view, the column bitsets ``bits`` (n*ceil(M/64)*8
+    bytes), is built on first access and cached; no (M, n) decode is kept.
+    ``counts`` counts the columns of ``bits`` under a stack of masks and
+    keeps nothing; ``ones_counts`` keeps its result for the all-ones mask
+    of a set, n*8 bytes per set asked for: the n + 1 sets of size 0 or 1,
+    which both learners ask for over every node, take n^2*8 bytes (8 MiB
+    at n = 1024), and a ferro run over every node asked for about 5 sets
+    per node at n = 1024, 41 MiB in all. The lc learner's round state adds
     L*(n + ceil(M/64))*8 bytes of cell counts and bitsets for L cells, and
     its prune one merged state (counts only) at a time. Pickling carries
     only ``packed``.
     """
 
-    __slots__ = ("n", "packed", "_dense", "_bits", "_ones")
+    __slots__ = ("n", "packed", "_bits", "_ones")
 
     def __init__(self, n: int, packed: np.ndarray):
         if n < 1:
@@ -109,7 +109,6 @@ class SampleSet:
         packed.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "packed", packed)
-        object.__setattr__(self, "_dense", None)
         object.__setattr__(self, "_bits", None)
         object.__setattr__(self, "_ones", {})
 
@@ -134,16 +133,6 @@ class SampleSet:
     @property
     def M(self) -> int:
         return self.packed.shape[0]
-
-    @property
-    def dense(self) -> np.ndarray:
-        """Decoded (M, n) int8 matrix of +-1 values (cached, read-only)."""
-        if self._dense is None:
-            bits = np.unpackbits(self.packed, axis=1, count=self.n)
-            d = bits.astype(np.int8) * 2 - 1
-            d.setflags(write=False)
-            object.__setattr__(self, "_dense", d)
-        return self._dense
 
     @property
     def bits(self) -> np.ndarray:

@@ -6,10 +6,13 @@ configurations, no numpy vectorization) so expected values in the tests
 come from a code path that shares nothing with the package internals.
 The references are numpy: unconstrained random models (``random_model``),
 exact influence and average conditional covariance read off an
-``ExactOracle`` table, and the empirical estimators by row masking and
-by sample groups, and the bitset cells and covariance scores
+``ExactOracle`` table, the samples decoded to +-1 rows (``dense``), the
+empirical estimators by row masking and by the ``np.unique`` groups of
+those rows (``unique_groups``, ``avg_cond_cov_groups``,
+``avg_cond_cov_direct``), and the bitset cells and covariance scores
 (``conditioning_cells``, ``cov_scores``), which the counted routes in
-``rbmstruct.estimators`` must equal.
+``rbmstruct.estimators`` must equal. No reference goes through the
+counted route it checks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ import math
 import numpy as np
 
 from rbmstruct import qsearch
-from rbmstruct.estimators import _split_order, build_index, counted_cells, split_counted
+# the lc learner's counted state of S, for the tests that hold it to the
+# bitset cells
+from rbmstruct.estimators import _counted_state as counted_state  # noqa: F401
+from rbmstruct.estimators import _split_order
 from rbmstruct.model import (
     KIND_FERROMAGNETIC,
     KIND_GENERAL,
@@ -85,32 +91,72 @@ def exact_avg_cond_cov(oracle: ExactOracle, u: int, v: int, S) -> float:
     return float(np.sum(zuv[nz] - au[nz] * av[nz] / w[nz]))
 
 
+def dense(samples: SampleSet) -> np.ndarray:
+    """The samples decoded to an (M, n) int8 matrix of +-1 values."""
+    return np.unpackbits(samples.packed, axis=1, count=samples.n).astype(np.int8) * 2 - 1
+
+
+def unique_groups(samples: SampleSet, S) -> list:
+    """Sample indices grouped by their configuration on S, by np.unique
+    over the decoded rows: groups in first-occurrence order, none when
+    M = 0."""
+    S = node_set(S, samples.n)
+    _, first, inverse = np.unique(
+        dense(samples)[:, list(S)], axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)
+    return [np.flatnonzero(inverse == l) for l in np.argsort(first)]
+
+
 def empirical_influence(samples: SampleSet, u: int, S) -> tuple:
     """Influence of pinning S to +1 on X_u by row masking, as (numer,
     denom, value): numer counts the samples with x = +1 on S union {u},
     denom those with x = +1 on S, and value = 2 * numer / denom - 1, None
     (undefined) when no sample has x_S = 1^s."""
     S = node_set(S, samples.n, u)
+    rows = dense(samples)
     mask = np.ones(samples.M, dtype=bool)
     for i in S:
-        mask &= samples.dense[:, i] == 1
-    numer = int((mask & (samples.dense[:, u] == 1)).sum())
+        mask &= rows[:, i] == 1
+    numer = int((mask & (rows[:, u] == 1)).sum())
     denom = int(mask.sum())
     return numer, denom, 2.0 * numer / denom - 1.0 if denom else None
 
 
-def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, S) -> float:
-    """Average conditional covariance, cell by cell: each observed
-    configuration of S contributes its within-cell covariance weighted by
-    the cell's empirical probability."""
+def avg_cond_cov_groups(samples: SampleSet, u: int, v: int, S) -> float:
+    """Average conditional covariance via the sum decomposition over the
+    ``unique_groups`` cells F_l,
+
+        (1/M) * ( sum_i x_u^i x_v^i  -  sum_l a_u,l a_v,l / |F_l| ),
+
+    where a_j,l is the signed sum of x_j over cell l: integer sums, one
+    division per cell, added in cell order."""
     S = node_set(S, samples.n, u, v)
     M = samples.M
     if M == 0:
         raise ValueError("need at least one sample")
-    xu = samples.dense[:, u].astype(np.float64)
-    xv = samples.dense[:, v].astype(np.float64)
+    rows = dense(samples)
+    xu = rows[:, u].astype(np.int64)
+    xv = rows[:, v].astype(np.int64)
+    corr = 0.0
+    for g in unique_groups(samples, S):
+        corr += int(xu[g].sum()) * int(xv[g].sum()) / len(g)
+    return (int(xu @ xv) - corr) / M
+
+
+def avg_cond_cov_direct(samples: SampleSet, u: int, v: int, S) -> float:
+    """Average conditional covariance, cell by cell: each observed
+    configuration of S (``unique_groups``) contributes its within-cell
+    covariance weighted by the cell's empirical probability."""
+    S = node_set(S, samples.n, u, v)
+    M = samples.M
+    if M == 0:
+        raise ValueError("need at least one sample")
+    rows = dense(samples)
+    xu = rows[:, u].astype(np.float64)
+    xv = rows[:, v].astype(np.float64)
     total = 0.0
-    for g in build_index(samples, S).groups:
+    for g in unique_groups(samples, S):
         c = len(g)
         mean_z = float((xu[g] * xv[g]).sum()) / c
         mean_u = float(xu[g].sum()) / c
@@ -131,7 +177,7 @@ def influence_counts(samples: SampleSet, u: int, cands, m_s) -> tuple[np.ndarray
 def conditioning_cells(samples: SampleSet, S=()) -> np.ndarray:
     """(cells, ceil(M/64)) uint64 stack of the samples realizing each
     observed configuration of S, in first-occurrence order; the bitset
-    form of build_index(samples, S).groups for M >= 1. Each node j of S
+    form of unique_groups(samples, S) for M >= 1. Each node j of S
     splits every cell into its samples with x_j = +1 and with x_j = -1,
     keeping the nonempty ones in first-occurrence order (``_split_order``)."""
     cells = samples.ones_mask()[None]
@@ -145,7 +191,7 @@ def conditioning_cells(samples: SampleSet, S=()) -> np.ndarray:
 def cov_scores(samples: SampleSet, u: int, cands, cells: np.ndarray) -> np.ndarray:
     """Average conditional covariance of x_u with each candidate, over a
     cell stack (conditioning_cells), by the same sum decomposition as
-    avg_cond_cov_decomposed and bit-identical to it: with a_j,l =
+    avg_cond_cov_groups and bit-identical to it: with a_j,l =
     2 |cell_l & x_j| - |cell_l| and sum_i x_u^i x_v^i = M - 2 |x_u ^ x_v|,
     every numerator is an exact integer below 2**53, and the per-cell
     corrections are added in float64 in cell order. Needs M >= 1."""
@@ -161,15 +207,6 @@ def cov_scores(samples: SampleSet, u: int, cands, cells: np.ndarray) -> np.ndarr
         a_v = 2 * popcount(cols & cell) - size
         corr += a_u * a_v / size
     return (z_total - corr) / M
-
-
-def counted_state(samples: SampleSet, S) -> tuple:
-    """The lc learner's counted state of S, as its rounds build it: the
-    root state (``counted_cells``) split by each node of S in turn."""
-    state = counted_cells(samples)
-    for j in S:
-        state = split_counted(samples, state, j)
-    return state
 
 
 def neighbors(graph: TwoHopGraph, u: int) -> set:

@@ -29,6 +29,7 @@ from conftest import (
     avg_cond_cov_direct,
     conditioning_cells,
     cov_scores,
+    dense,
     exact_avg_cond_cov,
     exact_influence,
     metered,
@@ -42,7 +43,7 @@ def _report(num: int, name: str) -> None:
 
 
 def test_criterion_01_covariance_decomposition_identity():
-    # the direct route over build_index groups against the bitset cells
+    # the direct route over np.unique groups against the bitset cells
     # route, which the learners' counted scores are held to
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -77,8 +78,9 @@ def test_criterion_02_influence_expansion_identity():
         value = influence_bits(samples, u, S)
         if value is None:
             continue
-        rows = (samples.dense[:, S] == 1).all(axis=1)
-        direct = float(samples.dense[rows, u].astype(np.float64).mean())
+        x = dense(samples)
+        rows = (x[:, S] == 1).all(axis=1)
+        direct = float(x[rows, u].astype(np.float64).mean())
         worst = max(worst, abs(value - direct))
         checked += 1
     assert worst <= 1e-12
@@ -296,7 +298,7 @@ def test_criterion_10_gibbs_sampler_validity():
         model = generate_model(kind, 6, 4, 2, params, seed=300 + i)
         cfg = GibbsConfig(burn_in=1000, thinning=10, seed=400 + i)
         samples = gibbs_sample(model, 200_000, cfg)
-        bits = (samples.dense > 0).astype(np.int64)
+        bits = (dense(samples) > 0).astype(np.int64)
         weights = 1 << np.arange(model.n - 1, -1, -1, dtype=np.int64)
         counts = np.bincount(bits @ weights, minlength=1 << model.n)
         tv = float(0.5 * np.abs(counts / samples.M - ExactOracle(model).probabilities).sum())

@@ -5,6 +5,7 @@ state and ferro's all-ones counts against the bitset routes, over random
 sample sets."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +21,14 @@ from rbmstruct.sampling import SampleSet, lowest_bits, popcount
 
 from conftest import (
     avg_cond_cov_direct,
+    avg_cond_cov_groups,
     conditioning_cells,
     counted_state,
     cov_scores,
+    dense,
     empirical_influence,
     influence_counts,
+    unique_groups,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -36,11 +40,11 @@ SAMPLE_COUNTS = st.one_of(
 
 
 @st.composite
-def sample_sets(draw, min_n=1, min_M=0):
+def sample_sets(draw, min_n=1, min_M=0, counts=SAMPLE_COUNTS):
     """A random SampleSet with per-node biases, so cells vary in size and
     some configurations never occur."""
     n = draw(st.integers(min_n, 20))
-    M = draw(SAMPLE_COUNTS.filter(lambda m: m >= min_M))
+    M = draw(counts.filter(lambda m: m >= min_M))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_plus = rng.uniform(0.1, 0.9, size=n)
     rows = np.where(rng.random((M, n)) < p_plus, 1, -1).astype(np.int8)
@@ -87,7 +91,7 @@ def test_bits_match_samples_and_pad_bits_are_zero(case):
     assert bits is samples.bits and not bits.flags.writeable
     assert bits.dtype == np.uint64 and bits.shape == (n, (M + 63) // 64)
     flags = _flags(bits)
-    assert np.array_equal(flags[:, :M].T, samples.dense > 0)
+    assert np.array_equal(flags[:, :M].T, dense(samples) > 0)
     assert not flags[:, M:].any()
     valid = _flags(samples.ones_mask())
     assert valid[:M].all() and not valid[M:].any()
@@ -95,14 +99,50 @@ def test_bits_match_samples_and_pad_bits_are_zero(case):
 
 @PROPERTY
 @given(sample_sets(min_M=1))
-def test_cells_equal_build_index_groups(case):
+def test_cells_equal_unique_groups(case):
+    # conditioning_cells orders its cells by _split_order, as the counted
+    # route does, so np.unique is the independent check of that order
     samples, rng = case
     _, S, _ = _split_nodes(rng, samples.n, max_s=8)
     cells = conditioning_cells(samples, S)
-    groups = build_index(samples, S).groups
+    groups = unique_groups(samples, S)
     assert len(cells) == len(groups)
     for cell, group in zip(cells, groups):
         assert np.array_equal(_members(cell, samples.M), group)
+
+
+@PROPERTY
+@given(sample_sets(min_n=2, counts=st.sampled_from([0, 1, 63, 64, 65])))
+def test_views_equal_unique_groups_and_group_decomposition(case):
+    # build_index and avg_cond_cov_decomposed read the counted state of S;
+    # the references group the decoded rows with np.unique
+    samples, rng = case
+    n, M = samples.n, samples.M
+    u, S, cands = _split_nodes(rng, n, max_s=n - 2)  # S in random order
+    groups = [g.tolist() for g in build_index(samples, S).groups]
+    assert groups == [g.tolist() for g in unique_groups(samples, S)]
+    if M:
+        views = [avg_cond_cov_decomposed(samples, u, v, S).hex() for v in cands]
+        assert views == [avg_cond_cov_groups(samples, u, v, S).hex() for v in cands]
+    # each fault gives the same message from the view and its reference
+    v = cands[0]
+    index = (build_index, unique_groups)
+    cov = (avg_cond_cov_decomposed, avg_cond_cov_groups)
+    out_of_range = "node index out of range"
+    repeated = "queried nodes and S must be pairwise distinct"
+    faults = [
+        (out_of_range, index, (samples, S + [n])),
+        (out_of_range, cov, (samples, u, v, S + [-1])),
+        (repeated, index, (samples, S + [u, u])),
+        (repeated, cov, (samples, u, u, S)),
+    ]
+    if not M:
+        faults.append(("need at least one sample", cov, (samples, u, v, S)))
+    for message, queries, args in faults:
+        for query in queries:
+            with pytest.raises(ValueError) as info:
+                query(*args)
+            assert str(info.value) == message
 
 
 @PROPERTY
@@ -113,7 +153,7 @@ def test_cov_scores_equal_decomposed_and_near_direct(case):
     if not cands:
         cands, S = S[-1:], S[:-1]
     fast = cov_scores(samples, u, cands, conditioning_cells(samples, S))
-    decomposed = [avg_cond_cov_decomposed(samples, u, v, S) for v in cands]
+    decomposed = [avg_cond_cov_groups(samples, u, v, S) for v in cands]
     direct = [avg_cond_cov_direct(samples, u, v, S) for v in cands]
     assert fast.tolist() == decomposed  # bit-identical floats
     assert np.allclose(fast, direct, rtol=0.0, atol=1e-12)
@@ -158,7 +198,7 @@ def test_pairs_equal_gram_matrix_of_dense(case):
     # the singleton rows of ones_counts are the Gram matrix of the +1
     # indicators, and the empty set's counts its diagonal
     samples, _ = case
-    plus = (samples.dense > 0).astype(np.int64)
+    plus = (dense(samples) > 0).astype(np.int64)
     gram = plus.T @ plus
     rows = np.array([samples.ones_counts((i,)) for i in range(samples.n)])
     assert rows.dtype == np.int64 and np.array_equal(rows, gram)

@@ -9,12 +9,15 @@ from rbmstruct.sampling import SampleSet, exact_sample
 
 from conftest import (
     avg_cond_cov_direct,
+    avg_cond_cov_groups,
     brute_conditional_mean,
     conditioning_cells,
+    dense,
     empirical_influence,
     exact_avg_cond_cov,
     exact_influence,
     random_model,
+    unique_groups,
 )
 
 
@@ -54,7 +57,7 @@ class TestBuildIndex:
             assert idx.num_cells <= min(s.M, 1 << len(S))
             firsts = [int(g[0]) for g in idx.groups]
             assert firsts == sorted(firsts)
-            rows = s.dense[:, sorted(S)]
+            rows = dense(s)[:, sorted(S)]
             for g in idx.groups:
                 assert (rows[g] == rows[g[0]]).all()
             assert len({rows[g[0]].tobytes() for g in idx.groups}) == idx.num_cells
@@ -87,16 +90,19 @@ class TestNodeChecks:
         s = SampleSet.from_pm1(np.array([[1, 1, -1], [-1, 1, 1]]))
         oracle = ExactOracle(random_model(np.random.default_rng(0), n_range=(3, 4)))
         pair_queries = (partial(exact_avg_cond_cov, oracle), partial(avg_cond_cov_direct, s),
-                        partial(avg_cond_cov_decomposed, s))
+                        partial(avg_cond_cov_groups, s), partial(avg_cond_cov_decomposed, s))
         node_queries = (partial(exact_influence, oracle), partial(empirical_influence, s))
-        calls = [(build_index, (s, [-1]))]
+        calls = [(build_index, (s, [-1])), (unique_groups, (s, [-1]))]
         for u, v, S, pair_only in self.BAD_NODES:
             calls += [(q, (u, v, S)) for q in pair_queries]
             if not pair_only:
                 calls += [(q, (u, S)) for q in node_queries]
         # covariance references need at least one sample
         empty = SampleSet.from_pm1(np.empty((0, 3), dtype=np.int8))
-        calls += [(q, (empty, 0, 1, [2])) for q in (avg_cond_cov_direct, avg_cond_cov_decomposed)]
+        calls += [
+            (q, (empty, 0, 1, [2]))
+            for q in (avg_cond_cov_direct, avg_cond_cov_groups, avg_cond_cov_decomposed)
+        ]
         for query, args in calls:
             with pytest.raises(ValueError):
                 query(*args)
@@ -112,7 +118,7 @@ class TestEmpiricalInfluence:
     def test_empty_set_gives_mean(self):
         s = SampleSet.from_pm1(np.array([[1, 1], [1, -1], [-1, 1], [1, 1]]))
         value = empirical_influence(s, 0, [])[2]
-        assert value == pytest.approx(float(s.dense[:, 0].mean()))
+        assert value == pytest.approx(float(dense(s)[:, 0].mean()))
 
     def test_undefined_when_no_match(self):
         s = SampleSet.from_pm1(np.full((5, 2), -1, dtype=np.int8))
@@ -127,7 +133,7 @@ class TestEmpiricalInfluence:
             others = [i for i in range(s.n) if i != u]
             S = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)), replace=False))
             value = empirical_influence(s, u, S)[2]
-            expected = brute_conditional_mean(s.dense.tolist(), u, S)
+            expected = brute_conditional_mean(dense(s).tolist(), u, S)
             if expected is None:
                 assert value is None
             else:

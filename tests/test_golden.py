@@ -5,6 +5,9 @@ node, the greedy trace (scores as float hex), the estimate, the pruned
 set and both flags, plus the four QueryMeter counters of the quantum
 runs. One case pins a ``sweep_scaling`` row set. A refactor that is meant
 to keep outputs must leave ``tests/data/golden_learners.jsonl`` as it is.
+``test_benchmark_shape_digests`` pins the same form, as a sha256, at the
+shapes of the benchmark's exact-sampler workloads (n = 16, M = 128k and
+256k), which the golden file does not reach.
 
 Regenerate (only when an output change is intended, and say why in
 CHANGES.md):
@@ -14,11 +17,13 @@ CHANGES.md):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
 
 import numpy as np
+import pytest
 
 from rbmstruct.greedy import LearnerConfig, learn_full_graph
 from rbmstruct.harness import sweep_scaling
@@ -59,6 +64,30 @@ def _settings(n: int):
     yield "tight", both(0.02, 0.025, rounds=3, fail_prob=1e-6, seed=8)
 
 
+def dump_result(res) -> dict:
+    """The pinned form of a ``FullGraphResult``: the edges, each node's
+    estimate, pruned set, both flags and trace (scores as float hex), and
+    the four QueryMeter counters (None for a classical run)."""
+    meter = res.meter
+    return {
+        "edges": sorted(list(e) for e in res.graph.edges),
+        "nodes": [
+            [
+                r.u,
+                list(r.estimate),
+                list(r.pruned),
+                r.insufficient_samples,
+                r.exhausted,
+                [[int(j), float(v).hex()] for j, v in r.trace],
+            ]
+            for r in res.per_node
+        ],
+        "meter": None
+        if meter is None
+        else [meter.raw_queries, meter.score_evals, meter.grover_iterations, meter.index_queries],
+    }
+
+
 def golden_cases():
     """Yield (case id, JSON-ready dump) for every pinned case."""
     for name, samples in _sample_sets():
@@ -69,29 +98,7 @@ def golden_cases():
             for alg in algorithms:
                 kw = by_family[alg.split("-")[0]]
                 res = learn_full_graph(samples, LearnerConfig(alg, **kw))
-                meter = res.meter
-                yield f"{name}/{label}/{alg}", {
-                    "edges": sorted(list(e) for e in res.graph.edges),
-                    "nodes": [
-                        [
-                            r.u,
-                            list(r.estimate),
-                            list(r.pruned),
-                            r.insufficient_samples,
-                            r.exhausted,
-                            [[int(j), float(v).hex()] for j, v in r.trace],
-                        ]
-                        for r in res.per_node
-                    ],
-                    "meter": None
-                    if meter is None
-                    else [
-                        meter.raw_queries,
-                        meter.score_evals,
-                        meter.grover_iterations,
-                        meter.index_queries,
-                    ],
-                }
+                yield f"{name}/{label}/{alg}", dump_result(res)
     sweep = sweep_scaling([16, 32, 64, 128, 256], trials=3, rho=0.5, seed=5)
     yield "sweep", {
         "rows": [[int(n), float(c).hex(), float(q).hex()] for n, c, q in sweep.rows],
@@ -112,6 +119,32 @@ def test_golden_outputs():
         if computed[case] != dump
     ]
     assert changed == []
+
+
+@pytest.mark.parametrize(
+    "kind, M, algorithm, digest",
+    [
+        ("ferromagnetic", 256_000, "ferro",
+         "89faa9a14379ae12cc2b78d15ed30d340e7d2bd62d9ab42db2569aa3bb7cddbd"),
+        ("ferromagnetic", 256_000, "ferro-q",
+         "87f8fca74e7b083afcf2db64ab63be8491efaffbc2e83354d0497a7c3cf2be38"),
+        ("locally-consistent", 128_000, "lc",
+         "5a6af60e4e091779fa908ac26ae45323bb8c3562ca847a6d1f148de3b31308c5"),
+        ("locally-consistent", 128_000, "lc-q",
+         "953fd15ac994824a4c7f4f5b6543f5603b82a6a0f6a0edf834f26b2325d96ca5"),
+    ],
+)
+def test_benchmark_shape_digests(kind, M, algorithm, digest):
+    # the shapes of perfbench's ferro16-exact and lc16-exact (n=16, m=8,
+    # d2=3, exact sampler, rounds d2 + 1, default thresholds); the lc draw
+    # is the one test_pinned_sample_digests pins. sha256 of the golden
+    # form, so a change to any node's result or to the meter shows.
+    # Never regenerate these digests to fit a change.
+    model = generate_model(kind, 16, 8, 3, _PARAMS, seed=0)
+    samples = exact_sample(model, M, seed=1)
+    res = learn_full_graph(samples, LearnerConfig(algorithm, rounds=4, seed=2))
+    dump = json.dumps(dump_result(res), separators=(",", ":"))
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

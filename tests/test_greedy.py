@@ -1,6 +1,5 @@
 import numpy as np
 
-from rbmstruct.estimators import avg_cond_cov_decomposed
 from rbmstruct.greedy import (
     LearnerConfig,
     _argmax,
@@ -21,6 +20,7 @@ from rbmstruct.model import (
 from rbmstruct.sampling import SampleSet, exact_sample
 
 from conftest import (
+    avg_cond_cov_groups,
     conditioning_cells,
     cov_scores,
     demo_ring_model,
@@ -116,7 +116,7 @@ class TestLearnLc:
         assert res.trace  # ring neighbors give strong covariance signal
         S = []
         for node, score in res.trace:
-            assert avg_cond_cov_decomposed(s, 1, node, S) == score
+            assert avg_cond_cov_groups(s, 1, node, S) == score
             S.append(node)
 
     def test_empty_samples_flagged(self):

@@ -604,12 +604,18 @@ class TestCli:
         assert cli.main(["constants", "--alpha", "0.4", "--beta", "2", "--fail-prob", "1"]) == 1
         assert cli.main(["constants", "--alpha", "0.4", "--beta", "2", "--d2", "0"]) == 1
         assert cli.main(["constants", "--alpha", "1e-113", "--beta", "19", "--n", "100000"]) == 1
-        err = capsys.readouterr().err
+        # 4 / fail_prob overflows: the ferro bound read inf, the lc one blamed tau
+        for tiny in ("1e-308", "1e-320"):
+            assert cli.main(["constants", "--alpha", "0.9", "--beta", "1", "--d2", "1",
+                             "--n", "16", "--fail-prob", tiny]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.count("error: tau too small for T* = ceil(8/tau^2)") == 1
         assert err.count("error: alpha too large") == 1
         assert err.count("error: fail_prob must lie in (0, 1)") == 1
         assert err.count("error: d2 must be >= 1") == 1
         assert err.count("error: tau underflowed to zero; alpha too small or beta too large") == 1
+        assert err.count("error: fail_prob too small for a finite sample bound") == 2
 
     def test_exact_enumeration_limit_rejected_before_any_model(self, monkeypatch, capsys, tmp_path):
         def no_model(*args, **kwargs):
