@@ -24,6 +24,18 @@ k-th retained state of chain c.
 ``split_rhat`` reads the chains back from that layout to report how well
 they mixed.
 
+Every pass over the samples runs in blocks of about ``_BLOCK`` entries
+of its largest temporary: the exact sampler draws, looks up and writes a
+block of draws at a time, the Gibbs sampler packs each retained round of
+C states into its output as it is kept, ``split_rhat`` unpacks a block
+of rounds at a time, and ``SampleSet.counts`` counts a block of ``bits``
+rows at a time. So, past its output and the tables it starts from (the
+2^n-entry oracle table and the exact sampler's guide table of at most
+2^n entries, the (C, n + m) chain states), no pass needs more memory
+for more samples. The one pass left whole is the build of
+``SampleSet.bits``: its two byte-column temporaries take 2 bytes per
+sample, against its output's n/8.
+
 Binary file format (little-endian):
     magic   4 bytes  b"RBMS"
     version u8       1
@@ -56,6 +68,12 @@ _TRANSPOSE_8X8 = tuple(
         (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)
     )
 )
+# Entries of the largest temporary in one block of a pass over the samples:
+# draws in exact_sample, bits words in SampleSet.counts, unpacked bytes in
+# split_rhat. Blocks of 2^15 draws timed fastest for the exact sampler at
+# n=16, M=256k (2^13 and 2^17 gained less, 2^20 nothing), and of 2^15 words
+# for the count kernel at n=16 and n=1024.
+_BLOCK = 1 << 15
 # exact: exact_sample (n + m <= ENUM_GUARD); gibbs: gibbs_sample. draw()
 # dispatches on these names.
 SAMPLERS = ("exact", "gibbs")
@@ -82,8 +100,10 @@ class SampleSet:
 
     Its one decoded view, the column bitsets ``bits`` (n*ceil(M/64)*8
     bytes), is built on first access and cached; no (M, n) decode is kept.
-    ``counts`` counts the columns of ``bits`` under a stack of masks and
-    keeps nothing; ``ones_counts`` keeps its result for the all-ones mask
+    ``counts`` counts the columns of ``bits`` under a stack of masks,
+    through at most 9 * ``_BLOCK`` bytes of buffers (9 bytes per word of
+    one row when a row is longer) that it allocates per call and does not
+    keep; ``ones_counts`` keeps its result for the all-ones mask
     of a set, n*8 bytes per set asked for: the n + 1 sets of size 0 or 1,
     which both learners ask for over every node, take n^2*8 bytes (8 MiB
     at n = 1024), and a ferro run over every node asked for about 5 sets
@@ -184,11 +204,26 @@ class SampleSet:
         """Masked column counts: an (L, n) int64 array whose entry [l, j]
         is the number of samples in both masks[l] and x_j = +1, for an
         (L, ceil(M/64)) uint64 stack of bitsets in the layout of a
-        ``bits`` row. One pass over ``bits`` per mask, so no temporary is
-        larger than ``bits``; L = 0 gives an empty (0, n) array."""
-        out = np.empty((len(masks), self.n), dtype=np.int64)
+        ``bits`` row. One pass over ``bits`` per mask, a block of rows of
+        at most ``_BLOCK`` words (or one row) at a time, through two
+        buffers of that block's size, 9 bytes per word, that each call
+        allocates for itself, so calls may run side by side. The uint8
+        popcounts are summed in uint32, exact while M < 2^32 (in uint64
+        past it). L = 0 gives an empty (0, n) array."""
+        bits = self.bits
+        n, words = bits.shape
+        step = min(n, max(1, _BLOCK // max(words, 1)))
+        acc = np.uint32 if self.M < 1 << 32 else np.uint64
+        both = np.empty((step, words), dtype=np.uint64)
+        ones = np.empty((step, words), dtype=np.uint8)
+        out = np.empty((len(masks), n), dtype=np.int64)
         for l, mask in enumerate(masks):
-            out[l] = popcount(self.bits & mask)
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                b, c = both[: hi - lo], ones[: hi - lo]
+                np.bitwise_and(bits[lo:hi], mask, out=b)
+                np.bitwise_count(b, out=c)
+                out[l, lo:hi] = c.sum(axis=1, dtype=acc)
         return out
 
     def ones_counts(self, S) -> np.ndarray:
@@ -249,14 +284,21 @@ def exact_sample(model: RbmModel, M: int, seed) -> SampleSet:
     cdf[start[b]] > u is done; the rest are lifted from start[b] + 1 by
     descending powers of two, enough to span the widest bucket. r < 2^n
     for every u < 1, since cdf[-1] = 1.
+
+    The cdf is summed in place over the oracle's 2^n-entry table, and the
+    guide table takes about 20 K bytes. The draws are made ``_BLOCK`` at a
+    time, the uniforms by ``random(out=...)`` into one buffer, so past the
+    M * ceil(n/8) bytes of packed rows and those tables a call needs about
+    36 bytes per draw of one block (1.2 MB), whatever M is.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
     n = model.n
     row_bytes = (n + 7) // 8
-    cdf = np.cumsum(ExactOracle(model).probabilities)
+    # the oracle is ours alone, so its table becomes the cdf in place
+    cdf = ExactOracle(model).probabilities
+    np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0
-    u = np.random.default_rng(seed).random(M)
     K = 1 << min(n, max(int(M).bit_length() - 1, 0))
     R = (1 << n) // K
     # block j ends at cdf[jR + R - 1], which is <= b / K for b >= ceil(K cdf)
@@ -266,22 +308,30 @@ def exact_sample(model: RbmModel, M: int, seed) -> SampleSet:
     start[:K] = np.cumsum(np.bincount(q.astype(np.intp), minlength=K + 1)[:K])
     start[K] = K - 1
     start *= np.uint32(R)
-    idx = start.take((u * K).astype(np.uint32))
-    sel = np.flatnonzero(cdf.take(idx) <= u)
-    r, us = idx.take(sel) + 1, u.take(sel)
-    # add each step whose probe cdf[r + step - 1] is still <= u; a probe
-    # past the end is clipped to cdf[-1] = 1 > u
     span = int(np.diff(start).max()) + R - 2
-    for k in reversed(range(max(span, 0).bit_length())):
-        step = np.uint32(1 << k)
-        r += (cdf.take(r + (step - 1), mode="clip") <= us) * step
-    idx[sel] = r
-    # node i is bit n-1-i of the index: shifted left by the pad width, byte
-    # c of the big-endian index is byte c of the packed row, pad bits zero
-    idx <<= 8 * row_bytes - n
+    steps = [np.uint32(1 << k) for k in reversed(range(max(span, 0).bit_length()))]
+    rng = np.random.default_rng(seed)
     rows = np.empty((M, row_bytes), dtype=np.uint8)
-    for c in range(row_bytes):
-        rows[:, c] = idx >> 8 * (row_bytes - 1 - c)
+    block = np.empty(min(M, _BLOCK))
+    for lo in range(0, M, _BLOCK):
+        u = block[: min(_BLOCK, M - lo)]
+        # a PCG64 double takes one 64-bit word, so the blocks continue
+        # the stream of one random(M) call
+        rng.random(out=u)
+        idx = start.take((u * K).astype(np.uint32))
+        sel = np.flatnonzero(cdf.take(idx) <= u)
+        r, us = idx.take(sel) + 1, u.take(sel)
+        # add each step whose probe cdf[r + step - 1] is still <= u; a
+        # probe past the end is clipped to cdf[-1] = 1 > u
+        for step in steps:
+            r += (cdf.take(r + (step - 1), mode="clip") <= us) * step
+        idx[sel] = r
+        # node i is bit n-1-i of the index: shifted left by the pad width,
+        # byte c of the big-endian index is byte c of the packed row, pad
+        # bits zero
+        idx <<= 8 * row_bytes - n
+        for c in range(row_bytes):
+            rows[lo : lo + len(u), c] = idx >> 8 * (row_bytes - 1 - c)
     return SampleSet(n, rows)
 
 
@@ -292,7 +342,10 @@ def gibbs_sample(model: RbmModel, M: int, cfg: GibbsConfig) -> SampleSet:
     ``cfg.burn_in`` sweeps and then keeps one state every ``cfg.thinning``
     sweeps; retained state k of chain c is row k * C + c, and the rows
     past M of the last round are dropped. All chains advance together as
-    one (C, n) state matrix, so a sweep is two matrix products.
+    one (C, n) state matrix, so a sweep is two matrix products. Each
+    retained round is packed into the (ceil(M / C) * C, ceil(n/8)) output
+    as it is kept, so past the output a call holds only the O(C (n + m))
+    chain state.
 
     Conditionals follow from the joint: P(y_j = +1 | x) = sigmoid(2 (g_j +
     (J.T x)_j)) and P(x_i = +1 | y) = sigmoid(2 (f_i + (J y)_i)). Since
@@ -318,7 +371,7 @@ def gibbs_sample(model: RbmModel, M: int, cfg: GibbsConfig) -> SampleSet:
     tx = np.empty((chains, n))
     v = np.empty((chains, m + n))
     v_y, v_x = v[:, :m], v[:, m:]
-    out = np.empty((rounds, chains, n), dtype=np.uint8)
+    out = np.empty((rounds * chains, (n + 7) // 8), dtype=np.uint8)
     for sweep in range(1, cfg.burn_in + cfg.thinning * rounds + 1):
         rng.random(out=v)  # then 2 u - 1, for every unit of every chain
         v *= 2.0
@@ -331,8 +384,8 @@ def gibbs_sample(model: RbmModel, M: int, cfg: GibbsConfig) -> SampleSet:
         np.less(v_x, np.tanh(tx, out=tx), out=bx)
         k, r = divmod(sweep - cfg.burn_in, cfg.thinning)
         if k > 0 and r == 0:
-            out[k - 1] = bx
-    return SampleSet(n, np.packbits(out.reshape(-1, n)[:M], axis=1))
+            out[(k - 1) * chains : k * chains] = np.packbits(bx.astype(np.uint8), axis=1)
+    return SampleSet(n, out[:M])
 
 
 def draw(model: RbmModel, M: int, sampler: str, seed, burn_in: int, thinning: int) -> SampleSet:
@@ -356,17 +409,26 @@ def split_rhat(samples: SampleSet) -> float | None:
     variance and B / L the variance of the sequence means. Nodes whose
     value never changes are skipped; a node that is constant within each
     half but not across them reads inf. Returns None when a chain has
-    fewer than 4 draws or no node varies.
+    fewer than 4 draws or no node varies. The +1 counts of each sequence
+    are summed over blocks of max(1, ``_BLOCK`` // (C n)) rounds, so a
+    call unpacks at most that block at a time and otherwise holds
+    O(C n) sums and means, whatever M is.
     """
     n, M = samples.n, samples.M
     if M < 4 * _CHAINS:  # then some chain holds fewer than 4 draws
         return None
     K = M // _CHAINS
     L = K // 2
-    draws = np.unpackbits(samples.packed[: K * _CHAINS], axis=1, count=n)
-    draws = draws.reshape(K, _CHAINS, n)
-    halves = np.concatenate([draws[:L], draws[K - L :]], axis=1)
-    means = 2.0 * halves.mean(axis=0) - 1.0
+    # +1 counts per (half, chain, node), unpacked a block of rounds at a
+    # time; the integer sums make the means below exact quotients
+    plus = np.zeros((2, _CHAINS, n), dtype=np.int64)
+    step = max(1, _BLOCK // (_CHAINS * n))
+    for half, first in enumerate((0, K - L)):
+        for k in range(first, first + L, step):
+            rows = samples.packed[k * _CHAINS : min(k + step, first + L) * _CHAINS]
+            draws = np.unpackbits(rows, axis=1, count=n).reshape(-1, _CHAINS, n)
+            plus[half] += draws.sum(axis=0, dtype=np.int64)
+    means = 2.0 * (plus.reshape(2 * _CHAINS, n) / L) - 1.0
     # sample variance of a +-1 sequence with mean mu is L (1 - mu^2) / (L - 1)
     W = (L / (L - 1) * (1.0 - means**2)).mean(axis=0)
     B_over_L = means.var(axis=0, ddof=1)

@@ -12,7 +12,10 @@ those rows (``unique_groups``, ``avg_cond_cov_groups``,
 ``avg_cond_cov_direct``), and the bitset cells and covariance scores
 (``conditioning_cells``, ``cov_scores``), which the counted routes in
 ``rbmstruct.estimators`` must equal. No reference goes through the
-counted route it checks.
+counted route it checks. The samplers' blocked passes are held to the
+whole-array routes they replaced: ``staged_gibbs_sample`` (every retained
+state staged unpacked, then one packbits) and ``unpacked_split_rhat``
+(every row unpacked at once).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from rbmstruct.model import (
     node_set,
 )
 from rbmstruct.qsearch import max_find_pick
-from rbmstruct.sampling import SampleSet, popcount
+from rbmstruct.sampling import _CHAINS, GibbsConfig, SampleSet, popcount
 
 
 def random_model(rng, kind=KIND_GENERAL, n_range=(2, 5), m_range=(0, 3)) -> RbmModel:
@@ -295,6 +298,65 @@ def brute_exact_sample(model: RbmModel, M: int, seed) -> SampleSet:
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), (1 << n) - 1)
     rows = [[1 if (int(k) >> (n - 1 - i)) & 1 else -1 for i in range(n)] for k in idx]
     return SampleSet.from_pm1(np.array(rows, dtype=np.int8).reshape(M, n))
+
+
+def staged_gibbs_sample(model: RbmModel, M: int, cfg: GibbsConfig) -> SampleSet:
+    """``gibbs_sample`` with every retained state staged unpacked in one
+    (rounds, C, n) array, packed by a single packbits after the last
+    sweep: same chains, same draws, same row layout."""
+    n, m = model.n, model.m
+    if M == 0:
+        return SampleSet.from_pm1(np.zeros((0, n), dtype=np.int8))
+    J = model.J
+    w_y, c_y = 2.0 * J, model.g - J.sum(axis=0)
+    w_x, c_x = 2.0 * J.T, model.f - J.sum(axis=1)
+    chains = min(_CHAINS, M)
+    rounds = -(-M // chains)
+    rng = np.random.default_rng(cfg.seed)
+    bx = rng.integers(0, 2, size=(chains, n)).astype(np.float64)
+    by = np.empty((chains, m))
+    ty = np.empty((chains, m))
+    tx = np.empty((chains, n))
+    v = np.empty((chains, m + n))
+    v_y, v_x = v[:, :m], v[:, m:]
+    out = np.empty((rounds, chains, n), dtype=np.uint8)
+    for sweep in range(1, cfg.burn_in + cfg.thinning * rounds + 1):
+        rng.random(out=v)
+        v *= 2.0
+        v -= 1.0
+        np.matmul(bx, w_y, out=ty)
+        ty += c_y
+        np.less(v_y, np.tanh(ty, out=ty), out=by)
+        np.matmul(by, w_x, out=tx)
+        tx += c_x
+        np.less(v_x, np.tanh(tx, out=tx), out=bx)
+        k, r = divmod(sweep - cfg.burn_in, cfg.thinning)
+        if k > 0 and r == 0:
+            out[k - 1] = bx
+    return SampleSet(n, np.packbits(out.reshape(-1, n)[:M], axis=1))
+
+
+def unpacked_split_rhat(samples: SampleSet) -> float | None:
+    """``split_rhat`` with all K * C rows unpacked at once and the two
+    halves concatenated, their means taken by ``mean``."""
+    n, M = samples.n, samples.M
+    if M < 4 * _CHAINS:
+        return None
+    K = M // _CHAINS
+    L = K // 2
+    draws = np.unpackbits(samples.packed[: K * _CHAINS], axis=1, count=n)
+    draws = draws.reshape(K, _CHAINS, n)
+    halves = np.concatenate([draws[:L], draws[K - L :]], axis=1)
+    means = 2.0 * halves.mean(axis=0) - 1.0
+    W = (L / (L - 1) * (1.0 - means**2)).mean(axis=0)
+    B_over_L = means.var(axis=0, ddof=1)
+    varying = (W > 0) | (B_over_L > 0)
+    if not varying.any():
+        return None
+    W, B_over_L = W[varying], B_over_L[varying]
+    with np.errstate(divide="ignore"):
+        rhat = np.sqrt(((L - 1) / L * W + B_over_L) / W)
+    return float(rhat.max())
 
 
 def brute_conditional_mean(rows, u: int, S) -> float | None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rbmstruct import sampling
 from rbmstruct.estimators import (
     avg_cond_cov_decomposed,
     build_index,
@@ -267,6 +268,16 @@ def test_counts_kernel_equals_popcount_reference(M, n, L, seed):
     counts = samples.counts(masks)
     assert counts.dtype == np.int64 and counts.shape == (L, n)
     assert np.array_equal(counts, popcount(samples.bits[None] & masks[:, None]))
+    # row blocks of 1 and of 3 rows; 3 leaves a short last block at n = 8.
+    # Each blocked call follows a call under other masks, so counts that a
+    # freed result left in memory cannot pass for a row the call skipped
+    rest = samples.ones_mask() & ~masks
+    rest_counts = popcount(samples.bits[None] & rest[:, None])
+    for rows in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_BLOCK", rows * max((M + 63) // 64, 1))
+            assert np.array_equal(samples.counts(rest), rest_counts)
+            assert np.array_equal(samples.counts(masks), counts)
     S = [int(j) for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)]
     assert np.array_equal(samples.ones_counts(S), samples.counts(samples.ones_mask(S)[None])[0])
     nonempty = masks[popcount(masks) > 0]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbmstruct import sampling
 from rbmstruct.model import (
     KIND_GENERAL,
     LEARNABLE_KINDS,
@@ -28,7 +29,27 @@ from rbmstruct.sampling import (
     split_rhat,
 )
 
-from conftest import brute_exact_sample, dense, random_model
+from conftest import (
+    brute_exact_sample,
+    dense,
+    random_model,
+    staged_gibbs_sample,
+    unpacked_split_rhat,
+)
+
+B = sampling._BLOCK
+
+
+def extra_peak(run) -> int:
+    """Peak bytes traced while ``run()`` runs, less the bytes of the
+    packed rows it returns."""
+    tracemalloc.start()
+    try:
+        samples = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - samples.packed.nbytes
 
 
 def sigmoid(x):
@@ -143,6 +164,10 @@ class TestExactSampler:
         assert s.packed.shape == (M, row_bytes)
         pad_mask = (1 << (8 * row_bytes - n)) - 1
         assert not (s.packed[:, -1] & pad_mask).any()
+        # blocks of 64 draws: M = 999 to 1001 crosses 15 block edges
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_BLOCK", 64)
+            assert exact_sample(model, M, seed) == s
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -161,7 +186,17 @@ class TestExactSampler:
             np.random.default_rng(model_seed), kind, n_range=(n, n + 1), m_range=(m, m + 1)
         )
         model = RbmModel(base.J * scale, base.f * scale, base.g * scale, kind=kind)
-        assert exact_sample(model, M, seed) == brute_exact_sample(model, M, seed)
+        s = brute_exact_sample(model, M, seed)
+        assert exact_sample(model, M, seed) == s
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_BLOCK", 64)
+            assert exact_sample(model, M, seed) == s
+
+    @pytest.mark.parametrize("M", [B - 1, B, B + 1, 2 * B + 1])
+    def test_block_edges_match_brute_reference(self, M):
+        # the reference draws its M uniforms by one random(M) call
+        model = random_model(np.random.default_rng(M), n_range=(9, 10), m_range=(3, 4))
+        assert exact_sample(model, M, seed=M) == brute_exact_sample(model, M, M)
 
     def test_near_point_mass_matches_brute_reference(self):
         # all 2^n - 1 steps below the all-(+1) configuration fit in bucket 0
@@ -182,6 +217,14 @@ class TestExactSampler:
         finally:
             tracemalloc.stop()
         assert peak < 96 * M
+
+    def test_working_memory_flat_in_M(self):
+        # past the output, a draw's temporaries live one block at a time;
+        # 64 KiB covers allocator noise, while per-draw temporaries would
+        # add megabytes between these two M
+        model = generate_model("ferromagnetic", 16, 8, 3, NonDegeneracyParams(0.4, 2.0), seed=0)
+        small, large = (extra_peak(lambda: exact_sample(model, M, seed=1)) for M in (2**16, 2**19))
+        assert large <= small + 2**16
 
     @pytest.mark.parametrize(
         "kind, model_seed, seed, digest",
@@ -295,6 +338,59 @@ class TestGibbsSampler:
         s = gibbs_sample(m, M, GibbsConfig(burn_in=5, thinning=2, seed=15))
         assert s.M == M and s.packed.shape == (M, 1)
         assert not (s.packed[:, 0] & 0b00011111).any()
+
+    @pytest.mark.parametrize("M", [0, 1, 63, 64, 65, 130, 64 * 9 + 3])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 20])
+    def test_matches_staged_reference(self, n, M, monkeypatch):
+        # packing each round as it is retained equals staging them all;
+        # split-R-hat over blocks of rounds equals the full unpack
+        model = random_model(np.random.default_rng(n), n_range=(n, n + 1), m_range=(3, 4))
+        cfg = GibbsConfig(burn_in=3, thinning=2, seed=M)
+        s = gibbs_sample(model, M, cfg)
+        assert s == staged_gibbs_sample(model, M, cfg)
+        want = unpacked_split_rhat(s)
+        for block in (B, 1):  # 1: a block of one round
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+            got = split_rhat(s)
+            assert got == want and (got is None or got.hex() == want.hex())
+
+    def test_split_rhat_matches_unpacked_reference(self, monkeypatch):
+        # finite, inf (each chain constant within each half, not across)
+        # and None, over odd K and over blocks of 1, 2 and 3 rounds
+        rng = np.random.default_rng(21)
+        p_plus = np.where(np.arange(64) % 2 == 0, 0.9, 0.1)
+        shifted = np.where(rng.random((401, 64, 5)) < p_plus[None, :, None], 1, -1)
+        flip = np.ones((9, 64, 3))
+        flip[5:, ::2] = -1
+        sets = [
+            SampleSet.from_pm1(rng.choice([-1, 1], size=(64 * 401 + 5, 5))),
+            SampleSet.from_pm1(shifted.reshape(-1, 5)),
+            SampleSet.from_pm1(flip.reshape(-1, 3)),
+            SampleSet.from_pm1(np.ones((64 * 4, 5))),
+        ]
+        want = [unpacked_split_rhat(s) for s in sets]
+        assert want[2] == math.inf and want[3] is None
+        for block in (B, 64 * 5, 2 * 64 * 5, 3 * 64 * 3, 1):
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+            got = [split_rhat(s) for s in sets]
+            assert [None if g is None else g.hex() for g in got] == [
+                None if w is None else w.hex() for w in want
+            ]
+
+    def test_working_memory_flat_in_M(self):
+        # the retained rounds are packed as they come and split-R-hat
+        # unpacks a block of rounds at a time, so past the packed rows
+        # neither needs more memory for more samples
+        model = generate_model("locally-consistent", 64, 32, 3, NonDegeneracyParams(0.4, 2.0), seed=0)
+        cfg = GibbsConfig(burn_in=2, thinning=1, seed=1)
+
+        def run(M):
+            s = gibbs_sample(model, M, cfg)
+            assert split_rhat(s) is not None
+            return s
+
+        small, large = (extra_peak(lambda: run(M)) for M in (2**12, 2**15))
+        assert large <= small + 2**16
 
     def test_seeds_differ(self):
         m = RbmModel([[0.5], [0.5]], [0.0, 0.0], [0.0])
